@@ -59,7 +59,7 @@ class Pencil:
         if self.scaled:
             for name, m in (("A", self.A), ("B", self.B)):
                 nrm = np.linalg.norm(m, 1)
-                if abs(nrm - 1.0) > 10 * EPS * max(1, m.shape[0]):
+                if nrm != 0.0 and abs(nrm - 1.0) > 10 * EPS * max(1, m.shape[0]):
                     raise ValueError(f"pencil marked scaled but ||{name}||_1 = {nrm!r}")
 
     @property
@@ -95,16 +95,11 @@ class NormalRankReport:
 def scale(p: Pencil) -> Pencil:
     """Scale both matrices to unit 1-norm, recording the original norms.
 
-    Raises
-    ------
-    ValueError
-        If A or B is a zero matrix; the pencil is degenerate and the
-        scaled problem would be undefined.
+    A zero matrix is left as it is with factor 1.0, so the valid pencils
+    (I, 0), (0, I) and (0, 0) keep a finite back-scale factor.
     """
-    alpha = float(np.linalg.norm(p.A, 1))
-    beta = float(np.linalg.norm(p.B, 1))
-    if alpha == 0.0 or beta == 0.0:
-        raise ValueError("cannot scale a pencil with a zero A or B matrix")
+    alpha = float(np.linalg.norm(p.A, 1)) or 1.0
+    beta = float(np.linalg.norm(p.B, 1)) or 1.0
     return Pencil(
         A=p.A / alpha,
         B=p.B / beta,

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from singpencil import NumericalError, write_pencil, write_problem
+from singpencil import NumericalError, Pencil, write_pencil, write_problem
 from singpencil.cli import main
 from singpencil.gallery import (
     bivariate_cubic_system,
@@ -36,6 +36,17 @@ def diag_files(tmp_path):
 
 
 class TestSolveCommand:
+    @pytest.mark.parametrize(
+        "a,b,label",
+        [(1.0, 0.0, "infinite_true"), (0.0, 1.0, "finite_true"), (0.0, 0.0, "prescribed")],
+    )
+    def test_zero_factor_pencils_exit_zero(self, tmp_path, a, b, label):
+        pa, pb = tmp_path / "A.mtx", tmp_path / "B.mtx"
+        write_pencil(Pencil(A=a * np.eye(4), B=b * np.eye(4)), pa, pb)
+        code, out, err = run_cli(["solve", str(pa), str(pb), "--seed", "1", "--format", "csv"])
+        assert code == 0 and err == ""
+        assert [row.split(",")[-1] for row in out.strip().splitlines()[1:]] == [label] * 4
+
     def test_table_output(self, showcase_files):
         a, b = showcase_files
         code, out, err = run_cli(["solve", a, b, "--seed", "1"])

@@ -48,11 +48,16 @@ class TestScale:
         vals = sorted(v.real for v in res.finite_true_values)
         np.testing.assert_allclose(vals, [1 / 3, 1 / 2], atol=1e-8)
 
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            scale(Pencil(A=np.zeros((2, 2)), B=np.eye(2)))
-        with pytest.raises(ValueError, match="zero"):
-            scale(Pencil(A=np.eye(2), B=np.zeros((2, 2))))
+    def test_zero_matrix_keeps_unit_factor(self):
+        for a, b in ((0.0, 3.0), (3.0, 0.0), (0.0, 0.0)):
+            p = scale(Pencil(A=a * np.eye(2), B=b * np.eye(2)))
+            assert p.scaled
+            assert p.scale_alpha == (a or 1.0) and p.scale_beta == (b or 1.0)
+            assert np.linalg.norm(p.A, 1) == (1.0 if a else 0.0)
+            assert np.linalg.norm(p.B, 1) == (1.0 if b else 0.0)
+            assert np.isfinite(p.back_factor)
+            # the marked-scaled check accepts the zero matrix it produced
+            Pencil(A=p.A, B=p.B, scaled=True)
 
     def test_spectrum_preserved_on_regular_pencils(self):
         rng = np.random.default_rng(8)

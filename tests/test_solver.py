@@ -228,9 +228,9 @@ class TestSolveBasics:
         np.testing.assert_allclose(vals, [1.0, 2.0], atol=1e-6)
         assert len(res.records) == 5
 
-    def test_zero_b_matrix_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            solve(Pencil(A=np.eye(3), B=np.zeros((3, 3))), SolveOptions(seed=0))
+    def test_zero_b_matrix_gives_infinite_eigenvalues(self):
+        res = solve(Pencil(A=np.eye(4), B=np.zeros((4, 4))), SolveOptions(seed=1))
+        assert [r.label for r in res.records] == [EigenClass.INFINITE_TRUE] * 4
 
     def test_records_sorted_and_consistent(self):
         res = solve(showcase_pencil(), SolveOptions(seed=1))
@@ -393,9 +393,17 @@ class TestHardCases:
         assert res.nrank_report.k == 0
         np.testing.assert_allclose(res.finite_true_values, [2.0], atol=1e-14)
 
-    def test_zero_a_matrix_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            solve(Pencil(A=[[0.0]], B=[[1.0]]), SolveOptions(seed=0))
+    def test_zero_a_matrix_gives_zero_eigenvalues(self):
+        res = solve(Pencil(A=[[0.0]], B=[[1.0]]), SolveOptions(seed=0))
+        assert res.finite_true_values == [0.0]
+        res = solve(Pencil(A=np.zeros((4, 4)), B=np.eye(4)), SolveOptions(seed=1))
+        assert [r.label for r in res.records] == [EigenClass.FINITE_TRUE] * 4
+        assert res.finite_true_values == [0.0] * 4
+
+    def test_zero_pencil_is_fully_singular(self):
+        res = solve(Pencil(A=np.zeros((4, 4)), B=np.zeros((4, 4))), SolveOptions(seed=1))
+        assert res.nrank_report.nrank == 0
+        assert [r.label for r in res.records] == [EigenClass.PRESCRIBED] * 4
 
     def test_extreme_scaling_recovered(self):
         res = solve(Pencil(A=[[3e5]], B=[[1e-5]]), SolveOptions(seed=0))
