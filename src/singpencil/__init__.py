@@ -17,6 +17,7 @@ from .matrix_core import (
     as_cmatrix,
     chordal_distance,
     generalized_eig,
+    greedy_match,
     kron,
     random_orthonormal,
     rank_with_tol,

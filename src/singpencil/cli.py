@@ -21,6 +21,7 @@ failure inside a solver.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kcf_gen import build, spec_from_json, spec_to_json
-from .matrix_core import EPS, NumericalError
+from .matrix_core import NumericalError
 from .pencil import normal_rank, read_pencil, write_matrix
 from .solver import SolveOptions, solve, solve_by_intersection
 from .two_param import (
@@ -45,19 +46,18 @@ __all__ = ["RunConfig", "run", "main", "entry"]
 
 @dataclass
 class RunConfig:
-    """Parsed invocation: one subcommand plus every tunable it honors."""
+    """Parsed invocation: one subcommand plus every tunable it honors.
+
+    ``opts`` carries the solver settings and the seed; ``delta`` None
+    leaves the matching tolerance to the solver's own default.
+    """
 
     subcommand: str
     inputs: list = field(default_factory=list)
     output_dir: str = "."
-    tau: float = 1e-2
-    delta1: float = math.sqrt(EPS)
-    delta2: float = 100.0 * EPS
-    delta: float = math.sqrt(EPS)
-    seed: int = 0
-    rank_tol: object = "auto"
+    opts: SolveOptions = field(default_factory=lambda: SolveOptions(seed=0))
+    delta: float | None = None
     fmt: str = "table"
-    retries: int = 3
     unique_lambda: bool = False
     refine: bool = True
 
@@ -129,40 +129,24 @@ def _emit_solve(result, fmt, out):
             "finite_true": [
                 {"re": v.real, "im": v.imag} for v in result.finite_true_values
             ],
-            "gap_report": {
-                "max_true_zeta": result.gap_report.max_true_zeta,
-                "min_nontrue_zeta": result.gap_report.min_nontrue_zeta,
-                "max_infinite_s": result.gap_report.max_infinite_s,
-                "min_finite_s": result.gap_report.min_finite_s,
-            },
+            "gap_report": dataclasses.asdict(result.gap_report),
             "collision_warning": result.collision_warning,
         }
         json.dump(doc, out, indent=2, sort_keys=True)
         out.write("\n")
 
 
-def _solve_options(cfg: RunConfig) -> SolveOptions:
-    return SolveOptions(
-        tau=cfg.tau,
-        delta1=cfg.delta1,
-        delta2=cfg.delta2,
-        seed=cfg.seed,
-        retry_on_collision=cfg.retries > 0,
-        max_retries=cfg.retries,
-        rank_tol=cfg.rank_tol,
-    )
-
-
 def _cmd_solve(cfg: RunConfig, out):
     p = read_pencil(cfg.inputs[0], cfg.inputs[1])
-    result = solve(p, _solve_options(cfg), np.random.default_rng(cfg.seed))
+    result = solve(p, cfg.opts, np.random.default_rng(cfg.opts.seed))
     _emit_solve(result, cfg.fmt, out)
     return 0
 
 
 def _cmd_nrank(cfg: RunConfig, out):
     p = read_pencil(cfg.inputs[0], cfg.inputs[1])
-    report = normal_rank(p, np.random.default_rng(cfg.seed), tol=cfg.rank_tol)
+    opts = cfg.opts
+    report = normal_rank(p, np.random.default_rng(opts.seed), tol=opts.rank_tol, probes=opts.probes)
     out.write(f"nrank={report.nrank} k={report.k}\n")
     return 0
 
@@ -176,7 +160,7 @@ def _cmd_gen(cfg: RunConfig, out):
                 f"{cfg.inputs[0]}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
             ) from exc
     spec = spec_from_json(doc)
-    pencil, truth = build(spec, np.random.default_rng(cfg.seed))
+    pencil, truth = build(spec, np.random.default_rng(cfg.opts.seed))
     os.makedirs(cfg.output_dir, exist_ok=True)
     path_a = os.path.join(cfg.output_dir, "A.mtx")
     path_b = os.path.join(cfg.output_dir, "B.mtx")
@@ -184,7 +168,7 @@ def _cmd_gen(cfg: RunConfig, out):
     write_matrix(path_b, pencil.B)
     truth_doc = {
         "spec": spec_to_json(spec),
-        "seed": cfg.seed,
+        "seed": cfg.opts.seed,
         "rows": truth.rows,
         "cols": truth.cols,
         "nrank": truth.nrank,
@@ -208,8 +192,8 @@ def _cmd_twoparam(cfg: RunConfig, out):
     pairs = solve_2ep(
         problem,
         delta=cfg.delta,
-        opts=_solve_options(cfg),
-        rng=np.random.default_rng(cfg.seed),
+        opts=cfg.opts,
+        rng=np.random.default_rng(cfg.opts.seed),
         unique_lambda=cfg.unique_lambda,
     )
     if cfg.fmt == "table":
@@ -245,7 +229,7 @@ def _cmd_doubleeig(cfg: RunConfig, out):
     if not p.is_square:
         raise ValueError("doubleeig requires square matrices")
     result = double_eig(
-        p.A, p.B, opts=_solve_options(cfg), rng=np.random.default_rng(cfg.seed),
+        p.A, p.B, opts=cfg.opts, rng=np.random.default_rng(cfg.opts.seed),
         refine=cfg.refine,
     )
     if cfg.fmt == "table":
@@ -258,16 +242,10 @@ def _cmd_doubleeig(cfg: RunConfig, out):
         for lam, gap in zip(result.lambdas, result.gaps):
             out.write(f"{lam.real!r},{lam.imag!r},{gap!r}\n")
     else:
-        gr = result.solve_result.gap_report
         doc = {
             "lambdas": [{"re": z.real, "im": z.imag} for z in result.lambdas],
             "gaps": list(result.gaps),
-            "gap_report": {
-                "max_true_zeta": gr.max_true_zeta,
-                "min_nontrue_zeta": gr.min_nontrue_zeta,
-                "max_infinite_s": gr.max_infinite_s,
-                "min_finite_s": gr.min_finite_s,
-            },
+            "gap_report": dataclasses.asdict(result.solve_result.gap_report),
         }
         json.dump(doc, out, indent=2, sort_keys=True)
         out.write("\n")
@@ -277,7 +255,7 @@ def _cmd_doubleeig(cfg: RunConfig, out):
 def _cmd_intersect(cfg: RunConfig, out):
     p = read_pencil(cfg.inputs[0], cfg.inputs[1])
     result = solve_by_intersection(
-        p, _solve_options(cfg), np.random.default_rng(cfg.seed), match_tol=cfg.delta
+        p, cfg.opts, np.random.default_rng(cfg.opts.seed), match_tol=cfg.delta
     )
     if cfg.fmt == "table":
         out.write(f"{'eig 1':>24}  {'eig 2':>24}  {'chordal dist':>12}\n")
@@ -360,19 +338,21 @@ def _build_parser():
         description="Eigenvalues of singular matrix pencils by a rank-completing perturbation.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    defaults = SolveOptions()
 
-    def add_common(sp, twoparam=False):
-        sp.add_argument("--tau", type=float, default=1e-2, help="perturbation strength")
-        sp.add_argument("--delta1", type=float, default=math.sqrt(EPS),
+    def add_common(sp):
+        sp.add_argument("--tau", type=float, default=defaults.tau, help="perturbation strength")
+        sp.add_argument("--delta1", type=float, default=defaults.delta1,
                         help="eigenvector orthogonality threshold")
-        sp.add_argument("--delta2", type=float, default=100.0 * EPS,
+        sp.add_argument("--delta2", type=float, default=defaults.delta2,
                         help="finite/infinite split threshold on |s|")
         sp.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: $SINGPENCIL_SEED or 0)")
-        sp.add_argument("--tol", default="auto",
+        sp.add_argument("--tol", dest="rank_tol", metavar="TOL", default=defaults.rank_tol,
                         help="rank decision tolerance (number or 'auto')")
-        sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        sp.add_argument("--retries", type=int, default=3,
+        sp.add_argument("--format", dest="fmt", choices=("table", "csv", "json"), default="table")
+        sp.add_argument("--retries", dest="max_retries", metavar="RETRIES", type=int,
+                        default=defaults.max_retries,
                         help="re-randomizations allowed on prescribed/true collisions")
 
     sp = sub.add_parser("solve", help="classify the spectrum of a singular pencil")
@@ -384,7 +364,7 @@ def _build_parser():
     sp.add_argument("matrix_a")
     sp.add_argument("matrix_b")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--tol", default="auto")
+    sp.add_argument("--tol", dest="rank_tol", metavar="TOL", default=defaults.rank_tol)
 
     sp = sub.add_parser("gen", help="generate a test pencil from a JSON block spec")
     sp.add_argument("spec")
@@ -394,7 +374,7 @@ def _build_parser():
     sp = sub.add_parser("twoparam", help="solve a two-parameter eigenvalue problem")
     sp.add_argument("manifest")
     add_common(sp)
-    sp.add_argument("--delta", type=float, default=math.sqrt(EPS),
+    sp.add_argument("--delta", type=float, default=None,
                     help="mu matching tolerance")
     sp.add_argument("--unique-lambda", action="store_true",
                     help="accept the closest mu pair per lambda unconditionally")
@@ -403,45 +383,40 @@ def _build_parser():
     sp.add_argument("matrix_a")
     sp.add_argument("matrix_b")
     add_common(sp)
-    sp.add_argument("--no-refine", action="store_true",
+    sp.add_argument("--no-refine", dest="refine", action="store_false",
                     help="skip the Newton polish of each lambda")
 
     sp = sub.add_parser("intersect", help="two-perturbation intersection baseline")
     sp.add_argument("matrix_a")
     sp.add_argument("matrix_b")
     add_common(sp)
-    sp.add_argument("--delta", type=float, default=math.sqrt(EPS),
+    sp.add_argument("--delta", type=float, default=None,
                     help="chordal matching tolerance")
 
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    tol = getattr(args, "tol", "auto")
-    if tol != "auto":
-        tol = float(tol)
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = _default_seed()
-    inputs = []
-    for name in ("matrix_a", "matrix_b", "spec", "manifest"):
-        v = getattr(args, name, None)
-        if v is not None:
-            inputs.append(v)
+    """Map parsed arguments onto :class:`RunConfig`.
+
+    Argparse destinations are named after the ``SolveOptions`` and
+    ``RunConfig`` fields they set; a flag a subcommand lacks keeps the
+    dataclass default, so every default lives in one place.
+    """
+    given = dict(vars(args))
+    if given["seed"] is None:
+        given["seed"] = _default_seed()
+    if given.get("rank_tol", "auto") != "auto":
+        given["rank_tol"] = float(given["rank_tol"])
+    opts = SolveOptions(
+        **{f.name: given[f.name] for f in dataclasses.fields(SolveOptions) if f.name in given}
+    )
+    opts.retry_on_collision = opts.max_retries > 0
+    inputs = [given[k] for k in ("matrix_a", "matrix_b", "spec", "manifest") if k in given]
     return RunConfig(
-        subcommand=args.subcommand,
         inputs=inputs,
-        output_dir=getattr(args, "output_dir", "."),
-        tau=getattr(args, "tau", 1e-2),
-        delta1=getattr(args, "delta1", math.sqrt(EPS)),
-        delta2=getattr(args, "delta2", 100.0 * EPS),
-        delta=getattr(args, "delta", math.sqrt(EPS)),
-        seed=seed,
-        rank_tol=tol,
-        fmt=getattr(args, "format", "table"),
-        retries=getattr(args, "retries", 3),
-        unique_lambda=getattr(args, "unique_lambda", False),
-        refine=not getattr(args, "no_refine", False),
+        opts=opts,
+        **{f.name: given[f.name] for f in dataclasses.fields(RunConfig) if f.name in given},
     )
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "random_orthonormal",
     "kron",
     "chordal_distance",
+    "greedy_match",
 ]
 
 EPS = float(np.finfo(np.float64).eps)
@@ -121,6 +122,24 @@ def chordal_distance(e1, e2):
     """
     p1, p2 = (_as_homog(e) for e in (e1, e2))
     return abs(p1.alpha * p2.beta - p2.alpha * p1.beta)
+
+
+def greedy_match(xs, ys, metric):
+    """Greedy nearest matching of two lists under ``metric``.
+
+    Repeatedly takes the globally closest unmatched pair (ties broken by
+    index order) and returns ``(x, y, d)`` triples sorted by ascending
+    distance ``d``; the output length is ``min(len(xs), len(ys))``.
+    """
+    d = np.array([[metric(a, b) for b in ys] for a in xs], dtype=float)
+    out = []
+    for _ in range(min(d.shape)):
+        i, j = np.unravel_index(np.argmin(d), d.shape)
+        out.append((xs[i], ys[j], float(d[i, j])))
+        d[i, :] = np.inf
+        d[:, j] = np.inf
+    out.sort(key=lambda t: t[2])
+    return out
 
 
 def _as_homog(e):

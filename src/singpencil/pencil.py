@@ -136,8 +136,13 @@ def normal_rank(p: Pencil, rng, tol="auto", probes=2) -> NormalRankReport:
     the maximum rank over ``probes`` draws is taken.  A single probe can
     in principle land on an eigenvalue and under-report; two independent
     probes make that a non-event in practice while the report keeps the
-    values for auditing.
+    values for auditing.  An empty (0 x 0) pencil and a negative ``tol``
+    are rejected with ``ValueError``.
     """
+    if max(p.shape) == 0:
+        raise ValueError("empty pencil")
+    if tol != "auto" and float(tol) < 0:
+        raise ValueError("tol must be nonnegative")
     ps = p if p.scaled else scale(p)
     zetas = []
     best = 0
@@ -147,7 +152,7 @@ def normal_rank(p: Pencil, rng, tol="auto", probes=2) -> NormalRankReport:
         zetas.append(zeta)
         m = ps.A - zeta * ps.B
         s = np.linalg.svd(m, compute_uv=False)
-        t = max(m.shape) * EPS * s[0] if tol == "auto" else float(tol)
+        t = max(m.shape) * EPS * (s[0] if s.size else 0.0) if tol == "auto" else float(tol)
         tol_used = max(tol_used, t)
         best = max(best, int(np.sum(s > t)))
     k = max(p.shape) - best

@@ -34,6 +34,7 @@ from .matrix_core import (
     as_cmatrix,
     chordal_distance,
     generalized_eig,
+    greedy_match,
     random_orthonormal,
 )
 from .pencil import NormalRankReport, Pencil, normal_rank, scale, squarify
@@ -55,6 +56,7 @@ __all__ = [
 
 DEFAULT_DELTA1 = math.sqrt(EPS)
 DEFAULT_DELTA2 = 100.0 * EPS
+DEFAULT_MATCH_TOL = math.sqrt(EPS)
 
 
 class EigenClass(enum.Enum):
@@ -104,8 +106,10 @@ class SolveOptions:
     rank_tol: object = "auto"
 
     def __post_init__(self):
-        if self.delta1 <= 0 or self.delta2 <= 0:
+        if not (self.delta1 > 0 and self.delta2 > 0):
             raise ValueError("delta1 and delta2 must be positive")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be nonnegative")
 
 
 @dataclass
@@ -307,8 +311,8 @@ def _records_from_decomposition(dec: EigDecomposition, Bt, U, V):
         x = dec.right[:, i]
         y = dec.left[:, i]
         s_abs = abs(y.conj() @ (Bt @ x))
-        vx = float(np.linalg.norm(V.conj().T @ x)) if V.shape[1] else 0.0
-        uy = float(np.linalg.norm(U.conj().T @ y)) if U.shape[1] else 0.0
+        vx = float(np.linalg.norm(V.conj().T @ x))
+        uy = float(np.linalg.norm(U.conj().T @ y))
         records.append(
             EigenRecord(lam=dec.eigenvalue(i), x=x, y=y, s_abs=float(s_abs), vx_norm=vx, uy_norm=uy)
         )
@@ -342,6 +346,15 @@ def _has_collision(records, spec, delta1):
     return False
 
 
+def _prepare(p: Pencil, opts: SolveOptions | None, rng):
+    """Default ``opts`` and ``rng``, squarify and scale ``p`` and estimate its normal rank."""
+    opts = opts or SolveOptions()
+    if rng is None:
+        rng = np.random.default_rng(opts.seed)
+    ps = scale(squarify(p))
+    return opts, rng, ps, normal_rank(ps, rng, tol=opts.rank_tol, probes=opts.probes)
+
+
 def solve(p: Pencil, opts: SolveOptions | None = None, rng=None) -> SolveResult:
     """Compute and classify the eigenvalues of a (possibly singular) pencil.
 
@@ -351,7 +364,8 @@ def solve(p: Pencil, opts: SolveOptions | None = None, rng=None) -> SolveResult:
     eigenvalue from the eigenvector orthogonality diagnostics, and
     back-scales the eigenvalues to the original pencil.
 
-    A regular input (rank defect k = 0) skips the perturbation; its
+    A regular input (rank defect k = 0) is solved unperturbed: with no
+    U and V every eigenvector passes the orthogonality test, so its
     eigenvalues are split into finite/infinite by |s| alone.
 
     When a prescribed eigenvalue happens to land within ``10 * delta1``
@@ -359,34 +373,23 @@ def solve(p: Pencil, opts: SolveOptions | None = None, rng=None) -> SolveResult:
     ``opts.max_retries`` times); if the collision persists the result is
     returned with ``collision_warning`` set.
     """
-    opts = opts or SolveOptions()
-    if rng is None:
-        rng = np.random.default_rng(opts.seed)
-    ps = scale(squarify(p))
-    n = ps.shape[0]
-    report = normal_rank(ps, rng, tol=opts.rank_tol, probes=opts.probes)
-    k = report.k
-
+    opts, rng, ps, report = _prepare(p, opts, rng)
+    n, k = ps.shape[0], report.k
+    spec, pt = None, ps
+    U = V = np.zeros((n, 0), dtype=np.complex128)
+    retry = opts.retry_on_collision and k > 0
     collision_warning = False
-    if k == 0:
-        dec = generalized_eig(ps.A, ps.B)
-        empty = np.zeros((n, 0), dtype=np.complex128)
-        records = _records_from_decomposition(dec, ps.B, empty, empty)
-        for r in records:
-            r.label = EigenClass.FINITE_TRUE if r.s_abs > opts.delta2 else EigenClass.INFINITE_TRUE
-        spec = None
-    else:
-        attempts = opts.max_retries + 1 if opts.retry_on_collision else 1
-        for _ in range(attempts):
+    for _ in range(opts.max_retries + 1 if retry else 1):
+        if k:
             spec = make_perturbation(n, k, opts, rng)
-            pt = perturb(ps, spec)
-            dec = generalized_eig(pt.A, pt.B)
-            records = _records_from_decomposition(dec, pt.B, spec.U, spec.V)
-            classify(records, opts.delta1, opts.delta2)
-            if not opts.retry_on_collision or not _has_collision(records, spec, opts.delta1):
-                break
-        else:
-            collision_warning = True
+            pt, U, V = perturb(ps, spec), spec.U, spec.V
+        dec = generalized_eig(pt.A, pt.B)
+        records = _records_from_decomposition(dec, pt.B, U, V)
+        classify(records, opts.delta1, opts.delta2)
+        if not retry or not _has_collision(records, spec, opts.delta1):
+            break
+    else:
+        collision_warning = True
 
     for r in records:
         r.lam = r.lam.rescaled(ps.scale_alpha, ps.scale_beta)
@@ -429,54 +432,22 @@ def solve_by_intersection(
     nearest unmatched eigenvalue of the second in the chordal metric.
     Pairs closer than ``match_tol`` (default sqrt(EPS)) are accepted.
     """
-    opts = opts or SolveOptions()
-    if rng is None:
-        rng = np.random.default_rng(opts.seed)
+    opts, rng, ps, report = _prepare(p, opts, rng)
     if match_tol is None:
-        match_tol = math.sqrt(EPS)
-    ps = scale(squarify(p))
-    n = ps.shape[0]
-    report = normal_rank(ps, rng, tol=opts.rank_tol, probes=opts.probes)
+        match_tol = DEFAULT_MATCH_TOL
     k = report.k
-
     spectra = []
     for _ in range(2):
-        if k == 0:
-            dec = generalized_eig(ps.A, ps.B)
-        else:
-            spec = make_perturbation(n, k, opts, rng)
-            pt = perturb(ps, spec)
-            dec = generalized_eig(pt.A, pt.B)
+        pt = perturb(ps, make_perturbation(ps.shape[0], k, opts, rng)) if k else ps
+        dec = generalized_eig(pt.A, pt.B)
         spectra.append(
             [e.rescaled(ps.scale_alpha, ps.scale_beta) for e in dec.eigenvalues()]
         )
 
-    e1, e2 = spectra
-    dist = np.array([[chordal_distance(a, b) for b in e2] for a in e1])
-    pairs = _greedy_pairs(dist)
-    matches = [(e1[i], e2[j], float(dist[i, j])) for i, j in pairs]
-    matches.sort(key=lambda t: t[2])
+    matches = greedy_match(*spectra, chordal_distance)
     eigenvalues = [
         (a.value + b.value) / 2.0
         for a, b, d in matches
         if d < match_tol and not a.is_infinite and not b.is_infinite
     ]
     return IntersectionResult(eigenvalues=eigenvalues, matches=matches, tol=float(match_tol))
-
-
-def _greedy_pairs(dist):
-    """Repeatedly extract the globally closest unmatched (i, j) pair.
-
-    Ties break lexicographically on (i, j), which makes the matching
-    deterministic.
-    """
-    d = np.array(dist, dtype=float, copy=True)
-    if d.size == 0:
-        return []
-    out = []
-    for _ in range(min(d.shape)):
-        i, j = np.unravel_index(np.argmin(d), d.shape)
-        out.append((int(i), int(j)))
-        d[i, :] = np.inf
-        d[:, j] = np.inf
-    return out

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import EPS, as_cmatrix, kron, rank_with_tol
+from .matrix_core import as_cmatrix, greedy_match, kron, rank_with_tol
 from .pencil import Pencil, read_matrix, write_matrix
-from .solver import SolveOptions, solve
+from .solver import DEFAULT_MATCH_TOL, SolveOptions, solve
 
 __all__ = [
     "TwoParamProblem",
@@ -53,8 +53,6 @@ __all__ = [
     "write_problem",
     "solutions_to_csv",
 ]
-
-DEFAULT_MATCH_DELTA = math.sqrt(EPS)
 
 
 @dataclass
@@ -139,25 +137,14 @@ def operator_determinants(p: TwoParamProblem) -> DeltaTriple:
 
 
 def pair_mu_candidates(mus1, mus2):
-    """Greedy nearest matching of two candidate lists.
+    """Greedy nearest matching of two candidate lists by ``|mu1 - mu2|``.
 
-    Repeatedly extracts the globally closest unmatched pair (ties broken
-    by index order) and returns the matches sorted by ascending
-    discrepancy; the output length is min(len(mus1), len(mus2)).
+    Returns ``(mu1, mu2, discrepancy)`` triples sorted by ascending
+    discrepancy, as :func:`~singpencil.matrix_core.greedy_match` does.
     """
-    mus1 = [complex(m) for m in mus1]
-    mus2 = [complex(m) for m in mus2]
-    if not mus1 or not mus2:
-        return []
-    d = np.array([[abs(a - b) for b in mus2] for a in mus1], dtype=float)
-    out = []
-    for _ in range(min(len(mus1), len(mus2))):
-        i, j = np.unravel_index(np.argmin(d), d.shape)
-        out.append((mus1[i], mus2[j], float(d[i, j])))
-        d[i, :] = np.inf
-        d[:, j] = np.inf
-    out.sort(key=lambda t: t[2])
-    return out
+    return greedy_match(
+        [complex(m) for m in mus1], [complex(m) for m in mus2], lambda a, b: abs(a - b)
+    )
 
 
 def _cluster_values(values, tol):
@@ -213,7 +200,7 @@ def solve_2ep(
     if rng is None:
         rng = np.random.default_rng(opts.seed)
     if delta is None:
-        delta = DEFAULT_MATCH_DELTA
+        delta = DEFAULT_MATCH_TOL
     deltas = operator_determinants(p)
     lam_result = solve(Pencil(A=deltas.D1, B=deltas.D0), opts, rng)
     lams = _cluster_values(lam_result.finite_true_values, delta)

@@ -2,12 +2,13 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from singpencil import NumericalError, Pencil, write_pencil, write_problem
-from singpencil.cli import main
+from singpencil import EPS, NumericalError, Pencil, SolveOptions, write_pencil, write_problem
+from singpencil.cli import _build_parser, _config_from_args, main
 from singpencil.gallery import (
     bivariate_cubic_system,
     diagonal_demo_pencil,
@@ -112,6 +113,42 @@ class TestSolveCommand:
         code, _, err = run_cli(["solve", a, b])
         assert code == 3
         assert "numerical failure" in err and "42" in err
+
+
+    @pytest.mark.parametrize(
+        "cmd,flags,msg",
+        [
+            ("solve", ["--retries", "-1"], "max_retries"),
+            ("solve", ["--tol", "-1"], "nonnegative"),
+            ("nrank", ["--tol", "-1"], "nonnegative"),
+        ],
+    )
+    def test_invalid_settings_exit_2(self, showcase_files, cmd, flags, msg):
+        code, out, err = run_cli([cmd, *showcase_files, *flags])
+        assert code == 2 and out == "" and msg in err
+
+    @pytest.mark.parametrize("cmd", ["solve", "nrank", "intersect", "doubleeig"])
+    def test_empty_pencil_exits_2(self, tmp_path, cmd):
+        a, b = tmp_path / "A.mtx", tmp_path / "B.mtx"
+        write_pencil(Pencil(A=np.zeros((0, 0)), B=np.zeros((0, 0))), a, b)
+        code, out, err = run_cli([cmd, str(a), str(b)])
+        assert code == 2 and out == "" and "empty pencil" in err
+
+
+class TestDefaults:
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "A", "B"], ["doubleeig", "A", "B"], ["twoparam", "M"], ["intersect", "A", "B"]],
+    )
+    def test_unflagged_options_are_solve_options_defaults(self, argv, monkeypatch):
+        monkeypatch.delenv("SINGPENCIL_SEED", raising=False)
+        cfg = _config_from_args(_build_parser().parse_args(argv))
+        assert cfg.opts == SolveOptions(seed=0)
+
+    def test_intersect_default_tol(self, diag_files):
+        code, out, _ = run_cli(["intersect", *diag_files, "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["tol"] == math.sqrt(EPS)
 
 
 class TestNrankCommand:

@@ -9,6 +9,7 @@ from singpencil import (
     as_cmatrix,
     chordal_distance,
     generalized_eig,
+    greedy_match,
     kron,
     random_orthonormal,
     rank_with_tol,
@@ -145,6 +146,20 @@ class TestRankWithTol:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             rank_with_tol(np.eye(2), tol=-1.0)
+
+
+class TestGreedyMatch:
+    def test_matches_reference_loop_in_distance_order(self):
+        rng = np.random.default_rng(4)
+        for m, n in ((5, 5), (3, 6), (6, 2)):
+            xs = [complex(z) for z in random_complex(rng, (m,))] + [complex(np.inf)]
+            ys = [complex(z) for z in random_complex(rng, (n,))]
+            ref = sorted(greedy_chordal_match(xs, ys), key=lambda t: t[2])
+            assert greedy_match(xs, ys, chordal_distance) == ref
+
+    def test_ties_break_by_index(self):
+        out = greedy_match(["a", "b"], ["c", "d", "e"], lambda a, b: 0.0)
+        assert out == [("a", "c", 0.0), ("b", "d", 0.0)]
 
 
 class TestRandomOrthonormal:

@@ -133,6 +133,20 @@ class TestNormalRank:
         rep = normal_rank(diagonal_demo_pencil(), np.random.default_rng(1), probes=4)
         assert len(rep.zeta_samples) == 4
 
+    def test_empty_pencil_rejected(self):
+        with pytest.raises(ValueError, match="empty pencil"):
+            normal_rank(Pencil(A=np.zeros((0, 0)), B=np.zeros((0, 0))), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_zero_by_n_has_rank_zero(self, shape):
+        p = Pencil(A=np.zeros(shape), B=np.zeros(shape))
+        rep = normal_rank(p, np.random.default_rng(0))
+        assert (rep.nrank, rep.k) == (0, 3)
+
+    def test_negative_tol_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            normal_rank(diagonal_demo_pencil(), np.random.default_rng(0), tol=-1.0)
+
 
 class TestMatrixMarketIO:
     def test_roundtrip_array(self, tmp_path):

@@ -241,6 +241,18 @@ class TestSolveBasics:
             assert r.zeta == max(r.vx_norm, r.uy_norm)
 
 
+class TestSolveOptions:
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ValueError, match="max_retries"):
+            SolveOptions(max_retries=-1)
+
+    @pytest.mark.parametrize("name", ["delta1", "delta2"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_thresholds_must_be_positive(self, name, value):
+        with pytest.raises(ValueError, match="positive"):
+            SolveOptions(**{name: value})
+
+
 class TestCollisionRetry:
     def test_explicit_gamma_collision_warns(self):
         # prescribe gamma exactly on a true eigenvalue; explicit diagonals
@@ -399,6 +411,20 @@ class TestHardCases:
         res = solve(Pencil(A=np.zeros((4, 4)), B=np.eye(4)), SolveOptions(seed=1))
         assert [r.label for r in res.records] == [EigenClass.FINITE_TRUE] * 4
         assert res.finite_true_values == [0.0] * 4
+
+    def test_empty_pencil_rejected(self):
+        empty = Pencil(A=np.zeros((0, 0)), B=np.zeros((0, 0)))
+        for run in (solve, solve_by_intersection):
+            with pytest.raises(ValueError, match="empty pencil"):
+                run(empty, SolveOptions(seed=0))
+
+    def test_zero_by_three_is_fully_singular(self):
+        res = solve(Pencil(A=np.zeros((0, 3)), B=np.zeros((0, 3))), SolveOptions(seed=0))
+        assert [r.label for r in res.records] == [EigenClass.PRESCRIBED] * 3
+
+    def test_negative_rank_tol_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve(showcase_pencil(), SolveOptions(seed=0, rank_tol=-1.0))
 
     def test_zero_pencil_is_fully_singular(self):
         res = solve(Pencil(A=np.zeros((4, 4)), B=np.zeros((4, 4))), SolveOptions(seed=1))

@@ -196,6 +196,10 @@ class TestDoubleEig:
         res = double_eig([[2.0]], [[1.0]], opts=SolveOptions(seed=0))
         assert res.lambdas == []
 
+    def test_empty_matrices_rejected(self):
+        with pytest.raises(ValueError, match="empty pencil"):
+            double_eig(np.zeros((0, 0)), np.zeros((0, 0)), opts=SolveOptions(seed=0))
+
     def test_hand_constructed_double_at_zero(self):
         # A + lam B has eigenvalues +-lam: double exactly at lam = 0
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
