@@ -138,7 +138,7 @@ def _emit_solve(result, fmt, out):
 
 def _cmd_solve(cfg: RunConfig, out):
     p = read_pencil(cfg.inputs[0], cfg.inputs[1])
-    result = solve(p, cfg.opts, np.random.default_rng(cfg.opts.seed))
+    result = solve(p, cfg.opts)
     _emit_solve(result, cfg.fmt, out)
     return 0
 
@@ -193,7 +193,6 @@ def _cmd_twoparam(cfg: RunConfig, out):
         problem,
         delta=cfg.delta,
         opts=cfg.opts,
-        rng=np.random.default_rng(cfg.opts.seed),
         unique_lambda=cfg.unique_lambda,
     )
     if cfg.fmt == "table":
@@ -228,10 +227,7 @@ def _cmd_doubleeig(cfg: RunConfig, out):
     p = read_pencil(cfg.inputs[0], cfg.inputs[1])
     if not p.is_square:
         raise ValueError("doubleeig requires square matrices")
-    result = double_eig(
-        p.A, p.B, opts=cfg.opts, rng=np.random.default_rng(cfg.opts.seed),
-        refine=cfg.refine,
-    )
+    result = double_eig(p.A, p.B, opts=cfg.opts, refine=cfg.refine)
     if cfg.fmt == "table":
         out.write(f"{'lambda':>28}  {'min eig gap':>12}\n")
         for lam, gap in zip(result.lambdas, result.gaps):
@@ -254,9 +250,7 @@ def _cmd_doubleeig(cfg: RunConfig, out):
 
 def _cmd_intersect(cfg: RunConfig, out):
     p = read_pencil(cfg.inputs[0], cfg.inputs[1])
-    result = solve_by_intersection(
-        p, cfg.opts, np.random.default_rng(cfg.opts.seed), match_tol=cfg.delta
-    )
+    result = solve_by_intersection(p, cfg.opts, match_tol=cfg.delta)
     if cfg.fmt == "table":
         out.write(f"{'eig 1':>24}  {'eig 2':>24}  {'chordal dist':>12}\n")
         for a, b, d in result.matches:
@@ -411,7 +405,6 @@ def _config_from_args(args) -> RunConfig:
     opts = SolveOptions(
         **{f.name: given[f.name] for f in dataclasses.fields(SolveOptions) if f.name in given}
     )
-    opts.retry_on_collision = opts.max_retries > 0
     inputs = [given[k] for k in ("matrix_a", "matrix_b", "spec", "manifest") if k in given]
     return RunConfig(
         inputs=inputs,

@@ -26,6 +26,7 @@ __all__ = [
     "HomogeneousEigenvalue",
     "EigDecomposition",
     "generalized_eig",
+    "rank_tolerance",
     "rank_with_tol",
     "random_orthonormal",
     "kron",
@@ -236,21 +237,31 @@ def generalized_eig(A, B):
     return EigDecomposition(alpha=alpha, beta=beta, right=vr, left=vl)
 
 
+def rank_tolerance(s, shape, tol="auto"):
+    """Rank cut for the singular values ``s`` (largest first) of a ``shape`` matrix.
+
+    ``"auto"`` gives ``max(rows, cols) * EPS * sigma_max``, the usual
+    dense-rank convention (0 without singular values); a number must be
+    nonnegative.
+    """
+    if tol == "auto":
+        return max(shape) * EPS * (s[0] if s.size else 0.0)
+    tol = float(tol)
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    return tol
+
+
 def rank_with_tol(M, tol="auto"):
     """Numerical rank of M: the number of singular values above ``tol``.
 
-    ``tol="auto"`` uses ``max(rows, cols) * EPS * sigma_max``, the usual
-    dense-rank convention.
+    ``tol`` follows :func:`rank_tolerance`.
     """
     M = as_cmatrix(M, "M")
     if M.size == 0:
         raise ValueError("rank of an empty matrix is undefined")
     s = np.linalg.svd(M, compute_uv=False)
-    if tol == "auto":
-        tol = max(M.shape) * EPS * (s[0] if s.size else 0.0)
-    elif tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return int(np.sum(s > tol))
+    return int(np.sum(s > rank_tolerance(s, M.shape, tol)))
 
 
 def random_orthonormal(n, k, rng):

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .matrix_core import EPS, as_cmatrix
+from .matrix_core import EPS, as_cmatrix, rank_tolerance
 
 __all__ = [
     "Pencil",
@@ -141,8 +141,6 @@ def normal_rank(p: Pencil, rng, tol="auto", probes=2) -> NormalRankReport:
     """
     if max(p.shape) == 0:
         raise ValueError("empty pencil")
-    if tol != "auto" and float(tol) < 0:
-        raise ValueError("tol must be nonnegative")
     ps = p if p.scaled else scale(p)
     zetas = []
     best = 0
@@ -152,7 +150,7 @@ def normal_rank(p: Pencil, rng, tol="auto", probes=2) -> NormalRankReport:
         zetas.append(zeta)
         m = ps.A - zeta * ps.B
         s = np.linalg.svd(m, compute_uv=False)
-        t = max(m.shape) * EPS * (s[0] if s.size else 0.0) if tol == "auto" else float(tol)
+        t = rank_tolerance(s, m.shape, tol)
         tol_used = max(tol_used, t)
         best = max(best, int(np.sum(s > t)))
     k = max(p.shape) - best
@@ -162,6 +160,9 @@ def normal_rank(p: Pencil, rng, tol="auto", probes=2) -> NormalRankReport:
 def read_matrix(path):
     """Read one dense complex matrix from a Matrix Market file."""
     try:
+        rows, cols, _, kind, _, _ = scipy.io.mminfo(path)
+        if kind == "array" and rows * cols == 0:  # mmread of a 0 x n array dies with SIGFPE
+            return np.zeros((rows, cols), dtype=np.complex128)
         m = scipy.io.mmread(path)
     except Exception as exc:
         raise ValueError(f"{path}: not a readable Matrix Market file ({exc})") from exc
@@ -171,8 +172,13 @@ def read_matrix(path):
 
 
 def write_matrix(path, m):
-    """Write one matrix to a Matrix Market file (complex array format)."""
-    scipy.io.mmwrite(path, as_cmatrix(m, str(path)), field="complex")
+    """Write one matrix to a Matrix Market file (complex array format).
+
+    A matrix with no rows is written in coordinate format instead,
+    because ``scipy.io.mmwrite`` of a complex 0 x n array never returns.
+    """
+    m = as_cmatrix(m, str(path))
+    scipy.io.mmwrite(path, scipy.sparse.coo_matrix(m) if m.shape[0] == 0 else m, field="complex")
 
 
 def read_pencil(path_a, path_b) -> Pencil:

@@ -74,16 +74,6 @@ class EigenClass(enum.Enum):
         return self in (EigenClass.FINITE_TRUE, EigenClass.INFINITE_TRUE)
 
 
-_CLASS_ORDER = {
-    EigenClass.FINITE_TRUE: 0,
-    EigenClass.INFINITE_TRUE: 1,
-    EigenClass.PRESCRIBED: 2,
-    EigenClass.RANDOM_RIGHT: 3,
-    EigenClass.RANDOM_LEFT: 4,
-    EigenClass.UNCLASSIFIED: 5,
-}
-
-
 @dataclass
 class SolveOptions:
     """Tunable parameters of the perturb-and-classify pipeline.
@@ -100,7 +90,6 @@ class SolveOptions:
     delta2: float = DEFAULT_DELTA2
     seed: int | None = None
     gamma: tuple | None = None
-    retry_on_collision: bool = True
     max_retries: int = 3
     probes: int = 2
     rank_tol: object = "auto"
@@ -260,90 +249,78 @@ def perturb(p: Pencil, spec: PerturbationSpec) -> Pencil:
     )
 
 
-def classify(records, delta1=DEFAULT_DELTA1, delta2=DEFAULT_DELTA2):
-    """Assign an :class:`EigenClass` to each record in place.
+_CLASSES = list(EigenClass)
+_FINITE, _INFINITE = _CLASSES.index(EigenClass.FINITE_TRUE), _CLASSES.index(EigenClass.INFINITE_TRUE)
+# class of each sign pattern (||V^H x|| < delta1, ||U^H y|| < delta1) at 2 * vx_small + uy_small
+_PATTERN_CLASS = np.array(
+    [_CLASSES.index(EigenClass[c]) for c in ("PRESCRIBED", "RANDOM_LEFT", "RANDOM_RIGHT", "FINITE_TRUE")]
+)
+
+
+def _class_index(s_abs, vx, uy, delta1, delta2):
+    """Class of every eigenpair as an index into ``list(EigenClass)``.
 
     The four sign patterns of (||V^H x|| < delta1, ||U^H y|| < delta1)
     decide true / prescribed / random-from-right-block /
     random-from-left-block; |s| > delta2 splits true into finite and
-    infinite.  Returns the same list.
+    infinite.
     """
-    for r in records:
-        vx_small = r.vx_norm < delta1
-        uy_small = r.uy_norm < delta1
-        if vx_small and uy_small:
-            r.label = EigenClass.FINITE_TRUE if r.s_abs > delta2 else EigenClass.INFINITE_TRUE
-        elif not vx_small and not uy_small:
-            r.label = EigenClass.PRESCRIBED
-        elif vx_small:
-            r.label = EigenClass.RANDOM_RIGHT
-        else:
-            r.label = EigenClass.RANDOM_LEFT
+    cls = _PATTERN_CLASS[2 * (vx < delta1) + (uy < delta1)]
+    cls[(cls == _FINITE) & ~(s_abs > delta2)] = _INFINITE
+    return cls
+
+
+def classify(records, delta1=DEFAULT_DELTA1, delta2=DEFAULT_DELTA2):
+    """Assign an :class:`EigenClass` to each record in place.
+
+    Applies the rule of :func:`solve` to the records' ``s_abs``,
+    ``vx_norm`` and ``uy_norm``.  Returns the same list.
+    """
+    diag = np.array([(r.s_abs, r.vx_norm, r.uy_norm) for r in records], dtype=float)
+    cls = _class_index(*diag.reshape(-1, 3).T, delta1, delta2)
+    for r, c in zip(records, cls.tolist()):
+        r.label = _CLASSES[c]
     return records
 
 
-def _record_sort_key(r: EigenRecord):
-    if r.is_infinite:
-        re, im = math.inf, 0.0
-    else:
-        v = r.value
-        re, im = v.real, v.imag
-    return (_CLASS_ORDER[r.label], re, im, r.s_abs)
+def _diagnostics(dec: EigDecomposition, Bt, U, V):
+    """Arrays |y^H B~ x|, ||V^H x|| and ||U^H y|| over the eigenpairs.
 
-
-def _gap_report(records):
-    true_z = [r.zeta for r in records if r.label.is_true]
-    non_z = [r.zeta for r in records if not r.label.is_true]
-    inf_s = [r.s_abs for r in records if r.label is EigenClass.INFINITE_TRUE]
-    fin_s = [r.s_abs for r in records if r.label is EigenClass.FINITE_TRUE]
-    return GapReport(
-        max_true_zeta=max(true_z) if true_z else None,
-        min_nontrue_zeta=min(non_z) if non_z else None,
-        max_infinite_s=max(inf_s) if inf_s else None,
-        min_finite_s=min(fin_s) if fin_s else None,
-    )
-
-
-def _records_from_decomposition(dec: EigDecomposition, Bt, U, V):
-    """Diagnostics s, ||V^H x||, ||U^H y|| for every eigenpair."""
-    records = []
+    One column at a time on purpose: batched products change the last
+    bits of these numbers, which the CLI prints in full.
+    """
+    out = np.empty((3, dec.n))
+    Vh, Uh = V.conj().T, U.conj().T
     for i in range(dec.n):
-        x = dec.right[:, i]
-        y = dec.left[:, i]
-        s_abs = abs(y.conj() @ (Bt @ x))
-        vx = float(np.linalg.norm(V.conj().T @ x))
-        uy = float(np.linalg.norm(U.conj().T @ y))
-        records.append(
-            EigenRecord(lam=dec.eigenvalue(i), x=x, y=y, s_abs=float(s_abs), vx_norm=vx, uy_norm=uy)
-        )
-    return records
+        x, y = dec.right[:, i], dec.left[:, i]
+        out[:, i] = abs(y.conj() @ (Bt @ x)), np.linalg.norm(Vh @ x), np.linalg.norm(Uh @ y)
+    return out
 
 
-def _has_collision(records, spec, delta1):
+def _has_collision(lams, cls, spec, delta1):
     """True when a prescribed gamma collides with another eigenvalue.
 
     Two symptoms are checked.  A near collision leaves the true
     eigenvalue classified and within 10*delta1 of some gamma.  An exact
     (or very close) collision instead contaminates the eigenvectors of
-    both copies, so no finite-true record survives near gamma; that case
-    shows up as more records clustering at gamma than the multiplicity
-    of gamma among the prescribed values.
+    both copies, so no finite-true eigenvalue survives near gamma; that
+    case shows up as more eigenvalues clustering at gamma than the
+    multiplicity of gamma among the prescribed values.  ``hypot`` of the
+    parts matches scalar complex ``abs`` bit for bit; ``np.abs`` does not.
     """
     tol = 10 * delta1
-    finite = [r.lam.value for r in records if r.label is EigenClass.FINITE_TRUE]
+    values = np.array([e.value for e in lams], dtype=np.complex128)
     gammas = spec.gammas
-    for g in gammas:
-        if np.isinf(g):
-            continue
-        if any(abs(v - g) < tol for v in finite):
-            return True
-        multiplicity = int(np.sum(np.abs(gammas - g) < tol))
-        nearby = sum(
-            1 for r in records if not r.lam.is_infinite and abs(r.lam.value - g) < tol
-        )
-        if nearby > multiplicity:
+    for g in gammas[~np.isinf(gammas)]:
+        d = values - g
+        near = np.hypot(d.real, d.imag) < tol
+        if np.any(near & (cls == _FINITE)) or np.sum(near) > np.sum(np.abs(gammas - g) < tol):
             return True
     return False
+
+
+def _extreme(values, mask, pick):
+    return float(pick(values[mask])) if mask.any() else None
 
 
 def _prepare(p: Pencil, opts: SolveOptions | None, rng):
@@ -371,36 +348,48 @@ def solve(p: Pencil, opts: SolveOptions | None = None, rng=None) -> SolveResult:
     When a prescribed eigenvalue happens to land within ``10 * delta1``
     of a finite true eigenvalue the perturbation is re-randomized (up to
     ``opts.max_retries`` times); if the collision persists the result is
-    returned with ``collision_warning`` set.
+    returned with ``collision_warning`` set.  The check runs whenever
+    k > 0, so ``max_retries=0`` checks once and flags a collision.
     """
     opts, rng, ps, report = _prepare(p, opts, rng)
     n, k = ps.shape[0], report.k
     spec, pt = None, ps
     U = V = np.zeros((n, 0), dtype=np.complex128)
-    retry = opts.retry_on_collision and k > 0
     collision_warning = False
-    for _ in range(opts.max_retries + 1 if retry else 1):
+    for _ in range(opts.max_retries + 1):
         if k:
             spec = make_perturbation(n, k, opts, rng)
             pt, U, V = perturb(ps, spec), spec.U, spec.V
         dec = generalized_eig(pt.A, pt.B)
-        records = _records_from_decomposition(dec, pt.B, U, V)
-        classify(records, opts.delta1, opts.delta2)
-        if not retry or not _has_collision(records, spec, opts.delta1):
+        diag = _diagnostics(dec, pt.B, U, V)
+        cls = _class_index(*diag, opts.delta1, opts.delta2)
+        lams = dec.eigenvalues()
+        if not k or not _has_collision(lams, cls, spec, opts.delta1):
             break
     else:
         collision_warning = True
 
-    for r in records:
-        r.lam = r.lam.rescaled(ps.scale_alpha, ps.scale_beta)
-    records.sort(key=_record_sort_key)
-    finite_true = [r for r in records if r.label is EigenClass.FINITE_TRUE]
+    s_abs, vx, uy = diag
+    lams = [e.rescaled(ps.scale_alpha, ps.scale_beta) for e in lams]
+    values = np.array([e.value for e in lams], dtype=np.complex128)
+    rows, labels = diag.T.tolist(), [_CLASSES[c] for c in cls.tolist()]
+    records = [
+        EigenRecord(lams[i], dec.right[:, i], dec.left[:, i], *rows[i], label=labels[i])
+        for i in np.lexsort((s_abs, values.imag, values.real, cls)).tolist()
+    ]
+    zeta = np.maximum(vx, uy)
+    true = (cls == _FINITE) | (cls == _INFINITE)
     return SolveResult(
         records=records,
-        finite_true=finite_true,
+        finite_true=[r for r in records if r.label is EigenClass.FINITE_TRUE],
         nrank_report=report,
         spec_used=spec,
-        gap_report=_gap_report(records),
+        gap_report=GapReport(
+            max_true_zeta=_extreme(zeta, true, np.max),
+            min_nontrue_zeta=_extreme(zeta, ~true, np.min),
+            max_infinite_s=_extreme(s_abs, cls == _INFINITE, np.max),
+            min_finite_s=_extreme(s_abs, cls == _FINITE, np.min),
+        ),
         collision_warning=collision_warning,
     )
 

@@ -1,13 +1,35 @@
 """Shared helpers for the test suite."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
+import singpencil
 from singpencil import chordal_distance
 from singpencil.kcf_gen import Jordan, KcfSpec, LeftSingular, Nilpotent, RightSingular
 
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def run_python(code, cwd, timeout=60):
+    """Run ``code`` in a fresh interpreter that imports this singpencil.
+
+    A child process turns a hang or a crash inside a dependency into a
+    failed test instead of a stuck or killed test run.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(singpencil.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 def greedy_chordal_match(xs, ys):

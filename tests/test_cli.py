@@ -15,6 +15,8 @@ from singpencil.gallery import (
     showcase_pencil,
 )
 
+from helpers import run_python
+
 
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -47,6 +49,21 @@ class TestSolveCommand:
         code, out, err = run_cli(["solve", str(pa), str(pb), "--seed", "1", "--format", "csv"])
         assert code == 0 and err == ""
         assert [row.split(",")[-1] for row in out.strip().splitlines()[1:]] == [label] * 4
+
+    def test_zero_row_files_solve(self, tmp_path):
+        # in a child process: a regression in zero-row Matrix Market I/O
+        # hangs (mmwrite) or kills the interpreter (mmread)
+        proc = run_python(
+            "import numpy as np\n"
+            "from singpencil import Pencil, write_pencil\n"
+            "from singpencil.cli import main\n"
+            "write_pencil(Pencil(A=np.zeros((0, 3)), B=np.zeros((0, 3))), 'A.mtx', 'B.mtx')\n"
+            "raise SystemExit(main(['solve', 'A.mtx', 'B.mtx', '--format', 'csv']))\n",
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = proc.stdout.strip().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["prescribed"] * 3
 
     def test_table_output(self, showcase_files):
         a, b = showcase_files

@@ -16,7 +16,7 @@ from singpencil import (
 from singpencil.gallery import diagonal_demo_pencil, showcase_pencil
 from singpencil.pencil import read_matrix, read_pencil, write_matrix, write_pencil
 
-from helpers import random_complex
+from helpers import random_complex, run_python
 
 
 class TestScale:
@@ -169,6 +169,22 @@ class TestMatrixMarketIO:
         q = read_pencil(tmp_path / "A.mtx", tmp_path / "B.mtx")
         np.testing.assert_allclose(q.A, p.A)
         np.testing.assert_allclose(q.B, p.B)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_pencil_roundtrip(self, tmp_path, shape):
+        # in a child process: scipy's mmwrite of a complex 0 x n array
+        # never returns and its mmread of one dies with SIGFPE
+        proc = run_python(
+            "import numpy as np\n"
+            "from singpencil import Pencil, read_pencil, write_pencil\n"
+            f"z = np.zeros({shape!r})\n"
+            "write_pencil(Pencil(A=z, B=z), 'A.mtx', 'B.mtx')\n"
+            "q = read_pencil('A.mtx', 'B.mtx')\n"
+            "print(q.A.shape, q.B.shape, q.A.dtype)\n",
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"{shape} {shape} complex128"
 
     def test_unreadable_file_raises_value_error(self, tmp_path):
         bad = tmp_path / "bad.mtx"

@@ -8,6 +8,7 @@ import pytest
 from singpencil import (
     EigenClass,
     EigenRecord,
+    GapReport,
     HomogeneousEigenvalue,
     Pencil,
     PerturbationSpec,
@@ -264,13 +265,30 @@ class TestCollisionRetry:
         res = solve(p, opts)
         assert res.collision_warning
 
-    def test_retry_disabled_never_warns(self):
+    @pytest.mark.parametrize("retries", [0, 2])
+    def test_attempt_count_and_flag(self, monkeypatch, retries):
+        # the check runs whenever k > 0: max_retries=0 makes one attempt
+        # and flags the collision instead of skipping the check
+        import singpencil.solver as solver_mod
+
+        calls = []
+        real = solver_mod.generalized_eig
+
+        def counting(A, B):
+            calls.append(1)
+            return real(A, B)
+
+        monkeypatch.setattr(solver_mod, "generalized_eig", counting)
         p = showcase_pencil()
-        ps = scale(squarify(p))
-        gamma_true = (1 / 3) / ps.back_factor
-        opts = SolveOptions(seed=0, gamma=([gamma_true], [1.0]), retry_on_collision=False)
+        gamma_true = (1 / 3) / scale(squarify(p)).back_factor
+        opts = SolveOptions(seed=0, gamma=([gamma_true], [1.0]), max_retries=retries)
         res = solve(p, opts)
-        assert not res.collision_warning
+        assert len(calls) == retries + 1
+        assert res.collision_warning
+
+    def test_retry_option_removed(self):
+        with pytest.raises(TypeError):
+            SolveOptions(retry_on_collision=False)
 
 
 class TestTauProperties:
@@ -339,6 +357,51 @@ class TestCountingProperty:
             assert counts.get(EigenClass.RANDOM_RIGHT, 0) == truth.M
             assert counts.get(EigenClass.RANDOM_LEFT, 0) == truth.N
             assert truth.r + truth.k + truth.M + truth.N == n
+
+
+class TestArrayContract:
+    """The classified spectrum ``solve`` builds from arrays, read back from its records."""
+
+    @staticmethod
+    def _pencils():
+        from helpers import random_singular_spec
+
+        for trial in range(30):
+            rng = np.random.default_rng(50_000 + trial)
+            yield build(random_singular_spec(rng, max_size=20), rng)[0], trial
+        yield Pencil(A=random_complex(np.random.default_rng(1), (5, 5)), B=np.eye(5)), 30
+        yield Pencil(A=np.zeros((4, 4)), B=np.zeros((4, 4))), 31
+
+    def test_labels_gaps_and_order(self):
+        order = list(EigenClass)
+
+        def extreme(pick, values):
+            return pick(values) if values else None
+
+        for p, seed in self._pencils():
+            opts = SolveOptions(seed=seed)
+            res = solve(p, opts)
+            recs = res.records
+            labels = [r.label for r in recs]
+            assert [r.label for r in classify(list(recs), opts.delta1, opts.delta2)] == labels
+            true_z = [r.zeta for r in recs if r.label.is_true]
+            assert res.gap_report == GapReport(
+                max_true_zeta=extreme(max, true_z),
+                min_nontrue_zeta=extreme(min, [r.zeta for r in recs if not r.label.is_true]),
+                max_infinite_s=extreme(
+                    max, [r.s_abs for r in recs if r.label is EigenClass.INFINITE_TRUE]
+                ),
+                min_finite_s=extreme(
+                    min, [r.s_abs for r in recs if r.label is EigenClass.FINITE_TRUE]
+                ),
+            )
+            keys = [
+                (order.index(r.label), math.inf if r.is_infinite else r.value.real,
+                 0.0 if r.is_infinite else r.value.imag, r.s_abs)
+                for r in recs
+            ]
+            assert keys == sorted(keys)
+            assert res.finite_true == [r for r in recs if r.label is EigenClass.FINITE_TRUE]
 
 
 class TestUnitaryInvariance:
