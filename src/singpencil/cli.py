@@ -431,3 +431,7 @@ def main(argv=None, out=None, err=None) -> int:
 def entry():
     """Console-script entry point."""
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

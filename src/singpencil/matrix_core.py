@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 __all__ = [
     "EPS",
@@ -185,9 +185,10 @@ class EigDecomposition:
 def generalized_eig(A, B):
     """Eigenvalues and left/right eigenvectors of the pencil A - lambda B.
 
-    Wraps LAPACK's QZ-based dense solver (via ``scipy.linalg.eig``) and
-    re-normalizes its output: eigenvectors to unit 2-norm, homogeneous
-    eigenvalue pairs to the unit sphere.
+    Calls LAPACK's QZ-based dense solver ``zggev`` directly (one
+    workspace query, one solve) and normalizes its output once:
+    eigenvectors to unit 2-norm, homogeneous eigenvalue pairs to the
+    unit sphere.
 
     Parameters
     ----------
@@ -205,8 +206,9 @@ def generalized_eig(A, B):
     ValueError
         On shape mismatch.
     NumericalError
-        If the QZ iteration fails to converge, or an eigenvalue comes
-        back as the indeterminate pair (0, 0).
+        If LAPACK reports a failure (``info != 0``, e.g. the QZ iteration
+        did not converge), or an eigenvalue comes back as the
+        indeterminate pair (0, 0).
     """
     A = as_cmatrix(A, "A")
     B = as_cmatrix(B, "B")
@@ -214,15 +216,17 @@ def generalized_eig(A, B):
         raise ValueError(f"A must be square, got {A.shape}")
     if A.shape != B.shape:
         raise ValueError(f"A and B must have equal shape, got {A.shape} and {B.shape}")
-    try:
-        (alpha, beta), vl, vr = scipy.linalg.eig(
-            A, B, left=True, right=True, homogeneous_eigvals=True
-        )
-    except np.linalg.LinAlgError as exc:
+    n = A.shape[0]
+    if n == 0:  # LAPACK rejects n = 0 as an illegal argument
+        vec, mat = np.zeros(0, np.complex128), np.zeros((0, 0), np.complex128)
+        return EigDecomposition(alpha=vec, beta=vec, right=mat, left=mat)
+    lwork = int(lapack.zggev(A, B, lwork=-1)[-2][0].real)
+    alpha, beta, vl, vr, _, info = lapack.zggev(A, B, lwork=lwork)
+    if info != 0:
         raise NumericalError(
-            f"generalized eigenvalue iteration failed: {exc}",
-            details={"n": A.shape[0], "lapack_error": str(exc)},
-        ) from exc
+            f"generalized eigenvalue iteration failed: zggev info = {info}",
+            details={"n": n, "lapack_info": int(info)},
+        )
     scale = np.hypot(np.abs(alpha), np.abs(beta))
     bad = np.nonzero(scale == 0.0)[0]
     if bad.size:

@@ -286,15 +286,17 @@ def classify(records, delta1=DEFAULT_DELTA1, delta2=DEFAULT_DELTA2):
 def _diagnostics(dec: EigDecomposition, Bt, U, V):
     """Arrays |y^H B~ x|, ||V^H x|| and ||U^H y|| over the eigenpairs.
 
-    One column at a time on purpose: batched products change the last
-    bits of these numbers, which the CLI prints in full.
+    Three matrix products (B~ X, V^H X, U^H Y) cover every eigenpair at
+    once, followed by column-wise reductions.
     """
-    out = np.empty((3, dec.n))
-    Vh, Uh = V.conj().T, U.conj().T
-    for i in range(dec.n):
-        x, y = dec.right[:, i], dec.left[:, i]
-        out[:, i] = abs(y.conj() @ (Bt @ x)), np.linalg.norm(Vh @ x), np.linalg.norm(Uh @ y)
-    return out
+    X, Y = dec.right, dec.left
+    return np.stack(
+        [
+            np.abs(np.einsum("ij,ij->j", Y.conj(), Bt @ X)),
+            np.linalg.norm(V.conj().T @ X, axis=0),
+            np.linalg.norm(U.conj().T @ Y, axis=0),
+        ]
+    )
 
 
 def _has_collision(lams, cls, spec, delta1):

@@ -286,14 +286,16 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
     from :func:`double_eig_linearization` (generically n(n-1) finite
     true eigenvalues) and verifies every candidate by recomputing the
     spectrum of A + lambda B.  With ``refine`` (default) each lambda is
-    polished by a few Newton steps on the squared gap of the colliding
-    eigenvalue pair, which is analytic across the collision; this
+    polished by Newton steps on the squared gap of the colliding
+    eigenvalue pair, which is analytic across the collision, until its
+    gap is below 1e-7 of the spectral scale (at most 12 steps); this
     typically improves the verification gap from about 1e-4 to below
-    1e-7 of the spectral scale.
+    1e-7.
 
     Cost: one dense QZ of the 3n^2 x 3n^2 linearization plus stacked
     n x n ``eigvals`` calls over all lambdas in lockstep: one without
-    ``refine``, at most 25 with it (one, then two per Newton step).
+    ``refine``, and with it two more per Newton step until the last
+    lambda stops: 3 when one step suffices for every lambda, at most 25.
     """
     opts = opts or SolveOptions()
     if rng is None:
@@ -344,11 +346,15 @@ def _polish(A, B, lams, refine, iters=12):
     colliding eigenvalue pair, tracked across evaluations by continuity.
     g is analytic with a simple root at the exact collision, so Newton
     converges fast; the best iterate is kept (the computed gap bottoms
-    out at the eigensolver's own noise floor).  All lambdas step in
-    lockstep: one stacked solve for the central differences and one for
-    the new iterates, whose tracked pair gives g at the next step.  The
-    gap is the closest-pair distance on the best iterate's spectrum over
-    its spectral scale; non-finite lambdas pass through with gap inf.
+    out at the eigensolver's own noise floor).  A lambda stops once its
+    best tracked gap is below 1e-7 of its best spectrum's scale
+    max(1, max |w|); one that never gets there (a near-triple collision
+    converges only linearly) runs all ``iters`` steps.  All lambdas step
+    in lockstep: one stacked solve for the central differences and one
+    for the new iterates, whose tracked pair gives g at the next step.
+    The gap is the closest-pair distance on the best iterate's spectrum
+    over its spectral scale, never more than the best tracked gap over
+    that scale; non-finite lambdas pass through with gap inf.
     """
     lams = list(lams)
     gaps = [math.inf] * len(lams)
@@ -383,7 +389,7 @@ def _polish(A, B, lams, refine, iters=12):
             if gap < best[k]:
                 best[k] = gap
                 lams[live[k]], spectra[k] = cur[k], W[t]
-            if gap >= 3e-9:
+            if best[k] >= 1e-7 * max(1.0, float(np.max(np.abs(spectra[k])))):
                 active.append(k)
     for k, w in enumerate(spectra):
         i, j = _closest_pair(w)

@@ -119,6 +119,13 @@ class TestSolveCommand:
         assert code == 2
         assert "bad.mtx" in err
 
+    def test_non_finite_entry_exits_2(self, tmp_path, showcase_files):
+        nan = tmp_path / "nan.mtx"
+        nan.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\nnan\n0.0\n1.0\n")
+        code, out, err = run_cli(["solve", str(nan), showcase_files[1]])
+        assert code == 2 and out == ""
+        assert "contains non-finite entries" in err
+
     def test_numerical_failure_exits_3(self, showcase_files, monkeypatch):
         import singpencil.cli as cli_mod
 
@@ -196,6 +203,18 @@ class TestHelp:
     def test_no_subcommand_exits_2(self):
         code, _, _ = run_cli([])
         assert code == 2
+
+    def test_module_entry_matches_main(self, diag_files, tmp_path):
+        # ``python -m singpencil.cli`` runs the module as __main__ through runpy
+        a, b = diag_files
+        proc = run_python(
+            "import runpy, sys\n"
+            f"sys.argv = ['singpencil.cli', 'nrank', {a!r}, {b!r}]\n"
+            "runpy.run_module('singpencil.cli', run_name='__main__', alter_sys=True)\n",
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli(["nrank", a, b])[1] == "nrank=3 k=3\n"
 
 
 class TestGenCommand:

@@ -6,6 +6,7 @@ import pytest
 from singpencil import (
     EPS,
     HomogeneousEigenvalue,
+    NumericalError,
     as_cmatrix,
     chordal_distance,
     generalized_eig,
@@ -81,6 +82,24 @@ class TestGeneralizedEig:
         assert flags == [False, True]
         finite = [e.value for e in dec.eigenvalues() if not e.is_infinite]
         np.testing.assert_allclose(finite, [1.0], atol=1e-14)
+
+    def test_empty_pencil(self):
+        dec = generalized_eig(np.zeros((0, 0)), np.zeros((0, 0)))
+        assert dec.n == 0 and dec.right.shape == dec.left.shape == (0, 0)
+
+    def test_lapack_failure_raises_numerical_error(self, monkeypatch):
+        import singpencil.matrix_core as mc
+
+        real = mc.lapack.zggev
+
+        def failing(a, b, **kwargs):
+            *out, info = real(a, b, **kwargs)
+            return (*out, 2 if kwargs.get("lwork") != -1 else info)
+
+        monkeypatch.setattr(mc.lapack, "zggev", failing)
+        with pytest.raises(NumericalError, match="zggev info = 2") as exc:
+            generalized_eig(np.diag([1.0, 2.0]), np.eye(2))
+        assert exc.value.details == {"n": 2, "lapack_info": 2}
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from singpencil import (
+    EPS,
     EigenClass,
     EigenRecord,
     GapReport,
@@ -402,6 +403,69 @@ class TestArrayContract:
             ]
             assert keys == sorted(keys)
             assert res.finite_true == [r for r in recs if r.label is EigenClass.FINITE_TRUE]
+
+    def test_batched_diagnostics_match_per_column_loop(self):
+        # the per-eigenpair loop the batched kernel replaced: the products
+        # sum in another order, so they agree to 10 EPS, not bit for bit
+        from singpencil.pencil import normal_rank
+        from singpencil.solver import _diagnostics
+
+        for p, seed in self._pencils():
+            rng = np.random.default_rng(seed)
+            ps = scale(squarify(p))
+            n, k = ps.shape[0], normal_rank(ps, rng).k
+            pt, U, V = ps, np.zeros((n, 0)), np.zeros((n, 0))
+            if k:
+                spec = make_perturbation(n, k, SolveOptions(), rng)
+                pt, U, V = perturb(ps, spec), spec.U, spec.V
+            dec = generalized_eig(pt.A, pt.B)
+            want = np.array(
+                [
+                    (abs(y.conj() @ (pt.B @ x)), np.linalg.norm(V.conj().T @ x),
+                     np.linalg.norm(U.conj().T @ y))
+                    for x, y in zip(dec.right.T, dec.left.T)
+                ]
+            ).T
+            np.testing.assert_allclose(_diagnostics(dec, pt.B, U, V), want, rtol=0, atol=10 * EPS)
+
+
+def _strided_view(m):
+    """``m`` as a non-contiguous complex view into a larger array."""
+    big = np.zeros((2 * m.shape[0], 3 * m.shape[1]), dtype=np.complex128)
+    big[::2, ::3] = m
+    return big[::2, ::3]
+
+
+class TestInputRepresentations:
+    """Integer, real and non-contiguous inputs solve like their complex128 C-order copy."""
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda m: m,
+            lambda m: m.astype(np.float64),
+            lambda m: np.asfortranarray(m.astype(np.complex128)),
+            lambda m: np.asfortranarray(m.astype(np.float64)),
+            _strided_view,
+        ],
+        ids=["int64", "float64", "complex_fortran", "float_fortran", "strided_slice"],
+    )
+    def test_same_records_as_complex_c_contiguous_copy(self, convert):
+        # A = X Ca, B = X Cb with a 5 x 4 integer X: singular, normal rank 4
+        rng = np.random.default_rng(8)
+        X = rng.integers(-3, 4, (5, 4))
+        A, B = X @ rng.integers(-3, 4, (4, 5)), X @ rng.integers(-3, 4, (4, 5))
+        want = solve(Pencil(A=A.astype(np.complex128), B=B.astype(np.complex128)),
+                     SolveOptions(seed=3))
+        got = solve(Pencil(A=convert(A), B=convert(B)), SolveOptions(seed=3))
+        assert got.nrank_report.k == 1
+        assert repr(got.nrank_report) == repr(want.nrank_report)
+
+        def key(r):
+            diag = (r.lam, r.label, r.s_abs, r.vx_norm, r.uy_norm)
+            return repr(diag), r.x.tobytes(), r.y.tobytes()
+
+        assert [key(r) for r in got.records] == [key(r) for r in want.records]
 
 
 class TestUnitaryInvariance:
