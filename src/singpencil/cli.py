@@ -11,8 +11,16 @@ intersect  the historical two-perturbation intersection baseline
 
 All randomness is controlled by ``--seed`` (falling back to the
 ``SINGPENCIL_SEED`` environment variable, then to 0), so every command
-is byte-reproducible for a fixed seed.  Table output rounds to 6
-significant digits; csv and json emit full precision.
+is byte-reproducible for a fixed seed.
+
+``--format`` selects one of three writers, shared by every subcommand:
+
+table  6 significant digits; an infinite value reads ``inf``
+csv    full-precision floats (``repr``); a complex value fills the two
+       fields ``<name>_re`` and ``<name>_im``
+json   full-precision floats; a complex value is ``{"re": .., "im": ..}``
+       (flat ``solve`` records split it like csv) and a non-finite
+       number is ``null`` (both parts of a complex one)
 
 Exit codes: 0 success, 2 argument or input-file errors, 3 numerical
 failure inside a solver.
@@ -21,6 +29,7 @@ failure inside a solver.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -32,14 +41,9 @@ import numpy as np
 
 from .kcf_gen import build, spec_from_json, spec_to_json
 from .matrix_core import NumericalError
-from .pencil import normal_rank, read_pencil, write_matrix
+from .pencil import csv_text, normal_rank, read_pencil, write_matrix
 from .solver import SolveOptions, solve, solve_by_intersection
-from .two_param import (
-    double_eig,
-    read_problem,
-    solutions_to_csv,
-    solve_2ep,
-)
+from .two_param import double_eig, read_problem, solve_2ep
 
 __all__ = ["RunConfig", "run", "main", "entry"]
 
@@ -62,91 +66,97 @@ class RunConfig:
     refine: bool = True
 
 
-def _fmt6(x):
-    return f"{x:.6g}"
+def _text(x):
+    """Table text of one value: 6 significant digits, a list as its comma-separated items."""
+    if isinstance(x, list):
+        return ", ".join(map(_text, x))
+    if not isinstance(x, complex):
+        return f"{x:.6g}" if isinstance(x, float) else str(x)
+    # chop imaginary roundoff dust on real eigenvalues
+    if abs(x.imag) <= 1e-10 * max(1.0, abs(x.real)):
+        return _text(x.real)
+    return f"{x.real:.6g}{'+' if x.imag >= 0 else '-'}{abs(x.imag):.6g}j"
 
 
-def _fmt_complex(z, fmt=_fmt6):
-    if isinstance(z, complex) and (math.isinf(z.real) or math.isinf(z.imag)):
-        return "inf"
-    z = complex(z)
-    # table display only: chop imaginary roundoff dust on real eigenvalues
-    if abs(z.imag) <= 1e-10 * max(1.0, abs(z.real)):
-        return fmt(z.real)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{fmt(z.real)}{sign}{fmt(abs(z.imag))}j"
+def _jsonable(x):
+    """``x`` with complex as {"re", "im"} and non-finite numbers (complex: both parts) as None."""
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, complex):
+        finite = cmath.isfinite(x)
+        return {"re": x.real if finite else None, "im": x.imag if finite else None}
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
-def _record_rows(result):
-    rows = []
-    for i, r in enumerate(result.records, 1):
-        rows.append(
-            {
-                "index": i,
-                "lambda_re": r.value.real if not r.is_infinite else math.inf,
-                "lambda_im": r.value.imag if not r.is_infinite else 0.0,
-                "infinite": r.is_infinite,
-                "s_abs": r.s_abs,
-                "vx_norm": r.vx_norm,
-                "uy_norm": r.uy_norm,
-                "zeta": r.zeta,
-                "class": r.label.value,
-            }
-        )
-    return rows
+def _record(columns, row):
+    """One row as a flat JSON object; a complex cell fills its two fields."""
+    rec = {}
+    for (fields, _, _), x in zip(columns, row):
+        v = _jsonable(x)
+        rec.update(zip(fields.split(), v.values() if isinstance(v, dict) else (v,)))
+    return rec
 
 
-def _emit_solve(result, fmt, out):
-    rows = _record_rows(result)
+def _emit(fmt, out, columns, rows, footer, doc):
+    """Write one result as a table, as csv or as the JSON document ``doc()``.
+
+    Each column is (csv fields, table title, table width): a complex cell
+    fills two fields, and a column without a title is left out of the
+    table.  ``footer`` holds the table's closing lines as (template, *values).
+    ``doc`` is called for json output only, so the other formats skip it.
+    """
     if fmt == "table":
-        out.write(f"{'k':>3}  {'lambda':>24}  {'|s|':>12}  {'||V*x||':>12}  {'||U*y||':>12}  class\n")
-        for row, rec in zip(rows, result.records):
-            lam = "inf" if row["infinite"] else _fmt_complex(rec.value)
-            out.write(
-                f"{row['index']:>3}  {lam:>24}  {_fmt6(row['s_abs']):>12}  "
-                f"{_fmt6(row['vx_norm']):>12}  {_fmt6(row['uy_norm']):>12}  {row['class']}\n"
-            )
-        finite = ", ".join(_fmt_complex(v) for v in result.finite_true_values)
-        out.write(f"finite true eigenvalues: [{finite}]\n")
-        if result.collision_warning:
-            out.write("warning: prescribed/true eigenvalue collision persisted after retries\n")
+        shown = [(i, title, width) for i, (_, title, width) in enumerate(columns) if title]
+        lines = [[t for _, t, _ in shown]] + [[_text(r[i]) for i, _, _ in shown] for r in rows]
+        for line in lines:
+            out.write("  ".join(t.rjust(w) for t, (_, _, w) in zip(line, shown)) + "\n")
+        for template, *values in footer:
+            out.write(template.format(*map(_text, values)) + "\n")
     elif fmt == "csv":
-        out.write("index,lambda_re,lambda_im,infinite,s_abs,vx_norm,uy_norm,zeta,class\n")
-        for row in rows:
-            out.write(
-                f"{row['index']},{row['lambda_re']!r},{row['lambda_im']!r},"
-                f"{int(row['infinite'])},{row['s_abs']!r},{row['vx_norm']!r},"
-                f"{row['uy_norm']!r},{row['zeta']!r},{row['class']}\n"
-            )
+        out.write(csv_text([f for fields, _, _ in columns for f in fields.split()], rows))
     else:
-        for row in rows:
-            if row["infinite"]:
-                row["lambda_re"] = row["lambda_im"] = None  # keep the JSON RFC-valid
-        doc = {
-            "nrank": result.nrank_report.nrank,
-            "k": result.nrank_report.k,
-            "records": rows,
-            "finite_true": [
-                {"re": v.real, "im": v.imag} for v in result.finite_true_values
-            ],
-            "gap_report": dataclasses.asdict(result.gap_report),
-            "collision_warning": result.collision_warning,
-        }
-        json.dump(doc, out, indent=2, sort_keys=True)
+        json.dump(_jsonable(doc()), out, indent=2, sort_keys=True, allow_nan=False)
         out.write("\n")
 
 
+_SOLVE_COLUMNS = (
+    ("index", "k", 3),
+    ("lambda_re lambda_im", "lambda", 24),
+    ("infinite", None, 0),
+    ("s_abs", "|s|", 12),
+    ("vx_norm", "||V*x||", 12),
+    ("uy_norm", "||U*y||", 12),
+    ("zeta", None, 0),
+    ("class", "class", 0),
+)
+
+
 def _cmd_solve(cfg: RunConfig, out):
-    p = read_pencil(cfg.inputs[0], cfg.inputs[1])
-    result = solve(p, cfg.opts)
-    _emit_solve(result, cfg.fmt, out)
+    result = solve(read_pencil(cfg.inputs[0], cfg.inputs[1]), cfg.opts)
+    rows = [
+        (i, r.value, r.is_infinite, r.s_abs, r.vx_norm, r.uy_norm, r.zeta, r.label.value)
+        for i, r in enumerate(result.records, 1)
+    ]
+    footer = [("finite true eigenvalues: [{}]", result.finite_true_values)]
+    if result.collision_warning:
+        footer.append(("warning: prescribed/true eigenvalue collision persisted after retries",))
+    _emit(cfg.fmt, out, _SOLVE_COLUMNS, rows, footer, lambda: {
+        "nrank": result.nrank_report.nrank,
+        "k": result.nrank_report.k,
+        "records": [_record(_SOLVE_COLUMNS, row) for row in rows],
+        "finite_true": result.finite_true_values,
+        "gap_report": dataclasses.asdict(result.gap_report),
+        "collision_warning": result.collision_warning,
+    })
     return 0
 
 
 def _cmd_nrank(cfg: RunConfig, out):
     p = read_pencil(cfg.inputs[0], cfg.inputs[1])
     opts = cfg.opts
-    report = normal_rank(p, np.random.default_rng(opts.seed), tol=opts.rank_tol, probes=opts.probes)
+    report = normal_rank(p, np.random.default_rng(opts.seed), tol=opts.rank_tol)
     out.write(f"nrank={report.nrank} k={report.k}\n")
     return 0
 
@@ -187,40 +197,28 @@ def _cmd_gen(cfg: RunConfig, out):
     return 0
 
 
+_TWOPARAM_COLUMNS = (
+    ("lambda_re lambda_im", "lambda", 24),
+    ("mu_re mu_im", "mu", 24),
+    ("discrepancy", "discrepancy", 12),
+    ("residual1", "res1", 10),
+    ("residual2", "res2", 10),
+)
+
+
 def _cmd_twoparam(cfg: RunConfig, out):
     problem = read_problem(cfg.inputs[0])
-    pairs = solve_2ep(
-        problem,
-        delta=cfg.delta,
-        opts=cfg.opts,
-        unique_lambda=cfg.unique_lambda,
-    )
-    if cfg.fmt == "table":
-        out.write(
-            f"{'lambda':>24}  {'mu':>24}  {'discrepancy':>12}  {'res1':>10}  {'res2':>10}\n"
-        )
-        for e in pairs:
-            out.write(
-                f"{_fmt_complex(e.lam):>24}  {_fmt_complex(e.mu):>24}  "
-                f"{_fmt6(e.mu_discrepancy):>12}  {_fmt6(e.residual1):>10}  {_fmt6(e.residual2):>10}\n"
-            )
-        out.write(f"{len(pairs)} eigenvalue pairs\n")
-    elif cfg.fmt == "csv":
-        out.write(solutions_to_csv(pairs))
-    else:
-        doc = [
-            {
-                "lambda": {"re": e.lam.real, "im": e.lam.imag},
-                "mu": {"re": e.mu.real, "im": e.mu.imag},
-                "discrepancy": e.mu_discrepancy,
-                "residual1": e.residual1,
-                "residual2": e.residual2,
-            }
-            for e in pairs
-        ]
-        json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
+    pairs = solve_2ep(problem, delta=cfg.delta, opts=cfg.opts, unique_lambda=cfg.unique_lambda)
+    rows = [(e.lam, e.mu, e.mu_discrepancy, e.residual1, e.residual2) for e in pairs]
+    footer = [("{} eigenvalue pairs", len(rows))]
+    _emit(cfg.fmt, out, _TWOPARAM_COLUMNS, rows, footer, lambda: [
+        {"lambda": lam, "mu": mu, "discrepancy": d, "residual1": r1, "residual2": r2}
+        for lam, mu, d, r1, r2 in rows
+    ])
     return 0
+
+
+_DOUBLEEIG_COLUMNS = (("lambda_re lambda_im", "lambda", 28), ("min_gap", "min eig gap", 12))
 
 
 def _cmd_doubleeig(cfg: RunConfig, out):
@@ -228,61 +226,40 @@ def _cmd_doubleeig(cfg: RunConfig, out):
     if not p.is_square:
         raise ValueError("doubleeig requires square matrices")
     result = double_eig(p.A, p.B, opts=cfg.opts, refine=cfg.refine)
-    if cfg.fmt == "table":
-        out.write(f"{'lambda':>28}  {'min eig gap':>12}\n")
-        for lam, gap in zip(result.lambdas, result.gaps):
-            out.write(f"{_fmt_complex(lam):>28}  {_fmt6(gap):>12}\n")
-        out.write(f"{len(result.lambdas)} double-eigenvalue locations\n")
-    elif cfg.fmt == "csv":
-        out.write("lambda_re,lambda_im,min_gap\n")
-        for lam, gap in zip(result.lambdas, result.gaps):
-            out.write(f"{lam.real!r},{lam.imag!r},{gap!r}\n")
-    else:
-        doc = {
-            "lambdas": [{"re": z.real, "im": z.imag} for z in result.lambdas],
-            "gaps": list(result.gaps),
-            "gap_report": dataclasses.asdict(result.solve_result.gap_report),
-        }
-        json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
+    rows = list(zip(result.lambdas, result.gaps))
+    footer = [("{} double-eigenvalue locations", len(rows))]
+    _emit(cfg.fmt, out, _DOUBLEEIG_COLUMNS, rows, footer, lambda: {
+        "lambdas": result.lambdas,
+        "gaps": result.gaps,
+        "gap_report": dataclasses.asdict(result.solve_result.gap_report),
+    })
     return 0
+
+
+_INTERSECT_COLUMNS = (
+    ("e1_re e1_im", "eig 1", 24),
+    ("e1_inf", None, 0),
+    ("e2_re e2_im", "eig 2", 24),
+    ("e2_inf", None, 0),
+    ("chordal_dist", "chordal dist", 12),
+)
 
 
 def _cmd_intersect(cfg: RunConfig, out):
     p = read_pencil(cfg.inputs[0], cfg.inputs[1])
     result = solve_by_intersection(p, cfg.opts, match_tol=cfg.delta)
-    if cfg.fmt == "table":
-        out.write(f"{'eig 1':>24}  {'eig 2':>24}  {'chordal dist':>12}\n")
-        for a, b, d in result.matches:
-            out.write(
-                f"{_fmt_complex(a.value):>24}  {_fmt_complex(b.value):>24}  {_fmt6(d):>12}\n"
-            )
-        vals = ", ".join(_fmt_complex(v) for v in result.eigenvalues)
-        out.write(f"matched eigenvalues within tol {_fmt6(result.tol)}: [{vals}]\n")
-    elif cfg.fmt == "csv":
-        out.write("e1_re,e1_im,e1_inf,e2_re,e2_im,e2_inf,chordal_dist\n")
-        for a, b, d in result.matches:
-            va = a.value if not a.is_infinite else complex(math.inf, 0)
-            vb = b.value if not b.is_infinite else complex(math.inf, 0)
-            out.write(
-                f"{va.real!r},{va.imag!r},{int(a.is_infinite)},"
-                f"{vb.real!r},{vb.imag!r},{int(b.is_infinite)},{d!r}\n"
-            )
-    else:
-        doc = {
-            "tol": result.tol,
-            "eigenvalues": [{"re": z.real, "im": z.imag} for z in result.eigenvalues],
-            "matches": [
-                {
-                    "e1": "inf" if a.is_infinite else {"re": a.value.real, "im": a.value.imag},
-                    "e2": "inf" if b.is_infinite else {"re": b.value.real, "im": b.value.imag},
-                    "dist": d,
-                }
-                for a, b, d in result.matches
-            ],
-        }
-        json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
+    rows = [(a.value, a.is_infinite, b.value, b.is_infinite, d) for a, b, d in result.matches]
+    footer = [("matched eigenvalues within tol {}: [{}]", result.tol, result.eigenvalues)]
+    _emit(cfg.fmt, out, _INTERSECT_COLUMNS, rows, footer, lambda: {
+        "tol": result.tol,
+        "eigenvalues": result.eigenvalues,
+        "matches": [
+            {"e1": "inf" if a.is_infinite else a.value,
+             "e2": "inf" if b.is_infinite else b.value,
+             "dist": d}
+            for a, b, d in result.matches
+        ],
+    })
     return 0
 
 

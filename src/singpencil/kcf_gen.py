@@ -18,7 +18,7 @@ subcommand).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -253,23 +253,21 @@ _BLOCK_KINDS = {
     "right_singular": RightSingular,
     "left_singular": LeftSingular,
 }
+_KIND_OF = {cls: kind for kind, cls in _BLOCK_KINDS.items()}
 
 
 def spec_to_json(spec: KcfSpec) -> dict:
     """Serialize a spec to a plain JSON-compatible dictionary."""
     blocks = []
     for b in spec.blocks:
-        if isinstance(b, Jordan):
-            z = complex(b.eigenvalue)
-            blocks.append({"kind": "jordan", "size": b.size, "eigenvalue": [z.real, z.imag]})
-        elif isinstance(b, Nilpotent):
-            blocks.append({"kind": "nilpotent", "size": b.size})
-        elif isinstance(b, RightSingular):
-            blocks.append({"kind": "right_singular", "index": b.index})
-        elif isinstance(b, LeftSingular):
-            blocks.append({"kind": "left_singular", "index": b.index})
-        else:
+        kind = _KIND_OF.get(type(b))
+        if kind is None:
             raise TypeError(f"unknown block type {type(b).__name__}")
+        doc = {"kind": kind, **asdict(b)}
+        if "eigenvalue" in doc:
+            z = complex(doc["eigenvalue"])
+            doc["eigenvalue"] = [z.real, z.imag]
+        blocks.append(doc)
     return {"blocks": blocks, "transform": spec.transform, "cond_bound": spec.cond_bound}
 
 
@@ -281,20 +279,18 @@ def spec_from_json(doc: dict) -> KcfSpec:
         raise ValueError("KCF spec document must contain a 'blocks' list") from None
     blocks = []
     for i, rb in enumerate(raw_blocks):
-        kind = rb.get("kind")
-        if kind not in _BLOCK_KINDS:
-            raise ValueError(f"block {i}: unknown kind {kind!r}")
-        if kind == "jordan":
+        cls = _BLOCK_KINDS.get(rb.get("kind"))
+        if cls is None:
+            raise ValueError(f"block {i}: unknown kind {rb.get('kind')!r}")
+        args = {f.name: int(rb[f.name]) for f in fields(cls) if f.name != "eigenvalue"}
+        if cls is Jordan:
             ev = rb.get("eigenvalue", [0.0, 0.0])
             if isinstance(ev, (int, float)):
                 ev = [float(ev), 0.0]
-            blocks.append(Jordan(size=int(rb["size"]), eigenvalue=complex(ev[0], ev[1])))
-        elif kind == "nilpotent":
-            blocks.append(Nilpotent(size=int(rb["size"])))
-        else:
-            blocks.append(_BLOCK_KINDS[kind](index=int(rb["index"])))
+            args["eigenvalue"] = complex(ev[0], ev[1])
+        blocks.append(cls(**args))
     return KcfSpec(
         blocks=tuple(blocks),
-        transform=doc.get("transform", "unitary"),
-        cond_bound=float(doc.get("cond_bound", 1e3)),
+        transform=doc.get("transform", KcfSpec.transform),
+        cond_bound=float(doc.get("cond_bound", KcfSpec.cond_bound)),
     )

@@ -91,7 +91,6 @@ class SolveOptions:
     seed: int | None = None
     gamma: tuple | None = None
     max_retries: int = 3
-    probes: int = 2
     rank_tol: object = "auto"
 
     def __post_init__(self):
@@ -325,13 +324,17 @@ def _extreme(values, mask, pick):
     return float(pick(values[mask])) if mask.any() else None
 
 
+def with_defaults(opts: SolveOptions | None, rng):
+    """``opts`` or the default options, and ``rng`` or a generator seeded by ``opts.seed``."""
+    opts = opts or SolveOptions()
+    return opts, np.random.default_rng(opts.seed) if rng is None else rng
+
+
 def _prepare(p: Pencil, opts: SolveOptions | None, rng):
     """Default ``opts`` and ``rng``, squarify and scale ``p`` and estimate its normal rank."""
-    opts = opts or SolveOptions()
-    if rng is None:
-        rng = np.random.default_rng(opts.seed)
+    opts, rng = with_defaults(opts, rng)
     ps = scale(squarify(p))
-    return opts, rng, ps, normal_rank(ps, rng, tol=opts.rank_tol, probes=opts.probes)
+    return opts, rng, ps, normal_rank(ps, rng, tol=opts.rank_tol)
 
 
 def solve(p: Pencil, opts: SolveOptions | None = None, rng=None) -> SolveResult:

@@ -26,8 +26,6 @@ systems of two bivariate polynomials given in determinantal form.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -36,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import as_cmatrix, greedy_match, kron, rank_with_tol
-from .pencil import Pencil, read_matrix, write_matrix
-from .solver import DEFAULT_MATCH_TOL, SolveOptions, solve
+from .pencil import Pencil, csv_text, read_matrix, write_matrix
+from .solver import DEFAULT_MATCH_TOL, SolveOptions, solve, with_defaults
 
 __all__ = [
     "TwoParamProblem",
@@ -196,9 +194,7 @@ def solve_2ep(
     The per-lambda searches run on independent RNG streams spawned from
     ``rng``, so results do not depend on evaluation order.
     """
-    opts = opts or SolveOptions()
-    if rng is None:
-        rng = np.random.default_rng(opts.seed)
+    opts, rng = with_defaults(opts, rng)
     if delta is None:
         delta = DEFAULT_MATCH_TOL
     deltas = operator_determinants(p)
@@ -266,6 +262,7 @@ def double_eig_linearization(A, B):
 class DoubleEigResult:
     """Double-eigenvalue locations with their verification gaps.
 
+    ``lambdas`` are Python complex numbers sorted by (re, im).
     ``gaps[i]`` is the minimal eigenvalue gap of A + lambdas[i] B
     relative to the spectral scale of that matrix; a value near zero
     certifies the double eigenvalue, a value of order one flags a
@@ -297,9 +294,7 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
     ``refine``, and with it two more per Newton step until the last
     lambda stops: 3 when one step suffices for every lambda, at most 25.
     """
-    opts = opts or SolveOptions()
-    if rng is None:
-        rng = np.random.default_rng(opts.seed)
+    opts, rng = with_defaults(opts, rng)
     A = as_cmatrix(A, "A")
     B = as_cmatrix(B, "B")
     D1, D0 = double_eig_linearization(A, B)
@@ -307,7 +302,7 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
     lambdas, gaps = _polish(A, B, result.finite_true_values, refine)
     order = sorted(range(len(lambdas)), key=lambda i: (lambdas[i].real, lambdas[i].imag))
     return DoubleEigResult(
-        lambdas=[lambdas[i] for i in order],
+        lambdas=[complex(lambdas[i]) for i in order],
         gaps=[gaps[i] for i in order],
         solve_result=result,
     )
@@ -436,21 +431,7 @@ def write_problem(p: TwoParamProblem, directory, manifest_name="problem.json"):
 
 def solutions_to_csv(pairs) -> str:
     """Render accepted eigenpairs as CSV with full-precision columns."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        ["lambda_re", "lambda_im", "mu_re", "mu_im", "discrepancy", "residual1", "residual2"]
+    return csv_text(
+        ["lambda_re", "lambda_im", "mu_re", "mu_im", "discrepancy", "residual1", "residual2"],
+        [(e.lam, e.mu, e.mu_discrepancy, e.residual1, e.residual2) for e in pairs],
     )
-    for e in pairs:
-        w.writerow(
-            [
-                repr(e.lam.real),
-                repr(e.lam.imag),
-                repr(e.mu.real),
-                repr(e.mu.imag),
-                repr(e.mu_discrepancy),
-                repr(e.residual1),
-                repr(e.residual2),
-            ]
-        )
-    return buf.getvalue()

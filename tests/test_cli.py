@@ -7,7 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from singpencil import EPS, NumericalError, Pencil, SolveOptions, write_pencil, write_problem
+from singpencil import (
+    EPS,
+    NumericalError,
+    Pencil,
+    SolveOptions,
+    solutions_to_csv,
+    solve_2ep,
+    write_pencil,
+    write_problem,
+)
 from singpencil.cli import _build_parser, _config_from_args, main
 from singpencil.gallery import (
     bivariate_cubic_system,
@@ -159,6 +168,38 @@ class TestSolveCommand:
         assert code == 2 and out == "" and "empty pencil" in err
 
 
+@pytest.fixture()
+def overflow_files(tmp_path):
+    # a valid pencil whose back-scaled eigenvalues overflow to inf
+    a, b = tmp_path / "oA.mtx", tmp_path / "oB.mtx"
+    write_pencil(Pencil(A=np.diag([1e150, 1.0, 2.0]), B=np.diag([1.0, 1e-150, 1.0])), a, b)
+    return str(a), str(b)
+
+
+class TestOutputFormats:
+    @pytest.mark.parametrize("cmd", ["solve", "doubleeig", "intersect"])
+    def test_json_has_no_non_finite_tokens(self, overflow_files, cmd):
+        code, out, err = run_cli([cmd, *overflow_files, "--format", "json"])
+        assert code == 0, err
+
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        json.loads(out, parse_constant=reject)
+
+    @pytest.mark.parametrize("flags", [[], ["--no-refine"]])
+    def test_doubleeig_csv_cells_are_numbers(self, tmp_path, flags):
+        rng = np.random.default_rng(12)
+        a, b = str(tmp_path / "A.mtx"), str(tmp_path / "B.mtx")
+        write_pencil(Pencil(A=rng.standard_normal((3, 3)), B=rng.standard_normal((3, 3))), a, b)
+        code, out, err = run_cli(["doubleeig", a, b, "--format", "csv", *flags])
+        assert code == 0, err
+        lines = out.strip().splitlines()
+        assert lines[0] == "lambda_re,lambda_im,min_gap" and len(lines) == 7
+        for line in lines[1:]:
+            assert all(math.isfinite(float(cell)) for cell in line.split(","))
+
+
 class TestDefaults:
     @pytest.mark.parametrize(
         "argv",
@@ -266,6 +307,7 @@ class TestTwoParamCommand:
         lines = out.strip().splitlines()
         assert lines[0].startswith("lambda_re,lambda_im,mu_re")
         assert len(lines) == 10  # header + 9 roots
+        assert out == solutions_to_csv(solve_2ep(p, opts=SolveOptions(seed=7)))
         from singpencil.gallery import evaluate_bivariate
 
         for ln in lines[1:]:

@@ -291,6 +291,10 @@ class TestCollisionRetry:
         with pytest.raises(TypeError):
             SolveOptions(retry_on_collision=False)
 
+    def test_probes_option_removed(self):
+        with pytest.raises(TypeError):
+            SolveOptions(probes=2)
+
 
 class TestTauProperties:
     def _kcf_pencil(self):
