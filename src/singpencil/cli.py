@@ -254,10 +254,7 @@ def _cmd_intersect(cfg: RunConfig, out):
         "tol": result.tol,
         "eigenvalues": result.eigenvalues,
         "matches": [
-            {"e1": "inf" if a.is_infinite else a.value,
-             "e2": "inf" if b.is_infinite else b.value,
-             "dist": d}
-            for a, b, d in result.matches
+            {"e1": a.value, "e2": b.value, "dist": d} for a, b, d in result.matches
         ],
     })
     return 0

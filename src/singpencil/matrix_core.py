@@ -13,11 +13,14 @@ are first-class citizens.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from numpy.ctypeslib import ndpointer
+from scipy.linalg import cython_lapack, lapack
 
 __all__ = [
     "EPS",
@@ -182,13 +185,45 @@ class EigDecomposition:
         return [self.eigenvalue(i) for i in range(self.n)]
 
 
+_COLUMN_MAJOR = 102  # LAPACK_COL_MAJOR
+
+
+@functools.cache
+def _zggev3():
+    """LAPACKE's ``zggev3`` from the LAPACK scipy links against, or None.
+
+    ``dlsym`` on scipy's ``cython_lapack`` extension also searches the
+    libraries it links, so no private library file name is needed.  Current
+    scipy wheels export the OpenBLAS routine as ``scipy_LAPACKE_zggev3``;
+    older wheels and MKL builds as ``LAPACKE_zggev3``.  ILP64 builds export
+    suffixed names only, so the 32-bit ``lapack_int`` below cannot be bound
+    to a 64-bit interface by mistake.  None where no name resolves (e.g.
+    Accelerate builds).
+    """
+    lib = ctypes.CDLL(cython_lapack.__file__)
+    for name in ("scipy_LAPACKE_zggev3", "LAPACKE_zggev3"):
+        try:
+            fn = getattr(lib, name)
+        except AttributeError:
+            continue
+        vec = ndpointer(np.complex128, ndim=1, flags="C_CONTIGUOUS")
+        mat = ndpointer(np.complex128, ndim=2, flags="F_CONTIGUOUS")
+        i = ctypes.c_int
+        fn.argtypes = [i, ctypes.c_char, ctypes.c_char, i, mat, i, mat, i, vec, vec, mat, i, mat, i]
+        fn.restype = i
+        return fn
+    return None
+
+
 def generalized_eig(A, B):
     """Eigenvalues and left/right eigenvectors of the pencil A - lambda B.
 
-    Calls LAPACK's QZ-based dense solver ``zggev`` directly (one
-    workspace query, one solve) and normalizes its output once:
-    eigenvectors to unit 2-norm, homogeneous eigenvalue pairs to the
-    unit sphere.
+    Calls LAPACK's QZ-based dense solver directly and normalizes its
+    output once: eigenvectors to unit 2-norm, homogeneous eigenvalue pairs
+    to the unit sphere.  The driver is ``zggev3`` (blocked reduction to
+    Hessenberg-triangular form and multishift QZ with aggressive early
+    deflation) through LAPACKE; where the platform's LAPACK does not export
+    it, the unblocked single-shift ``zggev`` through ``scipy.linalg.lapack``.
 
     Parameters
     ----------
@@ -220,11 +255,19 @@ def generalized_eig(A, B):
     if n == 0:  # LAPACK rejects n = 0 as an illegal argument
         vec, mat = np.zeros(0, np.complex128), np.zeros((0, 0), np.complex128)
         return EigDecomposition(alpha=vec, beta=vec, right=mat, left=mat)
-    lwork = int(lapack.zggev(A, B, lwork=-1)[-2][0].real)
-    alpha, beta, vl, vr, _, info = lapack.zggev(A, B, lwork=lwork)
+    zggev3 = _zggev3()
+    if zggev3 is None:
+        lwork = int(lapack.zggev(A, B, lwork=-1)[-2][0].real)
+        alpha, beta, vl, vr, _, info = lapack.zggev(A, B, lwork=lwork)
+    else:
+        a, b = np.array(A, order="F"), np.array(B, order="F")  # LAPACK overwrites both
+        alpha, beta = np.empty(n, np.complex128), np.empty(n, np.complex128)
+        vl = np.empty((n, n), np.complex128, order="F")
+        vr = np.empty((n, n), np.complex128, order="F")
+        info = zggev3(_COLUMN_MAJOR, b"V", b"V", n, a, n, b, n, alpha, beta, vl, n, vr, n)
     if info != 0:
         raise NumericalError(
-            f"generalized eigenvalue iteration failed: zggev info = {info}",
+            f"generalized eigenvalue iteration failed: LAPACK info = {info}",
             details={"n": n, "lapack_info": int(info)},
         )
     scale = np.hypot(np.abs(alpha), np.abs(beta))

@@ -185,7 +185,10 @@ class TestOutputFormats:
         def reject(token):
             raise ValueError(f"non-JSON token {token}")
 
-        json.loads(out, parse_constant=reject)
+        doc = json.loads(out, parse_constant=reject)
+        if cmd == "intersect":
+            ends = [m[key] for m in doc["matches"] for key in ("e1", "e2")]
+            assert ends and all(set(e) == {"re", "im"} for e in ends)
 
     @pytest.mark.parametrize("flags", [[], ["--no-refine"]])
     def test_doubleeig_csv_cells_are_numbers(self, tmp_path, flags):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
+import singpencil.matrix_core as mc
 from singpencil import (
     EPS,
     HomogeneousEigenvalue,
@@ -88,18 +91,26 @@ class TestGeneralizedEig:
         assert dec.n == 0 and dec.right.shape == dec.left.shape == (0, 0)
 
     def test_lapack_failure_raises_numerical_error(self, monkeypatch):
-        import singpencil.matrix_core as mc
+        # a nonzero info from whichever LAPACK call runs: zggev3 when the
+        # platform exports it, and the zggev fallback
+        zggev3 = mc._zggev3()
+        real_zggev = mc.lapack.zggev
 
-        real = mc.lapack.zggev
-
-        def failing(a, b, **kwargs):
-            *out, info = real(a, b, **kwargs)
+        def failing_zggev(a, b, **kwargs):
+            *out, info = real_zggev(a, b, **kwargs)
             return (*out, 2 if kwargs.get("lwork") != -1 else info)
 
-        monkeypatch.setattr(mc.lapack, "zggev", failing)
-        with pytest.raises(NumericalError, match="zggev info = 2") as exc:
-            generalized_eig(np.diag([1.0, 2.0]), np.eye(2))
-        assert exc.value.details == {"n": 2, "lapack_info": 2}
+        def failing_zggev3(*args):
+            assert zggev3(*args) == 0
+            return 2
+
+        monkeypatch.setattr(mc.lapack, "zggev", failing_zggev)
+        resolvers = [lambda: None] + ([lambda: failing_zggev3] if zggev3 else [])
+        for resolve in resolvers:
+            monkeypatch.setattr(mc, "_zggev3", resolve)
+            with pytest.raises(NumericalError, match="LAPACK info = 2") as exc:
+                generalized_eig(np.diag([1.0, 2.0]), np.eye(2))
+            assert exc.value.details == {"n": 2, "lapack_info": 2}
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -142,6 +153,53 @@ class TestGeneralizedEig:
             assert len(finite1) == len(finite2)
             for a, b, _ in greedy_chordal_match(finite1, finite2):
                 assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
+
+
+@pytest.fixture(params=["zggev3", "zggev"])
+def qz_driver(request, monkeypatch):
+    """Runs a test on each LAPACK driver ``generalized_eig`` can call."""
+    if request.param == "zggev":
+        monkeypatch.setattr(mc, "_zggev3", lambda: None)
+    elif mc._zggev3() is None:
+        pytest.skip("this LAPACK exports no zggev3")
+    return request.param
+
+
+def _parent_generalized_eig(A, B):
+    """Reference for the fallback: the zggev call and normalization written out."""
+    lwork = int(mc.lapack.zggev(A, B, lwork=-1)[-2][0].real)
+    alpha, beta, vl, vr, _, info = mc.lapack.zggev(A, B, lwork=lwork)
+    assert info == 0
+    scale = np.hypot(np.abs(alpha), np.abs(beta))
+    return alpha / scale, beta / scale, vr / np.linalg.norm(vr, axis=0), vl / np.linalg.norm(vl, axis=0)
+
+
+class TestQzDrivers:
+    # sizes on both sides of zggev3's blocking and multishift thresholds
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 31, 33, 48, 74, 76, 130])
+    def test_matches_scipy_eig(self, qz_driver, n, real):
+        rng = np.random.default_rng(1000 + n)
+        A, B = (rng.standard_normal((n, n)) if real else random_complex(rng, (n, n)) for _ in "AB")
+        A, B = as_cmatrix(A), as_cmatrix(B)
+        dec = generalized_eig(A, B)
+
+        w, _, _ = scipy.linalg.eig(A, B, left=True, right=True, homogeneous_eigvals=True)
+        a, b = w / np.hypot(np.abs(w[0]), np.abs(w[1]))
+        chordal = np.abs(dec.alpha[:, None] * b[None, :] - a[None, :] * dec.beta[:, None])
+        rows, cols = linear_sum_assignment(chordal)
+        assert chordal[rows, cols].max() <= 1e-12
+
+        bound = 2 * n * EPS * np.linalg.norm(np.hstack([A, B]), 2)
+        right = np.linalg.norm(A @ dec.right * dec.beta - B @ dec.right * dec.alpha, axis=0)
+        left = np.linalg.norm(dec.left.conj().T @ A * dec.beta[:, None]
+                              - dec.left.conj().T @ B * dec.alpha[:, None], axis=1)
+        assert right.max() <= bound and left.max() <= bound
+
+        if qz_driver == "zggev":
+            for got, want in zip((dec.alpha, dec.beta, dec.right, dec.left),
+                                 _parent_generalized_eig(A, B)):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestRankWithTol:
