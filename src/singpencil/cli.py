@@ -41,7 +41,7 @@ import numpy as np
 
 from .kcf_gen import build, spec_from_json, spec_to_json
 from .matrix_core import NumericalError
-from .pencil import csv_text, normal_rank, read_pencil, write_matrix
+from .pencil import csv_text, normal_rank, read_pencil, write_pencil
 from .solver import SolveOptions, solve, solve_by_intersection
 from .two_param import double_eig, read_problem, solve_2ep
 
@@ -174,8 +174,7 @@ def _cmd_gen(cfg: RunConfig, out):
     os.makedirs(cfg.output_dir, exist_ok=True)
     path_a = os.path.join(cfg.output_dir, "A.mtx")
     path_b = os.path.join(cfg.output_dir, "B.mtx")
-    write_matrix(path_a, pencil.A)
-    write_matrix(path_b, pencil.B)
+    write_pencil(pencil, path_a, path_b)
     truth_doc = {
         "spec": spec_to_json(spec),
         "seed": cfg.opts.seed,

@@ -49,7 +49,6 @@ class Pencil:
     B: np.ndarray
     scale_alpha: float = 1.0
     scale_beta: float = 1.0
-    scaled: bool = False
 
     def __post_init__(self):
         self.A = as_cmatrix(self.A, "A")
@@ -58,11 +57,6 @@ class Pencil:
             raise ValueError(
                 f"A and B must have equal shape, got {self.A.shape} and {self.B.shape}"
             )
-        if self.scaled:
-            for name, m in (("A", self.A), ("B", self.B)):
-                nrm = np.linalg.norm(m, 1)
-                if nrm != 0.0 and abs(nrm - 1.0) > 10 * EPS * max(1, m.shape[0]):
-                    raise ValueError(f"pencil marked scaled but ||{name}||_1 = {nrm!r}")
 
     @property
     def shape(self):
@@ -107,7 +101,6 @@ def scale(p: Pencil) -> Pencil:
         B=p.B / beta,
         scale_alpha=p.scale_alpha * alpha,
         scale_beta=p.scale_beta * beta,
-        scaled=True,
     )
 
 
@@ -119,15 +112,10 @@ def squarify(p: Pencil) -> Pencil:
     blocks and leave the eigenvalues untouched.  Square pencils pass
     through unchanged.
     """
-    n, m = p.shape
-    if n == m:
+    if p.is_square:
         return p
-    s = max(n, m)
-    A = np.zeros((s, s), dtype=np.complex128)
-    B = np.zeros((s, s), dtype=np.complex128)
-    A[:n, :m] = p.A
-    B[:n, :m] = p.B
-    return replace(p, A=A, B=B, scaled=False)
+    pad = [(0, max(p.shape) - d) for d in p.shape]
+    return replace(p, A=np.pad(p.A, pad), B=np.pad(p.B, pad))
 
 
 def normal_rank(p: Pencil, rng, tol="auto", probes=2) -> NormalRankReport:
@@ -138,12 +126,16 @@ def normal_rank(p: Pencil, rng, tol="auto", probes=2) -> NormalRankReport:
     the maximum rank over ``probes`` draws is taken.  A single probe can
     in principle land on an eigenvalue and under-report; two independent
     probes make that a non-event in practice while the report keeps the
-    values for auditing.  An empty (0 x 0) pencil and a negative ``tol``
-    are rejected with ``ValueError``.
+    values for auditing.  A pencil whose 1-norms are already 0 or within
+    ``10 * EPS * max(1, rows)`` of 1 (as :func:`scale` leaves them) is
+    probed as it is.  An empty (0 x 0) pencil and a negative ``tol`` are
+    rejected with ``ValueError``.
     """
     if max(p.shape) == 0:
         raise ValueError("empty pencil")
-    ps = p if p.scaled else scale(p)
+    unit = 10 * EPS * max(1, p.shape[0])
+    norms = (np.linalg.norm(p.A, 1), np.linalg.norm(p.B, 1))
+    ps = p if all(nrm == 0.0 or abs(nrm - 1.0) <= unit for nrm in norms) else scale(p)
     zetas = []
     best = 0
     tol_used = 0.0

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -108,7 +108,7 @@ class PerturbationSpec:
     V: np.ndarray
     dA: np.ndarray
     dB: np.ndarray
-    tau: float = 1e-2
+    tau: float = SolveOptions.tau
 
     def __post_init__(self):
         self.U = as_cmatrix(self.U, "U")
@@ -119,7 +119,7 @@ class PerturbationSpec:
         if self.V.shape != (n, k):
             raise ValueError("U and V must have identical shape")
         if self.dA.shape != (k,) or self.dB.shape != (k,):
-            raise ValueError("dA and dB must have one entry per column of U")
+            raise ValueError(f"dA and dB must have k = {k} entries, one per column of U")
         if self.tau == 0:
             raise ValueError("tau must be nonzero")
         for m, name in ((self.U, "U"), (self.V, "V")):
@@ -223,10 +223,6 @@ def make_perturbation(n, k, opts: SolveOptions, rng) -> PerturbationSpec:
         dB = rng.uniform(1.0, 2.0, k)
     else:
         dA, dB = opts.gamma
-        dA = np.asarray(dA, dtype=np.complex128).ravel()
-        dB = np.asarray(dB, dtype=np.complex128).ravel()
-        if dA.shape != (k,) or dB.shape != (k,):
-            raise ValueError(f"explicit gamma vectors must have length k = {k}")
     return PerturbationSpec(U=U, V=V, dA=dA, dB=dB, tau=opts.tau)
 
 
@@ -239,13 +235,7 @@ def perturb(p: Pencil, spec: PerturbationSpec) -> Pencil:
         raise ValueError(f"perturbation built for dimension {spec.U.shape[0]}, pencil has {n}")
     E = (spec.U * spec.dA) @ spec.V.conj().T
     F = (spec.U * spec.dB) @ spec.V.conj().T
-    return Pencil(
-        A=p.A + spec.tau * E,
-        B=p.B + spec.tau * F,
-        scale_alpha=p.scale_alpha,
-        scale_beta=p.scale_beta,
-        scaled=False,
-    )
+    return replace(p, A=p.A + spec.tau * E, B=p.B + spec.tau * F)
 
 
 _CLASSES = list(EigenClass)

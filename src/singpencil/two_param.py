@@ -201,18 +201,13 @@ def solve_2ep(
     lam_result = solve(Pencil(A=deltas.D1, B=deltas.D0), opts, rng)
     lams = _cluster_values(lam_result.finite_true_values, delta)
     pairs = []
-    streams = rng.spawn(len(lams)) if lams else []
-    for lam, stream in zip(lams, streams):
+    for lam, stream in zip(lams, rng.spawn(len(lams))):
         mus1 = _mu_candidates(p.A1 + lam * p.B1, p.C1, opts, stream)
         mus2 = _mu_candidates(p.A2 + lam * p.B2, p.C2, opts, stream)
         if mus1 is None and mus2 is None:
             continue
-        if mus1 is None:
-            matched = [(m, m, 0.0) for m in mus2]
-        elif mus2 is None:
-            matched = [(m, m, 0.0) for m in mus1]
-        else:
-            matched = pair_mu_candidates(mus1, mus2)
+        # a mu-free equation accepts every mu of the other one: match that list with itself
+        matched = pair_mu_candidates(mus2 if mus1 is None else mus1, mus1 if mus2 is None else mus2)
         if unique_lambda:
             matched = matched[:1]
         for m1, m2, disc in matched:
@@ -309,15 +304,11 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
 
 
 def _closest_pair(w):
-    n = len(w)
-    best = math.inf
-    pair = (0, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = abs(w[i] - w[j])
-            if d < best:
-                best, pair = d, (i, j)
-    return pair
+    """Indices i < j of the closest two entries of ``w``, the first such (i, j) on ties."""
+    d = w[:, None] - w[None, :]
+    d = np.hypot(d.real, d.imag)
+    d[np.tril_indices(len(w))] = np.inf
+    return divmod(int(np.argmin(d)), len(w))
 
 
 def _spectra(A, B, lams):

@@ -13,7 +13,12 @@ from singpencil import (
     solve,
     squarify,
 )
-from singpencil.gallery import diagonal_demo_pencil, showcase_pencil
+from singpencil.gallery import (
+    control_benchmark_pencil,
+    diagonal_demo_pencil,
+    showcase_pencil,
+    staircase_sensitive_pencil,
+)
 from singpencil.pencil import read_matrix, read_pencil, write_matrix, write_pencil
 
 from helpers import random_complex, run_python
@@ -22,7 +27,6 @@ from helpers import random_complex, run_python
 class TestScale:
     def test_diagonal_factors(self):
         p = scale(Pencil(A=2 * np.eye(2), B=4 * np.eye(2)))
-        assert p.scaled
         assert np.linalg.norm(p.A, 1) == pytest.approx(1.0, abs=1e-15)
         assert np.linalg.norm(p.B, 1) == pytest.approx(1.0, abs=1e-15)
         assert p.scale_alpha == pytest.approx(2.0)
@@ -51,13 +55,10 @@ class TestScale:
     def test_zero_matrix_keeps_unit_factor(self):
         for a, b in ((0.0, 3.0), (3.0, 0.0), (0.0, 0.0)):
             p = scale(Pencil(A=a * np.eye(2), B=b * np.eye(2)))
-            assert p.scaled
             assert p.scale_alpha == (a or 1.0) and p.scale_beta == (b or 1.0)
             assert np.linalg.norm(p.A, 1) == (1.0 if a else 0.0)
             assert np.linalg.norm(p.B, 1) == (1.0 if b else 0.0)
             assert np.isfinite(p.back_factor)
-            # the marked-scaled check accepts the zero matrix it produced
-            Pencil(A=p.A, B=p.B, scaled=True)
 
     def test_spectrum_preserved_on_regular_pencils(self):
         rng = np.random.default_rng(8)
@@ -198,6 +199,26 @@ class TestPencilInvariants:
         with pytest.raises(ValueError):
             Pencil(A=np.eye(2), B=np.eye(3))
 
-    def test_scaled_flag_checked(self):
-        with pytest.raises(ValueError, match="scaled"):
-            Pencil(A=2 * np.eye(2), B=np.eye(2), scaled=True)
+    def test_normal_rank_probes_a_scaled_pencil_as_it_is(self, monkeypatch):
+        # a pencil that scale() produced is probed without a second scaling,
+        # any other pencil is scaled first: both give the very same report
+        import singpencil.pencil as pencil_module
+
+        calls = []
+        monkeypatch.setattr(pencil_module, "scale", lambda p: calls.append(p) or scale(p))
+        pencils = [
+            showcase_pencil(),
+            diagonal_demo_pencil(),
+            control_benchmark_pencil(),
+            staircase_sensitive_pencil(),
+            Pencil(A=np.eye(3), B=np.zeros((3, 3))),
+        ]
+        for p in pencils:
+            ps = scale(p)
+            unit = (ps.scale_alpha, ps.scale_beta) == (1.0, 1.0)
+            for seed in range(3):
+                want = normal_rank(p, np.random.default_rng(seed))
+                assert len(calls) == (0 if unit else 1)
+                calls.clear()
+                assert repr(normal_rank(ps, np.random.default_rng(seed))) == repr(want)
+                assert not calls

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
 
+import singpencil.two_param as tp
 from singpencil import (
     Pencil,
     SolveOptions,
@@ -155,6 +156,25 @@ class TestSolve2EP:
             assert abs(l1 - l2) < 1e-8
             assert abs(m1 - m2) < 1e-8
 
+    @pytest.mark.parametrize("free", [1, 2])
+    def test_mu_free_equation_takes_every_mu_of_the_other(self, monkeypatch, free):
+        # the mu-free side mirrors the other list: one pair per mu, in order,
+        # each with discrepancy 0.0
+        a, b = complex(-1.5, 0.25), complex(2.0, -1.0)
+        rng = np.random.default_rng(3)
+        p = TwoParamProblem(*(random_complex(rng, (2, 2)) for _ in range(6)))
+        free_c = p.C1 if free == 1 else p.C2
+        monkeypatch.setattr(
+            tp, "_mu_candidates", lambda a_fixed, c, opts, rng: None if c is free_c else [a, a, b]
+        )
+        for unique in (False, True):
+            pairs = solve_2ep(p, opts=SolveOptions(seed=2), unique_lambda=unique)
+            lams = sorted({e.lam for e in pairs}, key=lambda z: (z.real, z.imag))
+            assert len(lams) == 4
+            for lam in lams:
+                got = [(e.mu, e.mu_discrepancy) for e in pairs if e.lam == lam]
+                assert got == ([(a, 0.0)] if unique else [(a, 0.0), (a, 0.0), (b, 0.0)])
+
     def test_unique_lambda_accepts_closest(self):
         p = TwoParamProblem(
             A1=np.diag([1.0, 2.0]), B1=-np.eye(2), C1=np.zeros((2, 2)),
@@ -181,6 +201,10 @@ def _discriminant_roots(A, B):
 
 
 class TestDoubleEig:
+    def test_closest_pair_keeps_the_first_of_a_tie(self):
+        assert tp._closest_pair(np.array([0, 1, 2, 4], dtype=complex)) == (0, 1)
+        assert tp._closest_pair(np.array([5, 0, 3, 2.5], dtype=complex)) == (2, 3)
+
     def test_linearization_shapes_and_rank(self):
         rng = np.random.default_rng(11)
         A = random_complex(rng, (2, 2))
