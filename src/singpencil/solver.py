@@ -370,7 +370,7 @@ def solve(p: Pencil, opts: SolveOptions | None = None, rng=None) -> SolveResult:
     rows, labels = diag.T.tolist(), [_CLASSES[c] for c in cls.tolist()]
     records = [
         EigenRecord(lams[i], dec.right[:, i], dec.left[:, i], *rows[i], label=labels[i])
-        for i in np.lexsort((s_abs, values.imag, values.real, cls)).tolist()
+        for i in np.lexsort((values.imag, values.real, cls)).tolist()
     ]
     zeta = np.maximum(vx, uy)
     true = (cls == _FINITE) | (cls == _INFINITE)

@@ -30,6 +30,7 @@ from singpencil.gallery import (
     staircase_sensitive_pencil,
 )
 from singpencil.kcf_gen import Jordan, KcfSpec, LeftSingular, Nilpotent, RightSingular, build
+from singpencil.solver import DEFAULT_DELTA2
 
 from helpers import greedy_chordal_match, random_complex
 
@@ -411,11 +412,37 @@ class TestArrayContract:
             )
             keys = [
                 (order.index(r.label), math.inf if r.is_infinite else r.value.real,
-                 0.0 if r.is_infinite else r.value.imag, r.s_abs)
+                 0.0 if r.is_infinite else r.value.imag)
                 for r in recs
             ]
             assert keys == sorted(keys)
             assert res.finite_true == [r for r in recs if r.label is EigenClass.FINITE_TRUE]
+
+    def test_record_order_does_not_depend_on_s(self, monkeypatch):
+        # records tied on label and value (the infinite ones) keep the QZ
+        # order: shrinking every |s| below delta2 by a random factor, which
+        # changes no label, must leave the record order as it is
+        import singpencil.solver as solver_module
+
+        blocks = [Jordan(1, complex(0.1 * i, -0.2 * i)) for i in range(1, 9)]
+        blocks += [Nilpotent(2)] * 3 + [RightSingular(2)] * 3 + [LeftSingular(2)] * 3
+        p = build(KcfSpec(tuple(blocks), transform="unitary"), np.random.default_rng(7))[0]
+        want = solve(p, SolveOptions(seed=0)).records
+        assert sum(r.label is EigenClass.INFINITE_TRUE for r in want) > 1
+        real_diagnostics = solver_module._diagnostics
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+
+            def shrunk_s(*args):
+                diag = real_diagnostics(*args)
+                small = diag[0] < DEFAULT_DELTA2
+                diag[0, small] *= rng.uniform(0.25, 1.0, int(small.sum()))
+                return diag
+
+            monkeypatch.setattr(solver_module, "_diagnostics", shrunk_s)
+            got = solve(p, SolveOptions(seed=0)).records
+            assert [r.label for r in got] == [r.label for r in want]
+            assert np.array_equal(np.stack([r.x for r in got]), np.stack([r.x for r in want]))
 
     def test_batched_diagnostics_match_per_column_loop(self):
         # the per-eigenpair loop the batched kernel replaced: the products
