@@ -257,7 +257,12 @@ def double_eig_linearization(A, B):
 class DoubleEigResult:
     """Double-eigenvalue locations with their verification gaps.
 
-    ``lambdas`` are Python complex numbers sorted by (re, im).
+    ``lambdas`` are Python complex numbers in the order of
+    :func:`_lambda_order`: by real part on a grid of 1e-10 of the largest
+    finite ``|lambda|`` (at least 1), then by imaginary part, non-finite
+    last.  The grid keeps roundoff in the real parts from deciding the
+    order, so the two members of a conjugate pair of a real pencil come
+    as (-im, +im) whichever way the last bits fall.
     ``gaps[i]`` is the minimal eigenvalue gap of A + lambdas[i] B
     relative to the spectral scale of that matrix; a value near zero
     certifies the double eigenvalue, a value of order one flags a
@@ -295,12 +300,20 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
     D1, D0 = double_eig_linearization(A, B)
     result = solve(Pencil(A=D1, B=D0), opts, rng)
     lambdas, gaps = _polish(A, B, result.finite_true_values, refine)
-    order = sorted(range(len(lambdas)), key=lambda i: (lambdas[i].real, lambdas[i].imag))
+    order = _lambda_order(lambdas)
     return DoubleEigResult(
         lambdas=[complex(lambdas[i]) for i in order],
         gaps=[gaps[i] for i in order],
         solve_result=result,
     )
+
+
+def _lambda_order(lams):
+    """Indices that sort ``lams`` as :class:`DoubleEigResult` lists them."""
+    z = np.asarray(lams, dtype=np.complex128)
+    finite = np.isfinite(z)
+    grid = 1e-10 * max(1.0, float(np.max(np.abs(z[finite]), initial=0.0)))
+    return np.lexsort((z.imag, np.round(z.real / grid), ~finite)).tolist()
 
 
 def _closest_pair(w):

@@ -15,6 +15,7 @@ import types
 import numpy as np
 import pytest
 
+import singpencil.matrix_core as mc
 import singpencil.two_param as tp
 from singpencil import SolveOptions, double_eig
 
@@ -94,7 +95,7 @@ def _oracle(A, B, candidates, refine):
             lam = _refine_double(A, B, lam)
         lambdas.append(lam)
         gaps.append(_relative_gap(A, B, lam))
-    order = sorted(range(len(lambdas)), key=lambda i: (lambdas[i].real, lambdas[i].imag))
+    order = tp._lambda_order(lambdas)
     return [lambdas[i] for i in order], [gaps[i] for i in order]
 
 
@@ -164,3 +165,20 @@ def test_polish_makes_stacked_eigvals_calls(monkeypatch, refine, bound):
     else:
         assert len(calls) == bound
     assert calls[0] == (56, 8, 8)
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_lambda_order_survives_a_qz_driver_change(monkeypatch, refine):
+    # both drivers give the same lambdas to roundoff; on a real pencil the
+    # two members of a conjugate pair must still come in the same order
+    def lambdas(A, B, seed):
+        return np.array(double_eig(A, B, opts=SolveOptions(seed=seed), refine=refine).lambdas)
+
+    problems = [_problem(4, 100 + i) for i in range(40)]
+    runs = [lambdas(A, B, seed) for A, B in problems for seed in (0, 1)]
+    monkeypatch.setattr(mc, "_zggev3", lambda: None)
+    fallback = [lambdas(A, B, seed) for A, B in problems for seed in (0, 1)]
+    for got, want in zip(fallback, runs):
+        assert len(got) == len(want) == 12
+        nearest = np.argmin(np.abs(got[:, None] - want[None, :]), axis=1)
+        assert nearest.tolist() == list(range(12))
