@@ -318,10 +318,10 @@ def _lambda_order(lams):
 
 def _closest_pair(w):
     """Indices i < j of the closest two entries of ``w``, the first such (i, j) on ties."""
-    d = w[:, None] - w[None, :]
+    d = w[:, None] - w
     d = np.hypot(d.real, d.imag)
-    d[np.tril_indices(len(w))] = np.inf
-    return divmod(int(np.argmin(d)), len(w))
+    d[np.tri(len(w), dtype=bool)] = np.inf
+    return divmod(int(d.argmin()), len(w))
 
 
 def _spectra(A, B, lams):
