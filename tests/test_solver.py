@@ -73,10 +73,6 @@ class TestMakePerturbation:
             with pytest.raises(ValueError, match="k = 2"):
                 make_perturbation(5, 2, SolveOptions(gamma=gamma), np.random.default_rng(0))
 
-    def test_tau_default_is_the_solve_options_default(self):
-        spec = make_perturbation(4, 1, SolveOptions(), np.random.default_rng(0))
-        assert PerturbationSpec(spec.U, spec.V, spec.dA, spec.dB).tau == SolveOptions().tau
-
     def test_spec_invariants_enforced(self):
         with pytest.raises(ValueError, match="tau"):
             PerturbationSpec(
