@@ -24,6 +24,12 @@ json   full-precision floats; a complex value is ``{"re": .., "im": ..}``
 
 Exit codes: 0 success, 2 argument or input-file errors, 3 numerical
 failure inside a solver.
+
+``main(argv, out=None, err=None)`` is the in-process entry point: it
+runs one command line and returns the exit status without exiting.  The
+parsed arguments are the invocation's only configuration; each
+subcommand's handler reads them, and ``_solve_options`` turns them into
+the ``SolveOptions`` every solver takes.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,25 +50,7 @@ from .pencil import csv_text, normal_rank, read_pencil, write_pencil
 from .solver import SolveOptions, solve, solve_by_intersection
 from .two_param import double_eig, read_problem, solve_2ep
 
-__all__ = ["RunConfig", "run", "main", "entry"]
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one subcommand plus every tunable it honors.
-
-    ``opts`` carries the solver settings and the seed; ``delta`` None
-    leaves the matching tolerance to the solver's own default.
-    """
-
-    subcommand: str
-    inputs: list = field(default_factory=list)
-    output_dir: str = "."
-    opts: SolveOptions = field(default_factory=lambda: SolveOptions(seed=0))
-    delta: float | None = None
-    fmt: str = "table"
-    unique_lambda: bool = False
-    refine: bool = True
+__all__ = ["main", "entry"]
 
 
 def _text(x):
@@ -133,8 +120,8 @@ _SOLVE_COLUMNS = (
 )
 
 
-def _cmd_solve(cfg: RunConfig, out):
-    result = solve(read_pencil(cfg.inputs[0], cfg.inputs[1]), cfg.opts)
+def _cmd_solve(args, opts, out):
+    result = solve(read_pencil(args.matrix_a, args.matrix_b), opts)
     rows = [
         (i, r.value, r.is_infinite, r.s_abs, r.vx_norm, r.uy_norm, r.zeta, r.label.value)
         for i, r in enumerate(result.records, 1)
@@ -142,7 +129,7 @@ def _cmd_solve(cfg: RunConfig, out):
     footer = [("finite true eigenvalues: [{}]", result.finite_true_values)]
     if result.collision_warning:
         footer.append(("warning: prescribed/true eigenvalue collision persisted after retries",))
-    _emit(cfg.fmt, out, _SOLVE_COLUMNS, rows, footer, lambda: {
+    _emit(args.fmt, out, _SOLVE_COLUMNS, rows, footer, lambda: {
         "nrank": result.nrank_report.nrank,
         "k": result.nrank_report.k,
         "records": [_record(_SOLVE_COLUMNS, row) for row in rows],
@@ -153,31 +140,30 @@ def _cmd_solve(cfg: RunConfig, out):
     return 0
 
 
-def _cmd_nrank(cfg: RunConfig, out):
-    p = read_pencil(cfg.inputs[0], cfg.inputs[1])
-    opts = cfg.opts
+def _cmd_nrank(args, opts, out):
+    p = read_pencil(args.matrix_a, args.matrix_b)
     report = normal_rank(p, np.random.default_rng(opts.seed), tol=opts.rank_tol)
     out.write(f"nrank={report.nrank} k={report.k}\n")
     return 0
 
 
-def _cmd_gen(cfg: RunConfig, out):
-    with open(cfg.inputs[0]) as f:
+def _cmd_gen(args, opts, out):
+    with open(args.spec) as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as exc:
             raise ValueError(
-                f"{cfg.inputs[0]}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
+                f"{args.spec}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
             ) from exc
     spec = spec_from_json(doc)
-    pencil, truth = build(spec, np.random.default_rng(cfg.opts.seed))
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    path_a = os.path.join(cfg.output_dir, "A.mtx")
-    path_b = os.path.join(cfg.output_dir, "B.mtx")
+    pencil, truth = build(spec, np.random.default_rng(opts.seed))
+    os.makedirs(args.output_dir, exist_ok=True)
+    path_a = os.path.join(args.output_dir, "A.mtx")
+    path_b = os.path.join(args.output_dir, "B.mtx")
     write_pencil(pencil, path_a, path_b)
     truth_doc = {
         "spec": spec_to_json(spec),
-        "seed": cfg.opts.seed,
+        "seed": opts.seed,
         "rows": truth.rows,
         "cols": truth.cols,
         "nrank": truth.nrank,
@@ -188,7 +174,7 @@ def _cmd_gen(cfg: RunConfig, out):
         "sum_left_indices": truth.N,
         "finite_eigenvalues": [[z.real, z.imag] for z in truth.finite],
     }
-    path_t = os.path.join(cfg.output_dir, "ground_truth.json")
+    path_t = os.path.join(args.output_dir, "ground_truth.json")
     with open(path_t, "w") as f:
         json.dump(truth_doc, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -205,12 +191,12 @@ _TWOPARAM_COLUMNS = (
 )
 
 
-def _cmd_twoparam(cfg: RunConfig, out):
-    problem = read_problem(cfg.inputs[0])
-    pairs = solve_2ep(problem, delta=cfg.delta, opts=cfg.opts, unique_lambda=cfg.unique_lambda)
+def _cmd_twoparam(args, opts, out):
+    problem = read_problem(args.manifest)
+    pairs = solve_2ep(problem, delta=args.delta, opts=opts, unique_lambda=args.unique_lambda)
     rows = [(e.lam, e.mu, e.mu_discrepancy, e.residual1, e.residual2) for e in pairs]
     footer = [("{} eigenvalue pairs", len(rows))]
-    _emit(cfg.fmt, out, _TWOPARAM_COLUMNS, rows, footer, lambda: [
+    _emit(args.fmt, out, _TWOPARAM_COLUMNS, rows, footer, lambda: [
         {"lambda": lam, "mu": mu, "discrepancy": d, "residual1": r1, "residual2": r2}
         for lam, mu, d, r1, r2 in rows
     ])
@@ -220,14 +206,14 @@ def _cmd_twoparam(cfg: RunConfig, out):
 _DOUBLEEIG_COLUMNS = (("lambda_re lambda_im", "lambda", 28), ("min_gap", "min eig gap", 12))
 
 
-def _cmd_doubleeig(cfg: RunConfig, out):
-    p = read_pencil(cfg.inputs[0], cfg.inputs[1])
+def _cmd_doubleeig(args, opts, out):
+    p = read_pencil(args.matrix_a, args.matrix_b)
     if not p.is_square:
         raise ValueError("doubleeig requires square matrices")
-    result = double_eig(p.A, p.B, opts=cfg.opts, refine=cfg.refine)
+    result = double_eig(p.A, p.B, opts=opts, refine=args.refine)
     rows = list(zip(result.lambdas, result.gaps))
     footer = [("{} double-eigenvalue locations", len(rows))]
-    _emit(cfg.fmt, out, _DOUBLEEIG_COLUMNS, rows, footer, lambda: {
+    _emit(args.fmt, out, _DOUBLEEIG_COLUMNS, rows, footer, lambda: {
         "lambdas": result.lambdas,
         "gaps": result.gaps,
         "gap_report": dataclasses.asdict(result.solve_result.gap_report),
@@ -244,12 +230,12 @@ _INTERSECT_COLUMNS = (
 )
 
 
-def _cmd_intersect(cfg: RunConfig, out):
-    p = read_pencil(cfg.inputs[0], cfg.inputs[1])
-    result = solve_by_intersection(p, cfg.opts, match_tol=cfg.delta)
+def _cmd_intersect(args, opts, out):
+    p = read_pencil(args.matrix_a, args.matrix_b)
+    result = solve_by_intersection(p, opts, match_tol=args.delta)
     rows = [(a.value, a.is_infinite, b.value, b.is_infinite, d) for a, b, d in result.matches]
     footer = [("matched eigenvalues within tol {}: [{}]", result.tol, result.eigenvalues)]
-    _emit(cfg.fmt, out, _INTERSECT_COLUMNS, rows, footer, lambda: {
+    _emit(args.fmt, out, _INTERSECT_COLUMNS, rows, footer, lambda: {
         "tol": result.tol,
         "eigenvalues": result.eigenvalues,
         "matches": [
@@ -259,44 +245,24 @@ def _cmd_intersect(cfg: RunConfig, out):
     return 0
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "nrank": _cmd_nrank,
-    "gen": _cmd_gen,
-    "twoparam": _cmd_twoparam,
-    "doubleeig": _cmd_doubleeig,
-    "intersect": _cmd_intersect,
-}
+def _solve_options(args) -> SolveOptions:
+    """The solver settings and seed of one invocation.
 
-
-def run(cfg: RunConfig, out=None, err=None) -> int:
-    """Execute one parsed invocation; returns the process exit status."""
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    handler = _HANDLERS.get(cfg.subcommand)
-    if handler is None:
-        err.write(f"error: unknown subcommand {cfg.subcommand!r}\n")
-        return 2
-    try:
-        return handler(cfg, out)
-    except (ValueError, OSError, KeyError) as exc:
-        err.write(f"error: {exc}\n")
-        return 2
-    except NumericalError as exc:
-        err.write(f"numerical failure: {exc}\n")
-        if exc.details:
-            err.write(f"details: {exc.details}\n")
-        return 3
-
-
-def _default_seed():
-    env = os.environ.get("SINGPENCIL_SEED")
-    if env is not None:
+    Argparse destinations are named after the ``SolveOptions`` fields
+    they set, and a flag a subcommand lacks keeps the dataclass default.
+    No ``--seed`` falls back to ``$SINGPENCIL_SEED``, then to 0.
+    """
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolveOptions)
+             if hasattr(args, f.name)}
+    if given["seed"] is None:
+        env = os.environ.get("SINGPENCIL_SEED", "0")
         try:
-            return int(env)
+            given["seed"] = int(env)
         except ValueError:
             raise ValueError(f"SINGPENCIL_SEED must be an integer, got {env!r}") from None
-    return 0
+    if given.get("rank_tol", "auto") != "auto":
+        given["rank_tol"] = float(given["rank_tol"])
+    return SolveOptions(**given)
 
 
 def _build_parser():
@@ -307,98 +273,74 @@ def _build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
     defaults = SolveOptions()
 
-    def add_common(sp):
-        sp.add_argument("--tau", type=float, default=defaults.tau, help="perturbation strength")
-        sp.add_argument("--delta1", type=float, default=defaults.delta1,
+    def group(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    pencil = group()
+    pencil.add_argument("matrix_a")
+    pencil.add_argument("matrix_b")
+    seed = group()
+    seed.add_argument("--seed", type=int, default=None,
+                      help="RNG seed (default: $SINGPENCIL_SEED or 0)")
+    tol = group()
+    tol.add_argument("--tol", dest="rank_tol", metavar="TOL", default=defaults.rank_tol,
+                     help="rank decision tolerance (number or 'auto')")
+    solver = group(seed, tol)
+    solver.add_argument("--tau", type=float, default=defaults.tau, help="perturbation strength")
+    solver.add_argument("--delta1", type=float, default=defaults.delta1,
                         help="eigenvector orthogonality threshold")
-        sp.add_argument("--delta2", type=float, default=defaults.delta2,
+    solver.add_argument("--delta2", type=float, default=defaults.delta2,
                         help="finite/infinite split threshold on |s|")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default: $SINGPENCIL_SEED or 0)")
-        sp.add_argument("--tol", dest="rank_tol", metavar="TOL", default=defaults.rank_tol,
-                        help="rank decision tolerance (number or 'auto')")
-        sp.add_argument("--format", dest="fmt", choices=("table", "csv", "json"), default="table")
-        sp.add_argument("--retries", dest="max_retries", metavar="RETRIES", type=int,
+    solver.add_argument("--format", dest="fmt", choices=("table", "csv", "json"), default="table")
+    solver.add_argument("--retries", dest="max_retries", metavar="RETRIES", type=int,
                         default=defaults.max_retries,
                         help="re-randomizations allowed on prescribed/true collisions")
 
-    sp = sub.add_parser("solve", help="classify the spectrum of a singular pencil")
-    sp.add_argument("matrix_a")
-    sp.add_argument("matrix_b")
-    add_common(sp)
+    def command(name, handler, parents, summary):
+        sp = sub.add_parser(name, parents=parents, help=summary)
+        sp.set_defaults(handler=handler)
+        return sp
 
-    sp = sub.add_parser("nrank", help="estimate the normal rank")
-    sp.add_argument("matrix_a")
-    sp.add_argument("matrix_b")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--tol", dest="rank_tol", metavar="TOL", default=defaults.rank_tol)
-
-    sp = sub.add_parser("gen", help="generate a test pencil from a JSON block spec")
+    command("solve", _cmd_solve, [pencil, solver], "classify the spectrum of a singular pencil")
+    command("nrank", _cmd_nrank, [pencil, seed, tol], "estimate the normal rank")
+    sp = command("gen", _cmd_gen, [seed], "generate a test pencil from a JSON block spec")
     sp.add_argument("spec")
     sp.add_argument("-o", "--output-dir", default=".")
-    sp.add_argument("--seed", type=int, default=None)
-
-    sp = sub.add_parser("twoparam", help="solve a two-parameter eigenvalue problem")
+    sp = command("twoparam", _cmd_twoparam, [solver], "solve a two-parameter eigenvalue problem")
     sp.add_argument("manifest")
-    add_common(sp)
-    sp.add_argument("--delta", type=float, default=None,
-                    help="mu matching tolerance")
+    sp.add_argument("--delta", type=float, default=None, help="mu matching tolerance")
     sp.add_argument("--unique-lambda", action="store_true",
                     help="accept the closest mu pair per lambda unconditionally")
-
-    sp = sub.add_parser("doubleeig", help="lambdas where A + lambda B has a double eigenvalue")
-    sp.add_argument("matrix_a")
-    sp.add_argument("matrix_b")
-    add_common(sp)
+    sp = command("doubleeig", _cmd_doubleeig, [pencil, solver],
+                 "lambdas where A + lambda B has a double eigenvalue")
     sp.add_argument("--no-refine", dest="refine", action="store_false",
                     help="skip the Newton polish of each lambda")
-
-    sp = sub.add_parser("intersect", help="two-perturbation intersection baseline")
-    sp.add_argument("matrix_a")
-    sp.add_argument("matrix_b")
-    add_common(sp)
-    sp.add_argument("--delta", type=float, default=None,
-                    help="chordal matching tolerance")
-
+    sp = command("intersect", _cmd_intersect, [pencil, solver],
+                 "two-perturbation intersection baseline")
+    sp.add_argument("--delta", type=float, default=None, help="chordal matching tolerance")
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    """Map parsed arguments onto :class:`RunConfig`.
-
-    Argparse destinations are named after the ``SolveOptions`` and
-    ``RunConfig`` fields they set; a flag a subcommand lacks keeps the
-    dataclass default, so every default lives in one place.
-    """
-    given = dict(vars(args))
-    if given["seed"] is None:
-        given["seed"] = _default_seed()
-    if given.get("rank_tol", "auto") != "auto":
-        given["rank_tol"] = float(given["rank_tol"])
-    opts = SolveOptions(
-        **{f.name: given[f.name] for f in dataclasses.fields(SolveOptions) if f.name in given}
-    )
-    inputs = [given[k] for k in ("matrix_a", "matrix_b", "spec", "manifest") if k in given]
-    return RunConfig(
-        inputs=inputs,
-        opts=opts,
-        **{f.name: given[f.name] for f in dataclasses.fields(RunConfig) if f.name in given},
-    )
-
-
 def main(argv=None, out=None, err=None) -> int:
-    """Parse arguments and run; returns the exit status without exiting."""
-    parser = _build_parser()
+    """Parse ``argv``, run its subcommand and return the exit status without exiting.
+
+    ``out`` and ``err`` default to ``sys.stdout`` and ``sys.stderr``.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    err = err if err is not None else sys.stderr
     try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        (err if err is not None else sys.stderr).write(f"error: {exc}\n")
+        return args.handler(args, _solve_options(args), out if out is not None else sys.stdout)
+    except (ValueError, OSError, KeyError) as exc:
+        err.write(f"error: {exc}\n")
         return 2
-    return run(cfg, out=out, err=err)
+    except NumericalError as exc:
+        err.write(f"numerical failure: {exc}\n")
+        if exc.details:
+            err.write(f"details: {exc.details}\n")
+        return 3
 
 
 def entry():

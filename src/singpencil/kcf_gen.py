@@ -272,25 +272,32 @@ def spec_to_json(spec: KcfSpec) -> dict:
 
 
 def spec_from_json(doc: dict) -> KcfSpec:
-    """Parse the dictionary produced by :func:`spec_to_json`."""
-    try:
-        raw_blocks = doc["blocks"]
-    except (TypeError, KeyError):
-        raise ValueError("KCF spec document must contain a 'blocks' list") from None
+    """Parse the dictionary produced by :func:`spec_to_json`; another shape raises ValueError."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("blocks"), list):
+        raise ValueError("KCF spec document must contain a 'blocks' list")
     blocks = []
-    for i, rb in enumerate(raw_blocks):
-        cls = _BLOCK_KINDS.get(rb.get("kind"))
+    for i, rb in enumerate(doc["blocks"]):
+        if not isinstance(rb, dict):
+            raise ValueError(f"block {i}: expected an object, got {rb!r}")
+        kind = rb.get("kind")
+        cls = _BLOCK_KINDS.get(kind) if isinstance(kind, str) else None
         if cls is None:
-            raise ValueError(f"block {i}: unknown kind {rb.get('kind')!r}")
-        args = {f.name: int(rb[f.name]) for f in fields(cls) if f.name != "eigenvalue"}
+            raise ValueError(f"block {i}: unknown kind {kind!r}")
+        try:
+            args = {f.name: int(rb[f.name]) for f in fields(cls) if f.name != "eigenvalue"}
+        except TypeError:
+            raise ValueError(f"block {i}: {kind} sizes and indices must be integers") from None
         if cls is Jordan:
             ev = rb.get("eigenvalue", [0.0, 0.0])
-            if isinstance(ev, (int, float)):
-                ev = [float(ev), 0.0]
+            ev = [ev, 0.0] if isinstance(ev, (int, float)) else ev
+            if not (isinstance(ev, list) and len(ev) == 2
+                    and all(isinstance(x, (int, float)) for x in ev)):
+                raise ValueError(f"block {i}: eigenvalue must be a number or an [re, im] pair")
             args["eigenvalue"] = complex(ev[0], ev[1])
         blocks.append(cls(**args))
-    return KcfSpec(
-        blocks=tuple(blocks),
-        transform=doc.get("transform", KcfSpec.transform),
-        cond_bound=float(doc.get("cond_bound", KcfSpec.cond_bound)),
-    )
+    try:
+        cond_bound = float(doc.get("cond_bound", KcfSpec.cond_bound))
+    except TypeError:
+        raise ValueError("cond_bound must be a number") from None
+    return KcfSpec(blocks=tuple(blocks), transform=doc.get("transform", KcfSpec.transform),
+                   cond_bound=cond_bound)

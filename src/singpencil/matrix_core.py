@@ -294,7 +294,7 @@ def rank_tolerance(s, shape, tol="auto"):
     if tol == "auto":
         return max(shape) * EPS * (s[0] if s.size else 0.0)
     tol = float(tol)
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     return tol
 

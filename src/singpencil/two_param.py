@@ -410,9 +410,13 @@ def read_problem(manifest_path) -> TwoParamProblem:
             doc = json.load(f)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{manifest_path}: manifest must be a JSON object")
     missing = [k for k in _MANIFEST_KEYS if k not in doc]
     if missing:
         raise ValueError(f"{manifest_path}: manifest missing entries {missing}")
+    if not all(isinstance(doc[k], str) for k in _MANIFEST_KEYS):
+        raise ValueError(f"{manifest_path}: every manifest entry must be a string path")
     base = os.path.dirname(os.path.abspath(manifest_path))
     mats = {k: read_matrix(os.path.join(base, doc[k])) for k in _MANIFEST_KEYS}
     return TwoParamProblem(**mats)

@@ -12,12 +12,14 @@ from singpencil import (
     NumericalError,
     Pencil,
     SolveOptions,
+    read_problem,
     solutions_to_csv,
     solve_2ep,
+    spec_from_json,
     write_pencil,
     write_problem,
 )
-from singpencil.cli import _build_parser, _config_from_args, main
+from singpencil.cli import _build_parser, _solve_options, main
 from singpencil.gallery import (
     bivariate_cubic_system,
     diagonal_demo_pencil,
@@ -154,6 +156,8 @@ class TestSolveCommand:
             ("solve", ["--retries", "-1"], "max_retries"),
             ("solve", ["--tol", "-1"], "nonnegative"),
             ("nrank", ["--tol", "-1"], "nonnegative"),
+            ("solve", ["--tol", "nan"], "nonnegative"),
+            ("nrank", ["--tol", "nan"], "nonnegative"),
         ],
     )
     def test_invalid_settings_exit_2(self, showcase_files, cmd, flags, msg):
@@ -206,12 +210,12 @@ class TestOutputFormats:
 class TestDefaults:
     @pytest.mark.parametrize(
         "argv",
-        [["solve", "A", "B"], ["doubleeig", "A", "B"], ["twoparam", "M"], ["intersect", "A", "B"]],
+        [["solve", "A", "B"], ["doubleeig", "A", "B"], ["twoparam", "M"], ["intersect", "A", "B"],
+         ["nrank", "A", "B"], ["gen", "S"]],
     )
     def test_unflagged_options_are_solve_options_defaults(self, argv, monkeypatch):
         monkeypatch.delenv("SINGPENCIL_SEED", raising=False)
-        cfg = _config_from_args(_build_parser().parse_args(argv))
-        assert cfg.opts == SolveOptions(seed=0)
+        assert _solve_options(_build_parser().parse_args(argv)) == SolveOptions(seed=0)
 
     def test_intersect_default_tol(self, diag_files):
         code, out, _ = run_cli(["intersect", *diag_files, "--format", "json"])
@@ -241,8 +245,9 @@ class TestHelp:
 
     def test_subcommand_help_exits_zero(self):
         for sub in ("solve", "nrank", "gen", "twoparam", "doubleeig", "intersect"):
-            code, _, _ = run_cli([sub, "--help"])
-            assert code == 0
+            for flag in ("--help", "-h"):
+                code, _, _ = run_cli([sub, flag])
+                assert code == 0
 
     def test_no_subcommand_exits_2(self):
         code, _, _ = run_cli([])
@@ -326,6 +331,37 @@ class TestTwoParamCommand:
         assert out.strip().splitlines()[-1] == "9 eigenvalue pairs"
 
 
+_JORDAN = {"kind": "jordan", "size": 1}
+_MANIFEST = {k: f"{k}.mtx" for k in ("A1", "B1", "C1", "A2", "B2", "C2")}
+
+
+@pytest.mark.parametrize(
+    "cmd,doc",
+    [
+        ("gen", {"blocks": [1]}),
+        ("gen", {"blocks": 5}),
+        ("gen", {"blocks": [{**_JORDAN, "eigenvalue": "ab"}]}),
+        ("gen", {"blocks": [{**_JORDAN, "eigenvalue": [1]}]}),
+        ("gen", {"blocks": [{**_JORDAN, "eigenvalue": None}]}),
+        ("gen", {"blocks": [{**_JORDAN, "size": None}]}),
+        ("gen", {"blocks": [{**_JORDAN, "kind": ["jordan"]}]}),
+        ("gen", {"blocks": [_JORDAN], "cond_bound": None}),
+        ("twoparam", 5),
+        ("twoparam", {**_MANIFEST, "A1": 5}),
+    ],
+)
+def test_ill_shaped_json_exits_2(tmp_path, monkeypatch, cmd, doc):
+    # valid JSON of the wrong shape is an input-file error, not a crash
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([cmd, str(path)])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: ")
+    with pytest.raises(ValueError):
+        spec_from_json(doc) if cmd == "gen" else read_problem(path)
+
+
 class TestDoubleEigCommand:
     def test_small_problem(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -375,13 +411,23 @@ class TestDeterminism:
             runs = [run_cli(argv) for _ in range(2)]
             assert runs[0] == runs[1], f"non-deterministic output for {argv}"
 
-    def test_env_seed_override(self, showcase_files, monkeypatch):
+    def test_env_seed_override(self, showcase_files, monkeypatch, tmp_path):
         a, b = showcase_files
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(TestGenCommand.SPEC))
+        for argv in (["solve", a, b, "--format", "csv"], ["nrank", a, b]):
+            monkeypatch.setenv("SINGPENCIL_SEED", "1")
+            _, out_env, _ = run_cli(argv)
+            monkeypatch.delenv("SINGPENCIL_SEED")
+            _, out_flag, _ = run_cli([*argv, "--seed", "1"])
+            assert out_env == out_flag
         monkeypatch.setenv("SINGPENCIL_SEED", "1")
-        _, out_env, _ = run_cli(["solve", a, b, "--format", "csv"])
+        assert run_cli(["gen", str(spec), "-o", str(tmp_path / "env")])[0] == 0
         monkeypatch.delenv("SINGPENCIL_SEED")
-        _, out_flag, _ = run_cli(["solve", a, b, "--seed", "1", "--format", "csv"])
-        assert out_env == out_flag
+        assert run_cli(["gen", str(spec), "-o", str(tmp_path / "flag"), "--seed", "1"])[0] == 0
+        for name in ("ground_truth.json", "A.mtx"):
+            assert (tmp_path / "env" / name).read_text() == (tmp_path / "flag" / name).read_text()
+        assert json.loads((tmp_path / "env" / "ground_truth.json").read_text())["seed"] == 1
         monkeypatch.setenv("SINGPENCIL_SEED", "not-an-int")
         code, _, err = run_cli(["solve", a, b])
         assert code == 2

@@ -223,6 +223,8 @@ class TestRankWithTol:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             rank_with_tol(np.eye(2), tol=-1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            rank_with_tol(np.eye(3), tol=float("nan"))
 
 
 class TestGreedyMatch:

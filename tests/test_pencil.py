@@ -147,6 +147,8 @@ class TestNormalRank:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             normal_rank(diagonal_demo_pencil(), np.random.default_rng(0), tol=-1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            normal_rank(diagonal_demo_pencil(), np.random.default_rng(0), tol=float("nan"))
 
 
 class TestMatrixMarketIO:

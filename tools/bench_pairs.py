@@ -20,17 +20,26 @@ wins.  With ``--trace-seed`` one ``--trace 1`` run per side adds the
 per-layer metrics.  The comparison rule is the benchmark's: a gain needs
 wins in at least 9 of 10 pairs and a median difference larger than the
 parent's interquartile range.
+
+``commits`` holds each side's git commit, or null when the checkout is
+not a git tree or has uncommitted changes under ``src/``.  So that a
+record always says which code it measured, ``src_sha256`` holds, per
+side, a sha256 over the sorted relative paths and bytes of the
+checkout's ``src/**/*.py`` files (``__pycache__`` skipped); two
+checkouts with equal source get equal digests.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 SIDES = ("parent", "change")
 SECONDS = 22
@@ -55,6 +64,17 @@ def git_head(checkout):
     except (OSError, subprocess.CalledProcessError):
         return None
     return None if dirty else head
+
+
+def src_sha256(checkout):
+    """sha256 over the sorted relative paths and bytes of ``src/**/*.py`` in ``checkout``."""
+    root = Path(checkout, "src")
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*.py") if "__pycache__" not in p.parts):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def read_log(path):
@@ -123,6 +143,7 @@ def main(argv=None):
         "seeds": seeds,
         "order": "odd seeds run the parent first, even seeds the change first",
         "commits": {side: git_head(checkouts[side]) for side in SIDES},
+        "src_sha256": {side: src_sha256(checkouts[side]) for side in SIDES},
         "host": {"nproc": os.cpu_count(), "python": platform.python_version()},
         "failed": {
             side: {
