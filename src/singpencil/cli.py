@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import dataclasses
 import json
 import math
@@ -324,15 +325,19 @@ def _build_parser():
 def main(argv=None, out=None, err=None) -> int:
     """Parse ``argv``, run its subcommand and return the exit status without exiting.
 
-    ``out`` and ``err`` default to ``sys.stdout`` and ``sys.stderr``.
+    ``out`` and ``err`` default to ``sys.stdout`` and ``sys.stderr``.  They
+    also receive argparse's output: ``--help`` text goes to ``out``, and a
+    usage error to ``err``.
     """
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        return args.handler(args, _solve_options(args), out if out is not None else sys.stdout)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.handler(args, _solve_options(args), out)
     except (ValueError, OSError, KeyError) as exc:
         err.write(f"error: {exc}\n")
         return 2

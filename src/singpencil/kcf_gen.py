@@ -271,6 +271,15 @@ def spec_to_json(spec: KcfSpec) -> dict:
     return {"blocks": blocks, "transform": spec.transform, "cond_bound": spec.cond_bound}
 
 
+def _integer(x):
+    """``x`` as an int; TypeError unless it is an integral number (a bool is not one)."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise TypeError(f"not an integer: {x!r}")
+
+
 def spec_from_json(doc: dict) -> KcfSpec:
     """Parse the dictionary produced by :func:`spec_to_json`; another shape raises ValueError."""
     if not isinstance(doc, dict) or not isinstance(doc.get("blocks"), list):
@@ -284,7 +293,7 @@ def spec_from_json(doc: dict) -> KcfSpec:
         if cls is None:
             raise ValueError(f"block {i}: unknown kind {kind!r}")
         try:
-            args = {f.name: int(rb[f.name]) for f in fields(cls) if f.name != "eigenvalue"}
+            args = {f.name: _integer(rb[f.name]) for f in fields(cls) if f.name != "eigenvalue"}
         except TypeError:
             raise ValueError(f"block {i}: {kind} sizes and indices must be integers") from None
         if cls is Jordan:

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.ctypeslib import ndpointer
-from scipy.linalg import cython_lapack, lapack
 
 __all__ = [
     "EPS",
@@ -188,19 +189,26 @@ class EigDecomposition:
 _COLUMN_MAJOR = 102  # LAPACK_COL_MAJOR
 
 
-@functools.cache
-def _zggev3():
-    """LAPACKE's ``zggev3`` from the LAPACK scipy links against, or None.
+def _scipy_openblas():
+    """Path of the OpenBLAS bundled in scipy's wheel, found without importing scipy, or None."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.origin:
+        return None
+    libs = os.path.join(os.path.dirname(os.path.dirname(spec.origin)), "scipy.libs")
+    try:
+        names = [n for n in os.listdir(libs)
+                 if n.startswith("libscipy_openblas") and n.endswith(".so")]
+    except OSError:
+        return None
+    return os.path.join(libs, min(names)) if names else None
 
-    ``dlsym`` on scipy's ``cython_lapack`` extension also searches the
-    libraries it links, so no private library file name is needed.  Current
-    scipy wheels export the OpenBLAS routine as ``scipy_LAPACKE_zggev3``;
-    older wheels and MKL builds as ``LAPACKE_zggev3``.  ILP64 builds export
-    suffixed names only, so the 32-bit ``lapack_int`` below cannot be bound
-    to a 64-bit interface by mistake.  None where no name resolves (e.g.
-    Accelerate builds).
-    """
-    lib = ctypes.CDLL(cython_lapack.__file__)
+
+def _bind_zggev3(path):
+    """LAPACKE's ``zggev3`` in the library ``path`` (or one it links), or None."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
     for name in ("scipy_LAPACKE_zggev3", "LAPACKE_zggev3"):
         try:
             fn = getattr(lib, name)
@@ -215,6 +223,29 @@ def _zggev3():
     return None
 
 
+@functools.cache
+def _zggev3():
+    """LAPACKE's ``zggev3`` bound with ``ctypes``, or None to call ``zggev``.
+
+    Tried first in scipy's bundled OpenBLAS, loaded by file path so that no
+    scipy module is imported; then through scipy's ``cython_lapack``
+    extension (``dlsym`` on it also searches the libraries it links), which
+    imports ``scipy.linalg``.  numpy's ``libscipy_openblas64_`` is never
+    bound: it is ILP64 and has no LAPACKE.  Current wheels export
+    ``scipy_LAPACKE_zggev3``, older wheels and MKL builds ``LAPACKE_zggev3``;
+    ILP64 builds export suffixed names only, so the 32-bit ``lapack_int``
+    cannot be bound to a 64-bit interface by mistake.  None where neither
+    route resolves a name (e.g. Accelerate builds).
+    """
+    path = _scipy_openblas()
+    fn = _bind_zggev3(path) if path else None
+    if fn is None:
+        from scipy.linalg import cython_lapack
+
+        fn = _bind_zggev3(cython_lapack.__file__)
+    return fn
+
+
 def generalized_eig(A, B):
     """Eigenvalues and left/right eigenvectors of the pencil A - lambda B.
 
@@ -222,8 +253,9 @@ def generalized_eig(A, B):
     output once: eigenvectors to unit 2-norm, homogeneous eigenvalue pairs
     to the unit sphere.  The driver is ``zggev3`` (blocked reduction to
     Hessenberg-triangular form and multishift QZ with aggressive early
-    deflation) through LAPACKE; where the platform's LAPACK does not export
-    it, the unblocked single-shift ``zggev`` through ``scipy.linalg.lapack``.
+    deflation) through LAPACKE, as :func:`_zggev3` resolves it; where no
+    LAPACK at hand exports it, the unblocked single-shift ``zggev`` through
+    ``scipy.linalg.lapack``.
 
     Parameters
     ----------
@@ -257,6 +289,8 @@ def generalized_eig(A, B):
         return EigDecomposition(alpha=vec, beta=vec, right=mat, left=mat)
     zggev3 = _zggev3()
     if zggev3 is None:
+        from scipy.linalg import lapack
+
         lwork = int(lapack.zggev(A, B, lwork=-1)[-2][0].real)
         alpha, beta, vl, vr, _, info = lapack.zggev(A, B, lwork=lwork)
     else:

@@ -14,11 +14,10 @@ as CSV by :func:`csv_text`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from .matrix_core import EPS, as_cmatrix, rank_tolerance
 
@@ -151,17 +150,80 @@ def normal_rank(p: Pencil, rng, tol="auto", probes=2) -> NormalRankReport:
     return NormalRankReport(nrank=best, k=k, zeta_samples=zetas, tol_used=tol_used)
 
 
-def read_matrix(path):
-    """Read one dense complex matrix from a Matrix Market file."""
+# the banners of the files _read_array parses, with the numbers per entry
+_PLAIN_BANNERS = {
+    b"%%MatrixMarket matrix array real general": 1,
+    b"%%MatrixMarket matrix array complex general": 2,
+}
+
+
+def _read_array(path):
+    r"""The matrix in a plain ``array real|complex general`` file, else None.
+
+    Plain: the banner as ``mmwrite`` writes it, whole-line ``%`` comments,
+    a ``rows cols`` line, then one entry per ``\n``-ended line, the two
+    parts of a complex entry split by one space, each value matching
+    ``-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?``.  Python's ``float`` and
+    ``mmread`` both round such values correctly; ``mmread`` reads every zero
+    as ``+0.0``, hence the ``+ 0.0``.  A leading ``+`` or a ``_`` digit
+    separator, on which the two disagree, gives None.
+    """
     try:
-        rows, cols, _, kind, _, _ = scipy.io.mminfo(path)
-        if kind == "array" and rows * cols == 0:  # mmread of a 0 x n array dies with SIGFPE
-            return np.zeros((rows, cols), dtype=np.complex128)
-        m = scipy.io.mmread(path)
-    except Exception as exc:
-        raise ValueError(f"{path}: not a readable Matrix Market file ({exc})") from exc
-    if scipy.sparse.issparse(m):
-        m = m.toarray()
+        with open(path, "rb") as f:
+            text = f.read()
+    except (OSError, TypeError):
+        return None
+    banner, _, text = text.partition(b"\n")
+    width = _PLAIN_BANNERS.get(banner)
+    if width is None:
+        return None
+    while text.startswith(b"%"):
+        text = text.partition(b"\n")[2]
+    size, _, body = text.partition(b"\n")
+    dims = re.fullmatch(rb"(\d+) (\d+)", size)
+    if dims is None:
+        return None
+    rows, cols = int(dims[1]), int(dims[2])
+    body = body.rstrip(b"\n")
+    tokens = body.split()
+    # with the number bytes deleted, a plain body leaves one line's separators per entry
+    line = b" " * (width - 1) + b"\n"
+    if (len(tokens) != width * rows * cols
+            or body.translate(None, b"0123456789.eE+-") != (line * (rows * cols))[:-1]
+            or b"+" in body and body.count(b"+") != body.count(b"e+") + body.count(b"E+")):
+        return None
+    try:
+        values = np.array(tokens, dtype=np.float64) + 0.0
+    except ValueError:
+        return None
+    if width == 2:
+        values = values.view(np.complex128)
+    return values.reshape(cols, rows).T
+
+
+def read_matrix(path):
+    """Read one dense complex matrix from a Matrix Market file.
+
+    A plainly laid out ``array real`` or ``array complex`` ``general`` file,
+    as :func:`write_matrix` writes it, is parsed with numpy, bit for bit as
+    ``scipy.io.mmread`` reads it (see :func:`_read_array`).  Every other
+    file goes through ``scipy.io``, imported only then, which also gives
+    the error for a file it cannot read.
+    """
+    m = _read_array(path)
+    if m is None:
+        import scipy.io
+        import scipy.sparse
+
+        try:
+            rows, cols, _, kind, _, _ = scipy.io.mminfo(path)
+            if kind == "array" and rows * cols == 0:  # mmread of a 0 x n array dies with SIGFPE
+                return np.zeros((rows, cols), dtype=np.complex128)
+            m = scipy.io.mmread(path)
+        except Exception as exc:
+            raise ValueError(f"{path}: not a readable Matrix Market file ({exc})") from exc
+        if scipy.sparse.issparse(m):
+            m = m.toarray()
     return as_cmatrix(m, str(path))
 
 
@@ -171,6 +233,9 @@ def write_matrix(path, m):
     A matrix with no rows is written in coordinate format instead,
     because ``scipy.io.mmwrite`` of a complex 0 x n array never returns.
     """
+    import scipy.io
+    import scipy.sparse
+
     m = as_cmatrix(m, str(path))
     scipy.io.mmwrite(path, scipy.sparse.coo_matrix(m) if m.shape[0] == 0 else m, field="complex")
 

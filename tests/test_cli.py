@@ -130,6 +130,36 @@ class TestSolveCommand:
         assert code == 2
         assert "bad.mtx" in err
 
+    @pytest.mark.parametrize("token", ["+1.5", "1_0", None])
+    def test_number_syntax_exit_code_follows_mmread(self, tmp_path, showcase_files, token):
+        # mmread rejects a leading + and a short body (exit 2) but reads 1_0 as 1
+        a = tmp_path / "A.mtx"
+        entries = ["1"] * 48 + ([token] if token else [])
+        a.write_text("%%MatrixMarket matrix array real general\n7 7\n" + "\n".join(entries) + "\n")
+        code, out, err = run_cli(["solve", str(a), showcase_files[1], "--format", "csv"])
+        if token == "1_0":
+            assert code == 0 and err == ""
+        else:
+            assert code == 2 and out == "" and "A.mtx: not a readable Matrix Market file" in err
+
+    def test_solve_imports_no_scipy(self, showcase_files, tmp_path):
+        # the QZ binds scipy's OpenBLAS by path and the reader parses array files with numpy
+        proc = run_python(
+            "import sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import singpencil.cli\n"
+            "print(scipy_modules())\n"
+            f"code = singpencil.cli.main(['solve', *{list(showcase_files)!r}, '--format', 'csv'])\n"
+            "print(code, scipy_modules())\n",
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "[]" and lines[-1] == "0 []"
+        code, out, _ = run_cli(["solve", *showcase_files, "--format", "csv"])
+        assert "\n".join(lines[1:-1]) + "\n" == out
+
     def test_non_finite_entry_exits_2(self, tmp_path, showcase_files):
         nan = tmp_path / "nan.mtx"
         nan.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\nnan\n0.0\n1.0\n")
@@ -243,11 +273,29 @@ class TestHelp:
         code, _, _ = run_cli(["--help"])
         assert code == 0
 
-    def test_subcommand_help_exits_zero(self):
+    def test_subcommand_help_exits_zero(self, capsys):
         for sub in ("solve", "nrank", "gen", "twoparam", "doubleeig", "intersect"):
             for flag in ("--help", "-h"):
-                code, _, _ = run_cli([sub, flag])
-                assert code == 0
+                code, out, err = run_cli([sub, flag])
+                assert code == 0 and err == ""
+                assert out.startswith(f"usage: singpencil {sub} ")
+        assert capsys.readouterr() == ("", "")
+
+    def test_usage_error_goes_to_err(self, capsys):
+        code, out, err = run_cli(["nrank", "--bogus"])
+        assert code == 2 and out == ""
+        assert err.startswith("usage: singpencil nrank ") and "error:" in err
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv", [["solve", "-h"], ["nrank", "--bogus"], []])
+    def test_entry_streams_match_main(self, tmp_path, argv):
+        proc = run_python(
+            f"import sys; sys.argv[1:] = {argv!r}\n"
+            "from singpencil.cli import entry\n"
+            "entry()\n",
+            cwd=tmp_path,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(argv)
 
     def test_no_subcommand_exits_2(self):
         code, _, _ = run_cli([])
@@ -348,6 +396,11 @@ _MANIFEST = {k: f"{k}.mtx" for k in ("A1", "B1", "C1", "A2", "B2", "C2")}
         ("gen", {"blocks": [_JORDAN], "cond_bound": None}),
         ("twoparam", 5),
         ("twoparam", {**_MANIFEST, "A1": 5}),
+        ("gen", {"blocks": [{"kind": "nilpotent", "size": 2.7}]}),
+        ("gen", {"blocks": [{"kind": "nilpotent", "size": True}]}),
+        ("gen", {"blocks": [{"kind": "right_singular", "index": 1.5}]}),
+        ("gen", {"blocks": [_JORDAN, {"kind": "left_singular", "index": False}]}),
+        ("gen", {"blocks": [{**_JORDAN, "size": "1"}]}),
     ],
 )
 def test_ill_shaped_json_exits_2(tmp_path, monkeypatch, cmd, doc):

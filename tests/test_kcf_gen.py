@@ -157,6 +157,14 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             spec_from_json({"blocks": []})
 
+    @pytest.mark.parametrize("size", [2.7, True, "2", float("inf")])
+    def test_sizes_must_be_integral_numbers(self, size):
+        doc = {"blocks": [{"kind": "jordan", "size": 1}, {"kind": "nilpotent", "size": size}]}
+        with pytest.raises(ValueError, match="block 1: nilpotent sizes and indices must be integers"):
+            spec_from_json(doc)
+        doc["blocks"][1]["size"] = 2.0
+        assert spec_from_json(doc).blocks[1] == Nilpotent(2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             KcfSpec((), transform="unitary")

@@ -1,5 +1,8 @@
 """Tests for the dense matrix primitives and the generalized eigensolver."""
 
+import ctypes
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -94,7 +97,7 @@ class TestGeneralizedEig:
         # a nonzero info from whichever LAPACK call runs: zggev3 when the
         # platform exports it, and the zggev fallback
         zggev3 = mc._zggev3()
-        real_zggev = mc.lapack.zggev
+        real_zggev = scipy.linalg.lapack.zggev
 
         def failing_zggev(a, b, **kwargs):
             *out, info = real_zggev(a, b, **kwargs)
@@ -104,7 +107,7 @@ class TestGeneralizedEig:
             assert zggev3(*args) == 0
             return 2
 
-        monkeypatch.setattr(mc.lapack, "zggev", failing_zggev)
+        monkeypatch.setattr(scipy.linalg.lapack, "zggev", failing_zggev)
         resolvers = [lambda: None] + ([lambda: failing_zggev3] if zggev3 else [])
         for resolve in resolvers:
             monkeypatch.setattr(mc, "_zggev3", resolve)
@@ -155,6 +158,16 @@ class TestGeneralizedEig:
                 assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
 
+def _cython_lapack_route(monkeypatch):
+    """``zggev3`` as the resolver binds it when scipy has no ``scipy.libs`` to load by path."""
+    monkeypatch.setattr(mc, "_scipy_openblas", lambda: None)
+    return mc._zggev3.__wrapped__()
+
+
+def _address(fn):
+    return ctypes.cast(fn, ctypes.c_void_p).value
+
+
 @pytest.fixture(params=["zggev3", "zggev"])
 def qz_driver(request, monkeypatch):
     """Runs a test on each LAPACK driver ``generalized_eig`` can call."""
@@ -165,10 +178,47 @@ def qz_driver(request, monkeypatch):
     return request.param
 
 
+class TestQzRoutes:
+    def test_bundled_openblas_is_bound_by_path(self):
+        path = mc._scipy_openblas()
+        if path is None:
+            pytest.skip("this scipy bundles no scipy.libs/libscipy_openblas*.so")
+        assert os.path.basename(os.path.dirname(path)) == "scipy.libs"
+        fn = mc._bind_zggev3(path)
+        assert fn is not None and _address(fn) == _address(mc._zggev3())
+
+    def test_both_zggev3_routes_give_the_same_bits(self, monkeypatch):
+        by_path = mc._zggev3()
+        handle = _cython_lapack_route(monkeypatch)
+        if by_path is None or handle is None:
+            pytest.skip("this LAPACK exports no zggev3")
+        # the same function of the same library, loaded once
+        assert _address(by_path) == _address(handle)
+        rng = np.random.default_rng(5)
+        A, B = random_complex(rng, (40, 40)), random_complex(rng, (40, 40))
+        runs = []
+        for fn in (by_path, handle):
+            monkeypatch.setattr(mc, "_zggev3", lambda fn=fn: fn)
+            dec = generalized_eig(A, B)
+            runs.append([x.tobytes() for x in (dec.alpha, dec.beta, dec.right, dec.left)])
+        assert runs[0] == runs[1]
+
+    def test_unloadable_bundled_file_falls_back_to_cython_lapack(self, tmp_path, monkeypatch):
+        fake = tmp_path / "scipy.libs" / "libscipy_openblas-0.so"
+        fake.parent.mkdir()
+        fake.write_bytes(b"not a shared library")
+        assert mc._bind_zggev3(str(fake)) is None
+        monkeypatch.setattr(mc, "_scipy_openblas", lambda: str(fake))
+        fn = mc._zggev3.__wrapped__()
+        handle = _cython_lapack_route(monkeypatch)
+        assert (fn is None) == (handle is None)
+        assert fn is None or _address(fn) == _address(handle)
+
+
 def _parent_generalized_eig(A, B):
     """Reference for the fallback: the zggev call and normalization written out."""
-    lwork = int(mc.lapack.zggev(A, B, lwork=-1)[-2][0].real)
-    alpha, beta, vl, vr, _, info = mc.lapack.zggev(A, B, lwork=lwork)
+    lwork = int(scipy.linalg.lapack.zggev(A, B, lwork=-1)[-2][0].real)
+    alpha, beta, vl, vr, _, info = scipy.linalg.lapack.zggev(A, B, lwork=lwork)
     assert info == 0
     scale = np.hypot(np.abs(alpha), np.abs(beta))
     return alpha / scale, beta / scale, vr / np.linalg.norm(vr, axis=0), vl / np.linalg.norm(vl, axis=0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse
 
 from singpencil import (
@@ -19,7 +20,8 @@ from singpencil.gallery import (
     showcase_pencil,
     staircase_sensitive_pencil,
 )
-from singpencil.pencil import read_matrix, read_pencil, write_matrix, write_pencil
+from singpencil.matrix_core import as_cmatrix
+from singpencil.pencil import _read_array, read_matrix, read_pencil, write_matrix, write_pencil
 
 from helpers import random_complex, run_python
 
@@ -194,6 +196,115 @@ class TestMatrixMarketIO:
         bad.write_text("this is not a matrix market file\n")
         with pytest.raises(ValueError, match="bad.mtx"):
             read_matrix(bad)
+
+
+def _array_file(path, field, rows, cols, tokens, comments=("%",)):
+    """An ``array`` Matrix Market file: one entry per line, a complex entry's parts on one line."""
+    width = 2 if field == "complex" else 1
+    entries = [" ".join(tokens[i:i + width]) for i in range(0, len(tokens), width)]
+    banner = f"%%MatrixMarket matrix array {field} general"
+    path.write_text("\n".join([banner, *comments, f"{rows} {cols}", *entries]) + "\n")
+    return path
+
+
+def _outcome(read, path):
+    """The bytes ``read(path)`` returns, or the text of the ValueError it raises."""
+    try:
+        return read(path).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _mmread(path):
+    """``read_matrix`` as it was when every file went through ``scipy.io.mmread``."""
+    try:
+        m = scipy.io.mmread(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a readable Matrix Market file ({exc})") from exc
+    return as_cmatrix(m.toarray() if scipy.sparse.issparse(m) else m, str(path))
+
+
+class TestNumpyReader:
+    """The numpy path of ``read_matrix`` gives ``mmread``'s bits, or leaves the file to scipy."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("digits", range(5, 18))
+    def test_bits_equal_mmread(self, tmp_path, field, digits):
+        rng = np.random.default_rng(digits)
+        rows, cols = 4, 3
+        width = 2 if field == "complex" else 1
+        mags = 10.0 ** rng.uniform(-300, 300, rows * cols * width)
+        values = mags * rng.choice([-1.0, 1.0], mags.size)
+        values[:4] = [5e-324, -3 * 5e-324, 2.2250738585072014e-308 / 3, -0.0]  # subnormals, -0
+        tokens = [f"{x:.{digits - 1}e}" for x in values]
+        tokens[4:9] = ["-0", "-0.0", "-1e-400", "0", "1e-400"]
+        path = _array_file(tmp_path / "m.mtx", field, rows, cols, tokens,
+                           comments=("% a comment", "%", "%%"))
+        assert _read_array(path) is not None
+        got = read_matrix(path)
+        assert got.shape == (rows, cols)
+        assert got.tobytes() == _mmread(path).tobytes()
+        zeros = got.view(np.float64)[got.view(np.float64) == 0.0]
+        assert zeros.size >= 5 and not np.signbit(zeros).any()
+
+    def test_bits_equal_mmread_on_written_files(self, tmp_path):
+        # mmwrite marks a matrix equal to its transpose "symmetric", so these are not
+        rng = np.random.default_rng(3)
+        path = tmp_path / "w.mtx"
+        for shape in [(5, 2), (2, 7), (3, 3)]:
+            write_matrix(path, random_complex(rng, shape) * 10.0 ** rng.uniform(-200, 200, shape))
+            assert _read_array(path) is not None
+            assert read_matrix(path).tobytes() == _mmread(path).tobytes()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_zero_size_array(self, tmp_path, field, shape):
+        path = _array_file(tmp_path / "z.mtx", field, *shape, [])
+        assert _read_array(path) is not None
+        m = read_matrix(path)
+        assert m.shape == shape and m.dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "text,plain",
+        [
+            ("3 1\n1\n2\n3\n", True),
+            ("03 1\n1\n2.\n.3\n\n\n", True),
+            ("3 1\n1\n2\n3", True),
+            ("3 1\n1\n1e+5\n3\n", True),
+            ("3 1\n1\n2\n", False),  # too few entries
+            ("3 1\n1\n2\n3\n4\n", False),  # too many
+            ("3 1\n1\n+1.5\n3\n", False),  # a leading + that float() accepts and mmread does not
+            ("3 1\n1\n1_0\n3\n", False),  # mmread stops at the _, float() reads 10
+            ("3 1\n1\n2 5\n3\n", False),  # mmread ignores the second number
+            ("3 1\n1\n\t2\n3\n", False),
+            ("3 1\r\n1\r\n2\r\n3\r\n", False),
+            ("3 1\n1\n\n2\n3\n", False),
+            ("3 1\n1\nnan\n3\n", False),
+            ("3 1\n1\n1e400\n3\n", True),
+            ("3  1\n1\n2\n3\n", False),
+        ],
+    )
+    def test_other_layouts_read_as_mmread_reads_them(self, tmp_path, text, plain):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n" + text)
+        assert (_read_array(path) is not None) == plain
+        assert _outcome(read_matrix, path) == _outcome(_mmread, path)
+
+    @pytest.mark.parametrize(
+        "banner,body",
+        [
+            ("array complex symmetric", "2 2\n1 0\n2 0\n4 0\n"),
+            ("array integer general", "2 2\n1\n2\n3\n4\n"),
+            ("coordinate complex general", "2 2 1\n1 1 1 0\n"),
+            ("ARRAY COMPLEX GENERAL", "1 2\n1 0\n2 0\n"),
+            (" array complex general", "1 2\n1 0\n2 0\n"),
+        ],
+    )
+    def test_other_headers_go_to_scipy(self, tmp_path, banner, body):
+        path = tmp_path / "m.mtx"
+        path.write_text(f"%%MatrixMarket matrix {banner}\n{body}")
+        assert _read_array(path) is None
+        assert read_matrix(path).tobytes() == _mmread(path).tobytes()
 
 
 class TestPencilInvariants:

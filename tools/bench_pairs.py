@@ -112,18 +112,29 @@ def compare(runs, seeds, better):
     return out
 
 
+def seed_range(text):
+    """The seeds of ``first-last`` (inclusive); the quartiles need at least two."""
+    try:
+        first, last = (int(x) for x in text.split("-"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected first-last, got {text!r}") from None
+    if last <= first:
+        raise argparse.ArgumentTypeError(f"{text!r} names fewer than two seeds")
+    return list(range(first, last + 1))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--seeds", default="11-20", help="first-last, inclusive")
+    parser.add_argument("--seeds", type=seed_range, default="11-20",
+                        help="first-last, inclusive, at least two seeds")
     parser.add_argument("--trace-seed", type=int, default=None)
     parser.add_argument("--log", required=True)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    first, last = (int(x) for x in args.seeds.split("-"))
-    seeds = list(range(first, last + 1))
+    seeds = args.seeds
     checkouts = {"parent": args.parent, "change": args.change}
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
