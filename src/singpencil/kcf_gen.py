@@ -117,7 +117,8 @@ class KcfSpec:
 
     transform is one of "none" (return the canonical form itself),
     "unitary" (random unitary P, Q) or "general" (random P, Q with
-    2-norm condition number exactly ``cond_bound``).
+    2-norm condition number exactly ``cond_bound``, which must be a
+    finite number >= 1 for every transform).
     """
 
     blocks: tuple
@@ -130,8 +131,9 @@ class KcfSpec:
             raise ValueError("spec must contain at least one block")
         if self.transform not in ("none", "unitary", "general"):
             raise ValueError(f"unknown transform {self.transform!r}")
-        if self.transform == "general" and self.cond_bound < 1:
-            raise ValueError("cond_bound must be >= 1")
+        if not 1 <= self.cond_bound <= np.finfo(float).max:  # false for NaN
+            raise ValueError("cond_bound must be a finite number >= 1")
+        object.__setattr__(self, "cond_bound", float(self.cond_bound))
 
 
 @dataclass
@@ -304,9 +306,8 @@ def spec_from_json(doc: dict) -> KcfSpec:
                 raise ValueError(f"block {i}: eigenvalue must be a number or an [re, im] pair")
             args["eigenvalue"] = complex(ev[0], ev[1])
         blocks.append(cls(**args))
-    try:
-        cond_bound = float(doc.get("cond_bound", KcfSpec.cond_bound))
-    except TypeError:
-        raise ValueError("cond_bound must be a number") from None
+    cond_bound = doc.get("cond_bound", KcfSpec.cond_bound)
+    if isinstance(cond_bound, bool) or not isinstance(cond_bound, (int, float)):
+        raise ValueError(f"cond_bound must be a number, got {cond_bound!r}")
     return KcfSpec(blocks=tuple(blocks), transform=doc.get("transform", KcfSpec.transform),
                    cond_bound=cond_bound)

@@ -7,13 +7,15 @@ identically zero.  The solver pipeline normalizes every input through
 estimates the normal rank ``max_zeta rank(A - zeta B)`` from random
 probe points.
 
-Pencils are read and written as pairs of Matrix Market files (one file
-per matrix, complex "array" or "coordinate" kind); results are written
-as CSV by :func:`csv_text`.
+Pencils are read and written as pairs of Matrix Market files, one file
+per matrix; :func:`read_matrix` parses every kind with numpy.  Results
+are written as CSV by :func:`csv_text`.
 """
 
 from __future__ import annotations
 
+import bz2
+import gzip
 import re
 from dataclasses import dataclass, field, replace
 
@@ -117,12 +119,12 @@ def squarify(p: Pencil) -> Pencil:
     return replace(p, A=np.pad(p.A, pad), B=np.pad(p.B, pad))
 
 
-def normal_rank(p: Pencil, rng, tol="auto", probes=2) -> NormalRankReport:
+def normal_rank(p: Pencil, rng, tol="auto") -> NormalRankReport:
     """Estimate nrank(A, B) = max_zeta rank(A - zeta B) by random probes.
 
     Probe points are drawn uniformly from the unit circle (the pencil is
     scaled to unit norms first, so that radius is well conditioned), and
-    the maximum rank over ``probes`` draws is taken.  A single probe can
+    the maximum rank over two draws is taken.  A single probe can
     in principle land on an eigenvalue and under-report; two independent
     probes make that a non-event in practice while the report keeps the
     values for auditing.  A pencil whose 1-norms are already 0 or within
@@ -138,7 +140,7 @@ def normal_rank(p: Pencil, rng, tol="auto", probes=2) -> NormalRankReport:
     zetas = []
     best = 0
     tol_used = 0.0
-    for _ in range(max(1, int(probes))):
+    for _ in range(2):
         zeta = complex(np.exp(2j * np.pi * rng.uniform()))
         zetas.append(zeta)
         m = ps.A - zeta * ps.B
@@ -150,81 +152,76 @@ def normal_rank(p: Pencil, rng, tol="auto", probes=2) -> NormalRankReport:
     return NormalRankReport(nrank=best, k=k, zeta_samples=zetas, tol_used=tol_used)
 
 
-# the banners of the files _read_array parses, with the numbers per entry
-_PLAIN_BANNERS = {
-    b"%%MatrixMarket matrix array real general": 1,
-    b"%%MatrixMarket matrix array complex general": 2,
-}
+_WIDTHS = {b"pattern": 0, b"real": 1, b"integer": 1, b"complex": 2}  # numbers per value
 
 
-def _read_array(path):
-    r"""The matrix in a plain ``array real|complex general`` file, else None.
-
-    Plain: the banner as ``mmwrite`` writes it, whole-line ``%`` comments,
-    a ``rows cols`` line, then one entry per ``\n``-ended line, the two
-    parts of a complex entry split by one space, each value matching
-    ``-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?``.  Python's ``float`` and
-    ``mmread`` both round such values correctly; ``mmread`` reads every zero
-    as ``+0.0``, hence the ``+ 0.0``.  A leading ``+`` or a ``_`` digit
-    separator, on which the two disagree, gives None.
-    """
-    try:
-        with open(path, "rb") as f:
-            text = f.read()
-    except (OSError, TypeError):
-        return None
+def _parse(text):
+    """The matrix in the bytes of a Matrix Market file; a ValueError says what is wrong."""
     banner, _, text = text.partition(b"\n")
-    width = _PLAIN_BANNERS.get(banner)
-    if width is None:
-        return None
-    while text.startswith(b"%"):
-        text = text.partition(b"\n")[2]
-    size, _, body = text.partition(b"\n")
-    dims = re.fullmatch(rb"(\d+) (\d+)", size)
-    if dims is None:
-        return None
-    rows, cols = int(dims[1]), int(dims[2])
-    body = body.rstrip(b"\n")
+    words = banner.lower().split()
+    if len(words) != 5 or words[:2] != [b"%%matrixmarket", b"matrix"]:
+        raise ValueError("no '%%MatrixMarket matrix' banner")
+    fmt, kind, sym = words[2:]
+    width, coo = _WIDTHS.get(kind), fmt == b"coordinate"
+    if (fmt not in (b"array", b"coordinate") or width is None or fmt == b"array" and width == 0
+            or sym not in (b"general", b"symmetric", b"skew-symmetric", b"hermitian")):
+        raise ValueError("unsupported type " + b" ".join(words[2:]).decode(errors="replace"))
+    header = re.match(rb"(?:%[^\n]*\n|[ \t\r]*\n)*([^\n]*)", text)  # comments, then the sizes
+    dims, body = header[1].split(), text[header.end():]
+    if len(dims) != 2 + coo or not b"".join(dims).isdigit():
+        raise ValueError(f"bad size line {header[1].decode(errors='replace')!r}")
+    rows, cols, *nnz = map(int, dims)
+    if sym != b"general" and rows != cols:
+        raise ValueError(f"a {sym.decode()} matrix of shape {rows} x {cols}")
+    # numpy's float() reads 1_0 as 10, and an integer field must not round
+    if b"_" in body or kind == b"integer" and re.search(rb"[.eE]", body):
+        raise ValueError(f"a value that is not {kind.decode()}")
     tokens = body.split()
-    # with the number bytes deleted, a plain body leaves one line's separators per entry
-    line = b" " * (width - 1) + b"\n"
-    if (len(tokens) != width * rows * cols
-            or body.translate(None, b"0123456789.eE+-") != (line * (rows * cols))[:-1]
-            or b"+" in body and body.count(b"+") != body.count(b"e+") + body.count(b"E+")):
-        return None
-    try:
-        values = np.array(tokens, dtype=np.float64) + 0.0
-    except ValueError:
-        return None
-    if width == 2:
-        values = values.view(np.complex128)
-    return values.reshape(cols, rows).T
+    skew = sym == b"skew-symmetric"
+    # array: column by column, only the lower triangle unless general; coordinate: "i j value"
+    size = nnz[0] if coo else rows * cols if sym == b"general" else rows * (rows + 1 - 2 * skew) // 2
+    stride = width + 2 * coo
+    if len(tokens) != size * stride:
+        raise ValueError(f"the size line asks for {size * stride} numbers, the file has {len(tokens)}")
+    numbers = np.array(tokens, dtype=np.float64) + 0.0  # every zero reads as +0.0
+    if coo:
+        entries = numbers.reshape(size, stride)
+        ij = entries[:, :2]
+        if size and not (b"".join(tokens[0::stride] + tokens[1::stride]).isdigit()
+                         and (ij >= 1).all() and (ij <= (rows, cols)).all()):
+            raise ValueError("an index that is not an integer in range")
+        r, c = ij.T.astype(np.intp) - 1
+        numbers = entries[:, 2:].ravel() if width else np.ones(size)
+    values = numbers.view(np.complex128) if width == 2 else numbers
+    if not coo:
+        if sym == b"general":
+            return values.reshape(cols, rows).T
+        c, r = np.triu_indices(rows, skew)
+    if sym != b"general":
+        off = r != c
+        mirror = -values if skew else values.conj() if sym == b"hermitian" else values
+        r, c, values = np.r_[r, c[off]], np.r_[c, r[off]], np.r_[values, mirror[off]]
+    m = np.zeros((rows, cols), values.dtype)
+    np.add.at(m, (r, c), values)  # duplicate entries are summed
+    return m
 
 
 def read_matrix(path):
     """Read one dense complex matrix from a Matrix Market file.
 
-    A plainly laid out ``array real`` or ``array complex`` ``general`` file,
-    as :func:`write_matrix` writes it, is parsed with numpy, bit for bit as
-    ``scipy.io.mmread`` reads it (see :func:`_read_array`).  Every other
-    file goes through ``scipy.io``, imported only then, which also gives
-    the error for a file it cannot read.
+    Every ``matrix`` kind is read: ``array`` or ``coordinate`` format, of
+    any field and symmetry (``pattern`` in ``coordinate`` only), also from
+    a ``.gz`` or ``.bz2`` file.  Every zero reads as ``+0.0`` and duplicate
+    entries are summed; a malformed file raises ``ValueError``.
     """
-    m = _read_array(path)
-    if m is None:
-        import scipy.io
-        import scipy.sparse
-
-        try:
-            rows, cols, _, kind, _, _ = scipy.io.mminfo(path)
-            if kind == "array" and rows * cols == 0:  # mmread of a 0 x n array dies with SIGFPE
-                return np.zeros((rows, cols), dtype=np.complex128)
-            m = scipy.io.mmread(path)
-        except Exception as exc:
-            raise ValueError(f"{path}: not a readable Matrix Market file ({exc})") from exc
-        if scipy.sparse.issparse(m):
-            m = m.toarray()
-    return as_cmatrix(m, str(path))
+    name = str(path)
+    opener = gzip.open if name.endswith(".gz") else bz2.open if name.endswith(".bz2") else open
+    try:
+        with opener(path, "rb") as f:
+            m = _parse(f.read())
+    except Exception as exc:
+        raise ValueError(f"{name}: not a readable Matrix Market file ({exc})") from exc
+    return as_cmatrix(m, name)
 
 
 def write_matrix(path, m):

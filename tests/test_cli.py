@@ -3,9 +3,12 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse
 
 from singpencil import (
     EPS,
@@ -130,35 +133,45 @@ class TestSolveCommand:
         assert code == 2
         assert "bad.mtx" in err
 
-    @pytest.mark.parametrize("token", ["+1.5", "1_0", None])
+    @pytest.mark.parametrize("token", ["+1.5", "1_0", None, "1d5", "0x1", "2 5"])
     def test_number_syntax_exit_code_follows_mmread(self, tmp_path, showcase_files, token):
-        # mmread rejects a leading + and a short body (exit 2) but reads 1_0 as 1
+        # a leading + reads as float() reads it (mmread rejects it); a short body and the
+        # tokens mmread reads by their prefix (1_0 as 1, 1d5 as 1, 0x1 as 0, "2 5" as 2) exit 2
         a = tmp_path / "A.mtx"
         entries = ["1"] * 48 + ([token] if token else [])
         a.write_text("%%MatrixMarket matrix array real general\n7 7\n" + "\n".join(entries) + "\n")
         code, out, err = run_cli(["solve", str(a), showcase_files[1], "--format", "csv"])
-        if token == "1_0":
+        if token == "+1.5":
             assert code == 0 and err == ""
         else:
             assert code == 2 and out == "" and "A.mtx: not a readable Matrix Market file" in err
 
-    def test_solve_imports_no_scipy(self, showcase_files, tmp_path):
-        # the QZ binds scipy's OpenBLAS by path and the reader parses array files with numpy
+    def test_solve_imports_no_scipy(self, showcase_files, diag_files, tmp_path):
+        # the QZ binds scipy's OpenBLAS by path and the reader parses every kind with numpy:
+        # general arrays, the "symmetric" files mmwrite writes for a diagonal pencil, coordinate files
+        coo_files = str(tmp_path / "cA.mtx"), str(tmp_path / "cB.mtx")
+        p = showcase_pencil()
+        for path, m in zip(coo_files, (p.A, p.B)):
+            scipy.io.mmwrite(path, scipy.sparse.coo_matrix(m), field="complex")
+        pairs = [list(showcase_files), list(diag_files), list(coo_files)]
+        assert [Path(a).read_text().split()[2:5] for a, _ in pairs] == [
+            ["array", "complex", "general"], ["array", "complex", "symmetric"],
+            ["coordinate", "complex", "general"],
+        ]
         proc = run_python(
             "import sys\n"
             "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "import singpencil.cli\n"
             "print(scipy_modules())\n"
-            f"code = singpencil.cli.main(['solve', *{list(showcase_files)!r}, '--format', 'csv'])\n"
-            "print(code, scipy_modules())\n",
+            f"for pair in {pairs!r}:\n"
+            "    code = singpencil.cli.main(['solve', *pair, '--format', 'csv'])\n"
+            "    print(code, scipy_modules())\n",
             cwd=tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert lines[0] == "[]" and lines[-1] == "0 []"
-        code, out, _ = run_cli(["solve", *showcase_files, "--format", "csv"])
-        assert "\n".join(lines[1:-1]) + "\n" == out
+        outs = [run_cli(["solve", *pair, "--format", "csv"])[1] for pair in pairs]
+        assert proc.stdout == "[]\n" + "".join(out + "0 []\n" for out in outs)
 
     def test_non_finite_entry_exits_2(self, tmp_path, showcase_files):
         nan = tmp_path / "nan.mtx"
@@ -401,6 +414,12 @@ _MANIFEST = {k: f"{k}.mtx" for k in ("A1", "B1", "C1", "A2", "B2", "C2")}
         ("gen", {"blocks": [{"kind": "right_singular", "index": 1.5}]}),
         ("gen", {"blocks": [_JORDAN, {"kind": "left_singular", "index": False}]}),
         ("gen", {"blocks": [{**_JORDAN, "size": "1"}]}),
+        ("gen", {"blocks": [_JORDAN], "cond_bound": "5"}),
+        ("gen", {"blocks": [_JORDAN], "cond_bound": True}),
+        ("gen", {"blocks": [_JORDAN], "cond_bound": "nan"}),
+        ("gen", {"blocks": [_JORDAN], "cond_bound": 1e400}),
+        ("gen", {"blocks": [_JORDAN], "cond_bound": math.nan}),
+        ("gen", {"blocks": [_JORDAN], "cond_bound": 0.5}),
     ],
 )
 def test_ill_shaped_json_exits_2(tmp_path, monkeypatch, cmd, doc):

@@ -1,5 +1,9 @@
 """Tests for scaling, squarification, normal rank and Matrix Market I/O."""
 
+import bz2
+import gzip
+import re
+
 import numpy as np
 import pytest
 import scipy.io
@@ -21,7 +25,7 @@ from singpencil.gallery import (
     staircase_sensitive_pencil,
 )
 from singpencil.matrix_core import as_cmatrix
-from singpencil.pencil import _read_array, read_matrix, read_pencil, write_matrix, write_pencil
+from singpencil.pencil import read_matrix, read_pencil, write_matrix, write_pencil
 
 from helpers import random_complex, run_python
 
@@ -133,8 +137,12 @@ class TestNormalRank:
             assert (rep.nrank, rep.k) == (6, 1)
 
     def test_probe_count_respected(self):
-        rep = normal_rank(diagonal_demo_pencil(), np.random.default_rng(1), probes=4)
-        assert len(rep.zeta_samples) == 4
+        # two probes, recorded; the count is no longer a parameter
+        rep = normal_rank(diagonal_demo_pencil(), np.random.default_rng(1))
+        assert len(rep.zeta_samples) == 2 and rep.zeta_samples[0] != rep.zeta_samples[1]
+        assert all(abs(abs(z) - 1.0) < 1e-15 for z in rep.zeta_samples)
+        with pytest.raises(TypeError):
+            normal_rank(diagonal_demo_pencil(), np.random.default_rng(1), probes=4)
 
     def test_empty_pencil_rejected(self):
         with pytest.raises(ValueError, match="empty pencil"):
@@ -224,8 +232,36 @@ def _mmread(path):
     return as_cmatrix(m.toarray() if scipy.sparse.issparse(m) else m, str(path))
 
 
+# every (format, field, symmetry) that read_matrix accepts
+_KINDS = [
+    (fmt, field, sym)
+    for fmt in ("array", "coordinate")
+    for field in ("real", "integer", "complex", "pattern")
+    for sym in ("general", "symmetric", "skew-symmetric", "hermitian")
+    if (fmt, field) != ("array", "pattern")
+]
+
+
+def _kind_matrix(rng, fmt, field, sym, rows, cols):
+    """A random matrix that ``mmwrite`` can store as the given kind, entries 1e-300 to 1e300 or 0."""
+    if field == "integer":
+        a = rng.integers(-10**6, 10**6, (rows, cols))
+    else:
+        a, b = (10.0 ** rng.uniform(-300, 300, (rows, cols)) * rng.choice([-1, 0, 1], (rows, cols))
+                for _ in range(2))
+        a = a + 1j * b if field == "complex" else a
+    low = np.tril(a, -1)
+    if sym == "symmetric":
+        a = np.tril(a) + low.T
+    elif sym == "skew-symmetric":
+        a = low - low.T
+    elif sym == "hermitian":
+        a = np.tril(a) + low.conj().T
+    return scipy.sparse.coo_matrix(a) if fmt == "coordinate" else a
+
+
 class TestNumpyReader:
-    """The numpy path of ``read_matrix`` gives ``mmread``'s bits, or leaves the file to scipy."""
+    """``read_matrix`` gives ``scipy.io.mmread``'s bits; its departures from ``mmread`` are pinned."""
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("digits", range(5, 18))
@@ -240,7 +276,6 @@ class TestNumpyReader:
         tokens[4:9] = ["-0", "-0.0", "-1e-400", "0", "1e-400"]
         path = _array_file(tmp_path / "m.mtx", field, rows, cols, tokens,
                            comments=("% a comment", "%", "%%"))
-        assert _read_array(path) is not None
         got = read_matrix(path)
         assert got.shape == (rows, cols)
         assert got.tobytes() == _mmread(path).tobytes()
@@ -248,47 +283,78 @@ class TestNumpyReader:
         assert zeros.size >= 5 and not np.signbit(zeros).any()
 
     def test_bits_equal_mmread_on_written_files(self, tmp_path):
-        # mmwrite marks a matrix equal to its transpose "symmetric", so these are not
+        # mmwrite marks a matrix equal to its transpose "symmetric": every 1 x 1 and diagonal one
         rng = np.random.default_rng(3)
         path = tmp_path / "w.mtx"
-        for shape in [(5, 2), (2, 7), (3, 3)]:
-            write_matrix(path, random_complex(rng, shape) * 10.0 ** rng.uniform(-200, 200, shape))
-            assert _read_array(path) is not None
+        matrices = [random_complex(rng, s) * 10.0 ** rng.uniform(-200, 200, s)
+                    for s in [(5, 2), (2, 7), (3, 3), (1, 1)]]
+        banners = set()
+        for m in [*matrices, np.diag(random_complex(rng, 4)), np.eye(3)]:
+            write_matrix(path, m)
+            banners.add(path.read_text().partition("\n")[0])
             assert read_matrix(path).tobytes() == _mmread(path).tobytes()
+        assert banners == {f"%%MatrixMarket matrix array complex {sym}" for sym in ("general", "symmetric")}
+
+    @pytest.mark.parametrize("fmt,field,sym", _KINDS)
+    def test_every_kind_bits_equal_mmread(self, tmp_path, fmt, field, sym):
+        rng = np.random.default_rng(_KINDS.index((fmt, field, sym)))
+        plain = tmp_path / "plain.mtx"
+        # a 0 x n coordinate file (mmread of a 0 x n array dies with SIGFPE), then gzip, bzip2, plain
+        for n, suffix in [(0, ""), (4, ".gz"), (5, ".bz2"), (6, "")][fmt == "array":]:
+            cols = n + 1 if sym == "general" else n
+            scipy.io.mmwrite(plain, _kind_matrix(rng, fmt, field, sym, n, cols), field=field, symmetry=sym)
+            compress = {"": bytes, ".gz": gzip.compress, ".bz2": bz2.compress}[suffix]
+            path = tmp_path / f"m.mtx{suffix}"
+            path.write_bytes(compress(plain.read_bytes()))
+            assert read_matrix(path).tobytes() == _mmread(path).tobytes()
+        assert plain.read_text().partition("\n")[0] == f"%%MatrixMarket matrix {fmt} {field} {sym}"
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_zero_size_array(self, tmp_path, field, shape):
         path = _array_file(tmp_path / "z.mtx", field, *shape, [])
-        assert _read_array(path) is not None
         m = read_matrix(path)
         assert m.shape == shape and m.dtype == np.complex128
 
     @pytest.mark.parametrize(
-        "text,plain",
+        "text,as_mmread",
         [
             ("3 1\n1\n2\n3\n", True),
             ("03 1\n1\n2.\n.3\n\n\n", True),
             ("3 1\n1\n2\n3", True),
             ("3 1\n1\n1e+5\n3\n", True),
-            ("3 1\n1\n2\n", False),  # too few entries
+            ("3 1\n1\n2\n", False),  # too few entries; mmread words the error differently
             ("3 1\n1\n2\n3\n4\n", False),  # too many
             ("3 1\n1\n+1.5\n3\n", False),  # a leading + that float() accepts and mmread does not
-            ("3 1\n1\n1_0\n3\n", False),  # mmread stops at the _, float() reads 10
+            ("3 1\n1\n1_0\n3\n", False),  # mmread reads 1, float() reads 10
             ("3 1\n1\n2 5\n3\n", False),  # mmread ignores the second number
-            ("3 1\n1\n\t2\n3\n", False),
-            ("3 1\r\n1\r\n2\r\n3\r\n", False),
-            ("3 1\n1\n\n2\n3\n", False),
-            ("3 1\n1\nnan\n3\n", False),
+            ("3 1\n1\n1d5\n3\n", False),  # mmread reads 1
+            ("3 1\n1\n0x1\n3\n", False),  # mmread reads 0
+            ("3 1\n1\n1-2\n3\n", False),  # mmread reads 1
+            ("3 1\n1\n2\n0x1", False),  # mmread dies with SIGSEGV
+            ("%%MatrixMarket matrix array integer general\n1 1\n-1e-400\n", False),  # SIGSEGV too
+            ("%%MatrixMarket matrix array integer general\n2 1\n1\n2.5\n", False),  # mmread reads 2
+            ("3 1\n1\n\t2\n3\n", True),
+            ("3 1\r\n1\r\n2\r\n3\r\n", True),
+            ("3 1\n1\n\n2\n3\n", True),
+            ("% a comment\n\n%\n3 1\n1 \n 2\n3\n", True),
+            ("3 1\n1\nnan\n3\n", True),
             ("3 1\n1\n1e400\n3\n", True),
-            ("3  1\n1\n2\n3\n", False),
+            ("3  1\n1\n2\n3\n", True),
         ],
     )
-    def test_other_layouts_read_as_mmread_reads_them(self, tmp_path, text, plain):
+    def test_other_layouts_read_as_mmread_reads_them(self, tmp_path, text, as_mmread):
         path = tmp_path / "m.mtx"
-        path.write_text("%%MatrixMarket matrix array real general\n" + text)
-        assert (_read_array(path) is not None) == plain
-        assert _outcome(read_matrix, path) == _outcome(_mmread, path)
+        banner = "" if text.startswith("%%") else "%%MatrixMarket matrix array real general\n"
+        path.write_text(banner + text)
+        if as_mmread:
+            assert _outcome(read_matrix, path) == _outcome(_mmread, path)
+        elif "+1.5" in text:
+            assert read_matrix(path).tobytes() == np.array([[1], [1.5], [3]], complex).tobytes()
+        else:
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not a readable "
+                                                 r"Matrix Market file \(.+\)$"):
+                read_matrix(path)
 
     @pytest.mark.parametrize(
         "banner,body",
@@ -301,9 +367,9 @@ class TestNumpyReader:
         ],
     )
     def test_other_headers_go_to_scipy(self, tmp_path, banner, body):
+        # headers that once went to scipy.io.mmread still read as it reads them
         path = tmp_path / "m.mtx"
         path.write_text(f"%%MatrixMarket matrix {banner}\n{body}")
-        assert _read_array(path) is None
         assert read_matrix(path).tobytes() == _mmread(path).tobytes()
 
 
