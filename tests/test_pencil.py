@@ -340,7 +340,7 @@ class TestNumpyReader:
             ("% a comment\n\n%\n3 1\n1 \n 2\n3\n", True),
             ("3 1\n1\nnan\n3\n", True),
             ("3 1\n1\n1e400\n3\n", True),
-            ("3  1\n1\n2\n3\n", True),
+            ("3  1\n1\n2\n3\n\n", True),  # two spaces in the size line
         ],
     )
     def test_other_layouts_read_as_mmread_reads_them(self, tmp_path, text, as_mmread):
