@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import importlib.util
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.ctypeslib import ndpointer
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "EPS",
@@ -186,63 +184,34 @@ class EigDecomposition:
         return [self.eigenvalue(i) for i in range(self.n)]
 
 
-_COLUMN_MAJOR = 102  # LAPACK_COL_MAJOR
+_ZGGEV3_NAMES = ("scipy_zggev3_64_", "zggev3_64_", "scipy_zggev3_", "zggev3_")
 
 
-def _scipy_openblas():
-    """Path of the OpenBLAS bundled in scipy's wheel, found without importing scipy, or None."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.origin:
-        return None
-    libs = os.path.join(os.path.dirname(os.path.dirname(spec.origin)), "scipy.libs")
-    try:
-        names = [n for n in os.listdir(libs)
-                 if n.startswith("libscipy_openblas") and n.endswith(".so")]
-    except OSError:
-        return None
-    return os.path.join(libs, min(names)) if names else None
+@functools.cache
+def _zggev3(path=_umath_linalg.__file__):
+    """LAPACK's Fortran ``zggev3`` bound with ``ctypes``, or None to call ``zggev``.
 
-
-def _bind_zggev3(path):
-    """LAPACKE's ``zggev3`` in the library ``path`` (or one it links), or None."""
+    Looked up with ``dlsym`` in ``path`` and the libraries it links, by
+    default numpy's ``_umath_linalg`` extension: numpy's wheels export
+    ``scipy_zggev3_64_`` from their bundled OpenBLAS, other builds
+    ``zggev3_64_`` or ``zggev3_``.  A ``*_64_`` name takes 64-bit
+    integers and any other name 32-bit ones, so a 32-bit library never
+    gets 64-bit integers.  The two trailing arguments are the lengths of
+    the ``jobvl`` and ``jobvr`` strings.  None where the library has no
+    ``zggev3`` (e.g. numpy on Accelerate) or does not load.
+    """
     try:
         lib = ctypes.CDLL(path)
     except OSError:
         return None
-    for name in ("scipy_LAPACKE_zggev3", "LAPACKE_zggev3"):
-        try:
-            fn = getattr(lib, name)
-        except AttributeError:
-            continue
-        vec = ndpointer(np.complex128, ndim=1, flags="C_CONTIGUOUS")
-        mat = ndpointer(np.complex128, ndim=2, flags="F_CONTIGUOUS")
-        i = ctypes.c_int
-        fn.argtypes = [i, ctypes.c_char, ctypes.c_char, i, mat, i, mat, i, vec, vec, mat, i, mat, i]
-        fn.restype = i
-        return fn
-    return None
-
-
-@functools.cache
-def _zggev3():
-    """LAPACKE's ``zggev3`` bound with ``ctypes``, or None to call ``zggev``.
-
-    Tried first in scipy's bundled OpenBLAS, loaded by file path so that no
-    scipy module is imported; then through scipy's ``cython_lapack``
-    extension (``dlsym`` on it also searches the libraries it links), which
-    imports ``scipy.linalg``.  numpy's ``libscipy_openblas64_`` is never
-    bound: it is ILP64 and has no LAPACKE.  Current wheels export
-    ``scipy_LAPACKE_zggev3``, older wheels and MKL builds ``LAPACKE_zggev3``;
-    ILP64 builds export suffixed names only, so the 32-bit ``lapack_int``
-    cannot be bound to a 64-bit interface by mistake.  None where neither
-    route resolves a name (e.g. Accelerate builds).
-    """
-    path = _scipy_openblas()
-    fn = _bind_zggev3(path) if path else None
-    if fn is None:
-        from scipy.linalg import cython_lapack
-
-        fn = _bind_zggev3(cython_lapack.__file__)
+    name = next((name for name in _ZGGEV3_NAMES if hasattr(lib, name)), None)
+    if name is None:
+        return None
+    fn = getattr(lib, name)
+    i = ctypes.POINTER(ctypes.c_int64 if name.endswith("_64_") else ctypes.c_int32)
+    c, p, length = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t  # p: an array's address
+    fn.argtypes = [c, c, i, p, i, p, i, p, p, p, i, p, i, p, i, p, i, length, length]
+    fn.restype = None
     return fn
 
 
@@ -253,8 +222,9 @@ def generalized_eig(A, B):
     output once: eigenvectors to unit 2-norm, homogeneous eigenvalue pairs
     to the unit sphere.  The driver is ``zggev3`` (blocked reduction to
     Hessenberg-triangular form and multishift QZ with aggressive early
-    deflation) through LAPACKE, as :func:`_zggev3` resolves it; where no
-    LAPACK at hand exports it, the unblocked single-shift ``zggev`` through
+    deflation) in the LAPACK numpy links, as :func:`_zggev3` binds it, so
+    no scipy module is imported; where numpy's LAPACK exports no
+    ``zggev3``, the unblocked single-shift ``zggev`` through
     ``scipy.linalg.lapack``.
 
     Parameters
@@ -298,7 +268,18 @@ def generalized_eig(A, B):
         alpha, beta = np.empty(n, np.complex128), np.empty(n, np.complex128)
         vl = np.empty((n, n), np.complex128, order="F")
         vr = np.empty((n, n), np.complex128, order="F")
-        info = zggev3(_COLUMN_MAJOR, b"V", b"V", n, a, n, b, n, alpha, beta, vl, n, vr, n)
+        work, rwork = np.zeros(1, np.complex128), np.empty(8 * n)
+        integer = zggev3.argtypes[2]._type_
+        dim, info = integer(n), integer(0)
+        # raw addresses of the complex128 Fortran-order arrays made above: numpy's
+        # ndpointer checks on every call cost more than a small QZ
+        args = [x.ctypes.data if isinstance(x, np.ndarray) else x
+                for x in (b"V", b"V", dim, a, dim, b, dim, alpha, beta, vl, dim, vr, dim)]
+        zggev3(*args, work.ctypes.data, integer(-1), rwork.ctypes.data, info, 1, 1)  # workspace query
+        if info.value == 0:
+            work = np.empty(int(work[0].real), np.complex128)
+            zggev3(*args, work.ctypes.data, integer(work.size), rwork.ctypes.data, info, 1, 1)
+        info = info.value
     if info != 0:
         raise NumericalError(
             f"generalized eigenvalue iteration failed: LAPACK info = {info}",

@@ -206,6 +206,11 @@ def _parse(text):
     return m
 
 
+def _opener(name):
+    """``gzip.open`` for a ``.gz`` file, ``bz2.open`` for a ``.bz2`` file, else ``open``."""
+    return gzip.open if name.endswith(".gz") else bz2.open if name.endswith(".bz2") else open
+
+
 def read_matrix(path):
     """Read one dense complex matrix from a Matrix Market file.
 
@@ -215,9 +220,8 @@ def read_matrix(path):
     entries are summed; a malformed file raises ``ValueError``.
     """
     name = str(path)
-    opener = gzip.open if name.endswith(".gz") else bz2.open if name.endswith(".bz2") else open
     try:
-        with opener(path, "rb") as f:
+        with _opener(name)(path, "rb") as f:
             m = _parse(f.read())
     except Exception as exc:
         raise ValueError(f"{name}: not a readable Matrix Market file ({exc})") from exc
@@ -225,16 +229,16 @@ def read_matrix(path):
 
 
 def write_matrix(path, m):
-    """Write one matrix to a Matrix Market file (complex array format).
+    """Write one matrix to the Matrix Market file ``path``, under exactly that name.
 
-    A matrix with no rows is written in coordinate format instead,
-    because ``scipy.io.mmwrite`` of a complex 0 x n array never returns.
+    The file is ``array complex general``, one ``repr(re) repr(im)`` line
+    per entry, column by column, compressed as :func:`read_matrix` reads it.
     """
-    import scipy.io
-    import scipy.sparse
-
     m = as_cmatrix(m, str(path))
-    scipy.io.mmwrite(path, scipy.sparse.coo_matrix(m) if m.shape[0] == 0 else m, field="complex")
+    parts = tuple(np.ravel(m, order="F").view(np.float64).tolist())
+    with _opener(str(path))(path, "wt") as f:
+        f.write(f"%%MatrixMarket matrix array complex general\n{m.shape[0]} {m.shape[1]}\n")
+        f.write("%r %r\n" * m.size % parts)
 
 
 def read_pencil(path_a, path_b) -> Pencil:

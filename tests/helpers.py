@@ -15,17 +15,18 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def run_python(code, cwd, timeout=60):
+def run_python(code, cwd, timeout=60, env=None):
     """Run ``code`` in a fresh interpreter that imports this singpencil.
 
     A child process turns a hang or a crash inside a dependency into a
-    failed test instead of a stuck or killed test run.
+    failed test instead of a stuck or killed test run, and gets the
+    environment variables in ``env`` on top of this one's.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(singpencil.__file__)))
     return subprocess.run(
         [sys.executable, "-c", code],
         cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, **(env or {}), PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=timeout,

@@ -65,18 +65,11 @@ class TestSolveCommand:
         assert [row.split(",")[-1] for row in out.strip().splitlines()[1:]] == [label] * 4
 
     def test_zero_row_files_solve(self, tmp_path):
-        # in a child process: a regression in zero-row Matrix Market I/O
-        # hangs (mmwrite) or kills the interpreter (mmread)
-        proc = run_python(
-            "import numpy as np\n"
-            "from singpencil import Pencil, write_pencil\n"
-            "from singpencil.cli import main\n"
-            "write_pencil(Pencil(A=np.zeros((0, 3)), B=np.zeros((0, 3))), 'A.mtx', 'B.mtx')\n"
-            "raise SystemExit(main(['solve', 'A.mtx', 'B.mtx', '--format', 'csv']))\n",
-            cwd=tmp_path,
-        )
-        assert proc.returncode == 0, proc.stderr
-        rows = proc.stdout.strip().splitlines()[1:]
+        a, b = tmp_path / "A.mtx", tmp_path / "B.mtx"
+        write_pencil(Pencil(A=np.zeros((0, 3)), B=np.zeros((0, 3))), a, b)
+        code, out, err = run_cli(["solve", str(a), str(b), "--format", "csv"])
+        assert code == 0 and err == ""
+        rows = out.strip().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == ["prescribed"] * 3
 
     def test_table_output(self, showcase_files):
@@ -146,14 +139,17 @@ class TestSolveCommand:
         else:
             assert code == 2 and out == "" and "A.mtx: not a readable Matrix Market file" in err
 
-    def test_solve_imports_no_scipy(self, showcase_files, diag_files, tmp_path):
-        # the QZ binds scipy's OpenBLAS by path and the reader parses every kind with numpy:
+    def test_solve_imports_no_scipy(self, showcase_files, tmp_path):
+        # the QZ binds numpy's own LAPACK and the reader parses every kind with numpy:
         # general arrays, the "symmetric" files mmwrite writes for a diagonal pencil, coordinate files
+        sym_files = str(tmp_path / "sA.mtx"), str(tmp_path / "sB.mtx")
         coo_files = str(tmp_path / "cA.mtx"), str(tmp_path / "cB.mtx")
-        p = showcase_pencil()
+        d, p = diagonal_demo_pencil(), showcase_pencil()
+        for path, m in zip(sym_files, (d.A, d.B)):
+            scipy.io.mmwrite(path, m, field="complex")
         for path, m in zip(coo_files, (p.A, p.B)):
             scipy.io.mmwrite(path, scipy.sparse.coo_matrix(m), field="complex")
-        pairs = [list(showcase_files), list(diag_files), list(coo_files)]
+        pairs = [list(showcase_files), list(sym_files), list(coo_files)]
         assert [Path(a).read_text().split()[2:5] for a, _ in pairs] == [
             ["array", "complex", "general"], ["array", "complex", "symmetric"],
             ["coordinate", "complex", "general"],

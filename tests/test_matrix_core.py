@@ -1,11 +1,13 @@
 """Tests for the dense matrix primitives and the generalized eigensolver."""
 
+import _ctypes
 import ctypes
-import os
+import functools
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.cython_lapack
 from scipy.optimize import linear_sum_assignment
 
 import singpencil.matrix_core as mc
@@ -22,7 +24,7 @@ from singpencil import (
     rank_with_tol,
 )
 
-from helpers import assert_multiset_close, greedy_chordal_match, random_complex
+from helpers import assert_multiset_close, greedy_chordal_match, random_complex, run_python
 
 
 class TestAsCMatrix:
@@ -94,8 +96,8 @@ class TestGeneralizedEig:
         assert dec.n == 0 and dec.right.shape == dec.left.shape == (0, 0)
 
     def test_lapack_failure_raises_numerical_error(self, monkeypatch):
-        # a nonzero info from whichever LAPACK call runs: zggev3 when the
-        # platform exports it, and the zggev fallback
+        # a nonzero info from whichever LAPACK call runs: zggev3 when numpy's
+        # LAPACK exports it, and the zggev fallback
         zggev3 = mc._zggev3()
         real_zggev = scipy.linalg.lapack.zggev
 
@@ -104,11 +106,17 @@ class TestGeneralizedEig:
             return (*out, 2 if kwargs.get("lwork") != -1 else info)
 
         def failing_zggev3(*args):
-            assert zggev3(*args) == 0
-            return 2
+            zggev3(*args)
+            lwork, info = args[14], args[16]
+            assert info.value == 0
+            if lwork.value != -1:  # the solve, not the workspace query
+                info.value = 2
 
         monkeypatch.setattr(scipy.linalg.lapack, "zggev", failing_zggev)
-        resolvers = [lambda: None] + ([lambda: failing_zggev3] if zggev3 else [])
+        resolvers = [lambda: None]
+        if zggev3:
+            failing_zggev3.argtypes = zggev3.argtypes
+            resolvers.append(lambda: failing_zggev3)
         for resolve in resolvers:
             monkeypatch.setattr(mc, "_zggev3", resolve)
             with pytest.raises(NumericalError, match="LAPACK info = 2") as exc:
@@ -158,16 +166,6 @@ class TestGeneralizedEig:
                 assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
 
-def _cython_lapack_route(monkeypatch):
-    """``zggev3`` as the resolver binds it when scipy has no ``scipy.libs`` to load by path."""
-    monkeypatch.setattr(mc, "_scipy_openblas", lambda: None)
-    return mc._zggev3.__wrapped__()
-
-
-def _address(fn):
-    return ctypes.cast(fn, ctypes.c_void_p).value
-
-
 @pytest.fixture(params=["zggev3", "zggev"])
 def qz_driver(request, monkeypatch):
     """Runs a test on each LAPACK driver ``generalized_eig`` can call."""
@@ -178,41 +176,59 @@ def qz_driver(request, monkeypatch):
     return request.param
 
 
-class TestQzRoutes:
-    def test_bundled_openblas_is_bound_by_path(self):
-        path = mc._scipy_openblas()
-        if path is None:
-            pytest.skip("this scipy bundles no scipy.libs/libscipy_openblas*.so")
-        assert os.path.basename(os.path.dirname(path)) == "scipy.libs"
-        fn = mc._bind_zggev3(path)
-        assert fn is not None and _address(fn) == _address(mc._zggev3())
+# in a child process with one BLAS thread: numpy's and scipy's OpenBLAS builds
+# split threaded kernels differently, so their bits agree only single-threaded
+_WIDTH_CHECK = """
+import numpy as np, scipy.linalg.cython_lapack
+import singpencil.matrix_core as mc
+from singpencil import generalized_eig
+wide, narrow = mc._zggev3(), mc._zggev3(scipy.linalg.cython_lapack.__file__)
+print(wide.__name__, narrow.__name__)
+for n in (1, 2, 31, 33, 48, 76, 130):
+    for real in (True, False):
+        rng = np.random.default_rng(n)
+        A, B = (rng.standard_normal((n, n)) + (0 if real else 1j * rng.standard_normal((n, n)))
+                for _ in "AB")
+        runs = []
+        for fn in (wide, narrow):
+            mc._zggev3 = lambda fn=fn: fn
+            dec = generalized_eig(A, B)
+            runs.append(b"".join(x.tobytes() for x in (dec.alpha, dec.beta, dec.right, dec.left)))
+        print(n, real, runs[0] == runs[1])
+"""
 
-    def test_both_zggev3_routes_give_the_same_bits(self, monkeypatch):
-        by_path = mc._zggev3()
-        handle = _cython_lapack_route(monkeypatch)
-        if by_path is None or handle is None:
-            pytest.skip("this LAPACK exports no zggev3")
-        # the same function of the same library, loaded once
-        assert _address(by_path) == _address(handle)
+
+class TestZggev3Binding:
+    def test_numpy_library_resolves_a_64_bit_integer_zggev3(self):
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        if "USE64BITINT" not in lapack.get("openblas configuration", ""):
+            pytest.skip("numpy's LAPACK is not a 64-bit-integer OpenBLAS")
+        fn = mc._zggev3()
+        assert fn is not None and fn.__name__.endswith("_64_")
+        assert fn.argtypes[2]._type_ is ctypes.c_int64
+
+    def test_32_bit_width_gives_the_same_bits(self, tmp_path):
+        narrow = mc._zggev3(scipy.linalg.cython_lapack.__file__)
+        if mc._zggev3() is None or narrow is None or narrow.__name__.endswith("_64_"):
+            pytest.skip("needs a zggev3 in numpy's LAPACK and a 32-bit-integer one in scipy's")
+        assert narrow.argtypes[2]._type_ is ctypes.c_int32
+        proc = run_python(_WIDTH_CHECK, cwd=tmp_path, env={"OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 0, proc.stderr
+        names, *cases = proc.stdout.splitlines()
+        assert names.split()[1] == narrow.__name__
+        assert cases == [f"{n} {real} True" for n in (1, 2, 31, 33, 48, 76, 130) for real in (True, False)]
+
+    def test_library_without_zggev3_falls_back_to_zggev(self, tmp_path, monkeypatch):
+        fake = tmp_path / "liblapack.so"
+        fake.write_bytes(b"not a shared library")
+        for path in (str(fake), _ctypes.__file__):
+            assert mc._zggev3.__wrapped__(path) is None
+        monkeypatch.setattr(mc, "_zggev3", functools.partial(mc._zggev3.__wrapped__, _ctypes.__file__))
         rng = np.random.default_rng(5)
         A, B = random_complex(rng, (40, 40)), random_complex(rng, (40, 40))
-        runs = []
-        for fn in (by_path, handle):
-            monkeypatch.setattr(mc, "_zggev3", lambda fn=fn: fn)
-            dec = generalized_eig(A, B)
-            runs.append([x.tobytes() for x in (dec.alpha, dec.beta, dec.right, dec.left)])
-        assert runs[0] == runs[1]
-
-    def test_unloadable_bundled_file_falls_back_to_cython_lapack(self, tmp_path, monkeypatch):
-        fake = tmp_path / "scipy.libs" / "libscipy_openblas-0.so"
-        fake.parent.mkdir()
-        fake.write_bytes(b"not a shared library")
-        assert mc._bind_zggev3(str(fake)) is None
-        monkeypatch.setattr(mc, "_scipy_openblas", lambda: str(fake))
-        fn = mc._zggev3.__wrapped__()
-        handle = _cython_lapack_route(monkeypatch)
-        assert (fn is None) == (handle is None)
-        assert fn is None or _address(fn) == _address(handle)
+        dec = generalized_eig(A, B)
+        for got, want in zip((dec.alpha, dec.beta, dec.right, dec.left), _parent_generalized_eig(A, B)):
+            np.testing.assert_array_equal(got, want)
 
 
 def _parent_generalized_eig(A, B):
