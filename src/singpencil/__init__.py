@@ -9,6 +9,8 @@ eigenvalue solver, a double-eigenvalue finder, and a solver for systems
 of two bivariate polynomials in determinantal form.
 """
 
+import importlib as _importlib
+
 from .matrix_core import (
     EPS,
     EigDecomposition,
@@ -45,32 +47,55 @@ from .solver import (
     solve,
     solve_by_intersection,
 )
-from .kcf_gen import (
-    GroundTruth,
-    Jordan,
-    KcfSpec,
-    LeftSingular,
-    Nilpotent,
-    RightSingular,
-    build,
-    oracle_eigenvalues,
-    spec_from_json,
-    spec_to_json,
-)
-from .two_param import (
-    DeltaTriple,
-    DoubleEigResult,
-    Eigenpair2EP,
-    TwoParamProblem,
-    double_eig,
-    double_eig_linearization,
-    operator_determinants,
-    pair_mu_candidates,
-    read_problem,
-    solve_2ep,
-    solutions_to_csv,
-    write_problem,
-)
-from . import gallery
+# The generator, the 2EP layer and the gallery load on first use (PEP 562),
+# so a command that needs none of them does not pay for their import.
+_LAZY = {
+    "kcf_gen": (
+        "GroundTruth",
+        "Jordan",
+        "KcfSpec",
+        "LeftSingular",
+        "Nilpotent",
+        "RightSingular",
+        "build",
+        "oracle_eigenvalues",
+        "spec_from_json",
+        "spec_to_json",
+    ),
+    "two_param": (
+        "DeltaTriple",
+        "DoubleEigResult",
+        "Eigenpair2EP",
+        "TwoParamProblem",
+        "double_eig",
+        "double_eig_linearization",
+        "operator_determinants",
+        "pair_mu_candidates",
+        "read_problem",
+        "solve_2ep",
+        "solutions_to_csv",
+        "write_problem",
+    ),
+    "gallery": (),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+
+
+def __getattr__(name):
+    module = _LAZY_OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_OWNER))
+
 
 __version__ = "0.1.0"
+# the public names and submodules, the lazy ones included
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_LAZY_OWNER))

@@ -45,11 +45,9 @@ import sys
 
 import numpy as np
 
-from .kcf_gen import build, spec_from_json, spec_to_json
 from .matrix_core import NumericalError
 from .pencil import csv_text, normal_rank, read_pencil, write_pencil
 from .solver import SolveOptions, solve, solve_by_intersection
-from .two_param import double_eig, read_problem, solve_2ep
 
 __all__ = ["main", "entry"]
 
@@ -149,6 +147,8 @@ def _cmd_nrank(args, opts, out):
 
 
 def _cmd_gen(args, opts, out):
+    from .kcf_gen import build, spec_from_json, spec_to_json
+
     with open(args.spec) as f:
         try:
             doc = json.load(f)
@@ -193,6 +193,8 @@ _TWOPARAM_COLUMNS = (
 
 
 def _cmd_twoparam(args, opts, out):
+    from .two_param import read_problem, solve_2ep
+
     problem = read_problem(args.manifest)
     pairs = solve_2ep(problem, delta=args.delta, opts=opts, unique_lambda=args.unique_lambda)
     rows = [(e.lam, e.mu, e.mu_discrepancy, e.residual1, e.residual2) for e in pairs]
@@ -208,6 +210,8 @@ _DOUBLEEIG_COLUMNS = (("lambda_re lambda_im", "lambda", 28), ("min_gap", "min ei
 
 
 def _cmd_doubleeig(args, opts, out):
+    from .two_param import double_eig
+
     p = read_pencil(args.matrix_a, args.matrix_b)
     if not p.is_square:
         raise ValueError("doubleeig requires square matrices")

@@ -21,6 +21,7 @@ __all__ = [
     "staircase_sensitive_pencil",
     "bivariate_cubic_system",
     "evaluate_bivariate",
+    "double_eig_problem",
 ]
 
 
@@ -221,3 +222,22 @@ def evaluate_bivariate(coeffs, x, y):
         dtype=np.complex128,
     )
     return complex(coeffs @ mono)
+
+
+def double_eig_problem(seed, n=6) -> TwoParamProblem:
+    """The 2EP (A, B, -I; P, Q, R) whose lambdas make A + lambda B have a double eigenvalue.
+
+    A and B are n x n standard normal matrices from
+    ``numpy.random.default_rng(seed)``, and P, Q, R the 3n x 3n blocks of
+    :func:`~singpencil.two_param.double_eig_linearization`, formed in real
+    arithmetic.  With n = 6 this is the problem of the benchmark's
+    ``twoparam`` workload: its mu pencils are 6 x 6 and 18 x 18, and each
+    lambda has a double eigenvalue mu of A + lambda B.
+    """
+    rng = np.random.default_rng(seed)
+    A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    I, Z = np.eye(n), np.zeros((n, n))
+    P = np.block([[A @ A, A @ B + B @ A, -2.0 * A], [Z, I, Z], [Z, Z, I]])
+    Q = np.block([[Z, B @ B, -B], [-I, Z, Z], [Z, Z, Z]])
+    R = np.block([[Z, -B, I], [Z, Z, Z], [-I, Z, Z]])
+    return TwoParamProblem(A1=A, B1=B, C1=-I, A2=P, B2=Q, C2=R)

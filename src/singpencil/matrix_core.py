@@ -78,6 +78,19 @@ def as_cmatrix(a, name="matrix"):
     return m
 
 
+def _unit(a, b):
+    """The Python complex pair (a, b) divided by ``hypot(|a|, |b|)``."""
+    h = math.hypot(abs(a), abs(b))
+    if h == 0.0:
+        raise ValueError("homogeneous eigenvalue (0, 0) is indeterminate")
+    return a / h, b / h
+
+
+def _value(a, b):
+    """The value a / b of a unit pair, ``inf`` when ``|b| <= EPS * |a|``."""
+    return complex(math.inf, 0.0) if abs(b) <= EPS * abs(a) else a / b
+
+
 @dataclass(frozen=True)
 class HomogeneousEigenvalue:
     """Eigenvalue of a pencil in homogeneous coordinates.
@@ -91,12 +104,9 @@ class HomogeneousEigenvalue:
     beta: complex
 
     def __post_init__(self):
-        a, b = complex(self.alpha), complex(self.beta)
-        h = math.hypot(abs(a), abs(b))
-        if h == 0.0:
-            raise ValueError("homogeneous eigenvalue (0, 0) is indeterminate")
-        object.__setattr__(self, "alpha", a / h)
-        object.__setattr__(self, "beta", b / h)
+        a, b = _unit(complex(self.alpha), complex(self.beta))
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "beta", b)
 
     @property
     def is_infinite(self):
@@ -105,9 +115,7 @@ class HomogeneousEigenvalue:
     @property
     def value(self):
         """The eigenvalue as a complex number, ``inf`` when infinite."""
-        if self.is_infinite:
-            return complex(math.inf, 0.0)
-        return self.alpha / self.beta
+        return _value(self.alpha, self.beta)
 
     def rescaled(self, num, den):
         """Map the eigenvalue to ``(num/den) * lambda`` in homogeneous form."""
@@ -182,6 +190,22 @@ class EigDecomposition:
 
     def eigenvalues(self):
         return [self.eigenvalue(i) for i in range(self.n)]
+
+    def values(self, scale=None):
+        """Every eigenvalue as a Python complex, without building the objects.
+
+        Equal bit for bit to ``e.value`` for ``e`` in :meth:`eigenvalues`,
+        or with ``scale = (num, den)`` to ``e.rescaled(num, den).value``:
+        the same scalar arithmetic, whose last bits numpy's vectorized
+        complex division and ``hypot`` do not always reproduce.
+        """
+        out = []
+        for a, b in zip(self.alpha.tolist(), self.beta.tolist()):
+            a, b = _unit(a, b)
+            if scale is not None:
+                a, b = _unit(scale[0] * a, scale[1] * b)
+            out.append(_value(a, b))
+        return out
 
 
 _ZGGEV3_NAMES = ("scipy_zggev3_64_", "zggev3_64_", "scipy_zggev3_", "zggev3_")

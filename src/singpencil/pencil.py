@@ -89,37 +89,59 @@ class NormalRankReport:
     tol_used: float = 0.0
 
 
-def scale(p: Pencil) -> Pencil:
+def _stacks(ps):
+    """The A and B matrices of same-shaped pencils as two stacked arrays."""
+    if len({q.shape for q in ps}) > 1:
+        raise ValueError("the pencils of a stack must have equal shape")
+    return np.stack([q.A for q in ps]), np.stack([q.B for q in ps])
+
+
+def _one_norms(A, B):
+    """The 1-norms of every matrix of the stacks A and B, shape (2, len(A))."""
+    return np.linalg.norm(np.stack([A, B]), 1, axis=(-2, -1))
+
+
+def scale(p):
     """Scale both matrices to unit 1-norm, recording the original norms.
 
     A zero matrix is left as it is with factor 1.0, so the valid pencils
-    (I, 0), (0, I) and (0, 0) keep a finite back-scale factor.
+    (I, 0), (0, I) and (0, 0) keep a finite back-scale factor.  A list of
+    same-shaped pencils is scaled as one stack, into a list.
     """
-    alpha = float(np.linalg.norm(p.A, 1)) or 1.0
-    beta = float(np.linalg.norm(p.B, 1)) or 1.0
-    return Pencil(
-        A=p.A / alpha,
-        B=p.B / beta,
-        scale_alpha=p.scale_alpha * alpha,
-        scale_beta=p.scale_beta * beta,
-    )
+    return _scale([p])[0] if isinstance(p, Pencil) else _scale(p)
 
 
-def squarify(p: Pencil) -> Pencil:
+def _scale(ps):
+    """:func:`scale` of a list of same-shaped pencils, as one stack."""
+    if not ps:
+        return []
+    A, B = _stacks(ps)
+    norms = _one_norms(A, B)
+    norms[norms == 0.0] = 1.0
+    A, B = A / norms[0, :, None, None], B / norms[1, :, None, None]
+    return [
+        Pencil(A=a, B=b, scale_alpha=q.scale_alpha * alpha, scale_beta=q.scale_beta * beta)
+        for q, a, b, alpha, beta in zip(ps, A, B, *norms.tolist())
+    ]
+
+
+def squarify(p):
     """Embed a rectangular pencil into a square one by zero padding.
 
     The original entries sit in the leading block; the added zero rows
     (or columns) extend the Kronecker structure by trivial singular
     blocks and leave the eigenvalues untouched.  Square pencils pass
-    through unchanged.
+    through unchanged.  A list of pencils gives the list of results.
     """
+    if not isinstance(p, Pencil):
+        return [squarify(q) for q in p]
     if p.is_square:
         return p
     pad = [(0, max(p.shape) - d) for d in p.shape]
     return replace(p, A=np.pad(p.A, pad), B=np.pad(p.B, pad))
 
 
-def normal_rank(p: Pencil, rng, tol="auto") -> NormalRankReport:
+def normal_rank(p, rng, tol="auto"):
     """Estimate nrank(A, B) = max_zeta rank(A - zeta B) by random probes.
 
     Probe points are drawn uniformly from the unit circle (the pencil is
@@ -131,25 +153,39 @@ def normal_rank(p: Pencil, rng, tol="auto") -> NormalRankReport:
     ``10 * EPS * max(1, rows)`` of 1 (as :func:`scale` leaves them) is
     probed as it is.  An empty (0 x 0) pencil and a negative ``tol`` are
     rejected with ``ValueError``.
+
+    A list of same-shaped pencils with a list of as many generators gives
+    the list of reports, each equal to that of its pencil alone: every
+    pencil draws its probes from its own generator, and one SVD call
+    covers every probe of every pencil.
     """
-    if max(p.shape) == 0:
+    if isinstance(p, Pencil):
+        return normal_rank([p], [rng], tol)[0]
+    if len(rng) != len(p):
+        raise ValueError("a stack of pencils needs one generator per pencil")
+    if not p:
+        return []
+    A, B = _stacks(p)
+    shape = A.shape[1:]
+    if max(shape) == 0:
         raise ValueError("empty pencil")
-    unit = 10 * EPS * max(1, p.shape[0])
-    norms = (np.linalg.norm(p.A, 1), np.linalg.norm(p.B, 1))
-    ps = p if all(nrm == 0.0 or abs(nrm - 1.0) <= unit for nrm in norms) else scale(p)
-    zetas = []
-    best = 0
-    tol_used = 0.0
-    for _ in range(2):
-        zeta = complex(np.exp(2j * np.pi * rng.uniform()))
-        zetas.append(zeta)
-        m = ps.A - zeta * ps.B
-        s = np.linalg.svd(m, compute_uv=False)
-        t = rank_tolerance(s, m.shape, tol)
-        tol_used = max(tol_used, t)
-        best = max(best, int(np.sum(s > t)))
-    k = max(p.shape) - best
-    return NormalRankReport(nrank=best, k=k, zeta_samples=zetas, tol_used=tol_used)
+    norms = _one_norms(A, B)
+    unit = 10 * EPS * max(1, shape[0])
+    raw = ~((norms == 0.0) | (np.abs(norms - 1.0) <= unit)).all(axis=0)
+    if raw.any():
+        raw = raw.nonzero()[0].tolist()
+        A, B = A.copy(), B.copy()
+        for i, q in zip(raw, scale([p[i] for i in raw])):
+            A[i], B[i] = q.A, q.B
+    zetas = np.array([[complex(np.exp(2j * np.pi * r.uniform())) for _ in range(2)] for r in rng])
+    s = np.linalg.svd(A[:, None] - zetas[:, :, None, None] * B[:, None], compute_uv=False)
+    reports = []
+    for zeta, sv in zip(zetas.tolist(), s):
+        ts = [rank_tolerance(x, shape, tol) for x in sv]
+        best = max(int(np.sum(x > t)) for x, t in zip(sv, ts))
+        k = max(shape) - best
+        reports.append(NormalRankReport(nrank=best, k=k, zeta_samples=zeta, tol_used=max(0.0, *ts)))
+    return reports
 
 
 _WIDTHS = {b"pattern": 0, b"real": 1, b"integer": 1, b"complex": 2}  # numbers per value

@@ -22,6 +22,7 @@ implements the classical two-perturbation baseline for comparison.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -94,6 +95,8 @@ class SolveOptions:
     rank_tol: object = "auto"
 
     def __post_init__(self):
+        if not (np.isfinite(self.tau) and self.tau != 0):
+            raise ValueError("tau must be finite and nonzero")
         if not (self.delta1 > 0 and self.delta2 > 0):
             raise ValueError("delta1 and delta2 must be positive")
         if self.max_retries < 0:
@@ -189,20 +192,61 @@ class GapReport:
     min_finite_s: float | None
 
 
+_CLASSES = list(EigenClass)
+_FINITE, _INFINITE = _CLASSES.index(EigenClass.FINITE_TRUE), _CLASSES.index(EigenClass.INFINITE_TRUE)
+# class of each sign pattern (||V^H x|| < delta1, ||U^H y|| < delta1) at 2 * vx_small + uy_small
+_PATTERN_CLASS = np.array(
+    [_CLASSES.index(EigenClass[c]) for c in ("PRESCRIBED", "RANDOM_LEFT", "RANDOM_RIGHT", "FINITE_TRUE")]
+)
+
+
 @dataclass
 class SolveResult:
-    """Everything :func:`solve` learned about one pencil."""
+    """Everything :func:`solve` learned about one pencil.
 
-    records: list
-    finite_true: list
+    The classified spectrum is held as arrays, in record order (by class,
+    then by the real and imaginary parts of the value):
+
+    * ``eig``: the eigenvalues and eigenvectors of the scaled perturbed
+      pencil that was solved, as :func:`generalized_eig` returned them;
+    * ``back_scale``: the factors ``(scale_alpha, scale_beta)`` that map
+      those homogeneous pairs to the original pencil;
+    * ``values``: the eigenvalues of the original pencil, ``inf`` where
+      infinite;
+    * ``diagnostics``: the rows ``|s|``, ``||V^H x||`` and ``||U^H y||``;
+    * ``classes``: each eigenpair's index into ``list(EigenClass)``.
+
+    ``records`` and ``finite_true`` are built from these arrays on first
+    use.
+    """
+
+    eig: EigDecomposition
+    back_scale: tuple
+    values: np.ndarray
+    diagnostics: np.ndarray
+    classes: np.ndarray
     nrank_report: NormalRankReport
     spec_used: PerturbationSpec | None
     gap_report: GapReport
     collision_warning: bool = False
 
+    @functools.cached_property
+    def records(self):
+        """One :class:`EigenRecord` per eigenpair, in record order."""
+        e, rows = self.eig, self.diagnostics.T.tolist()
+        return [
+            EigenRecord(e.eigenvalue(i).rescaled(*self.back_scale), e.right[:, i], e.left[:, i],
+                        *rows[i], label=_CLASSES[c])
+            for i, c in enumerate(self.classes.tolist())
+        ]
+
+    @functools.cached_property
+    def finite_true(self):
+        return [r for r in self.records if r.label is EigenClass.FINITE_TRUE]
+
     @property
     def finite_true_values(self):
-        return [r.value for r in self.finite_true]
+        return self.values[self.classes == _FINITE].tolist()
 
 
 def make_perturbation(n, k, opts: SolveOptions, rng) -> PerturbationSpec:
@@ -238,14 +282,6 @@ def perturb(p: Pencil, spec: PerturbationSpec) -> Pencil:
     return replace(p, A=p.A + spec.tau * E, B=p.B + spec.tau * F)
 
 
-_CLASSES = list(EigenClass)
-_FINITE, _INFINITE = _CLASSES.index(EigenClass.FINITE_TRUE), _CLASSES.index(EigenClass.INFINITE_TRUE)
-# class of each sign pattern (||V^H x|| < delta1, ||U^H y|| < delta1) at 2 * vx_small + uy_small
-_PATTERN_CLASS = np.array(
-    [_CLASSES.index(EigenClass[c]) for c in ("PRESCRIBED", "RANDOM_LEFT", "RANDOM_RIGHT", "FINITE_TRUE")]
-)
-
-
 def _class_index(s_abs, vx, uy, delta1, delta2):
     """Class of every eigenpair as an index into ``list(EigenClass)``.
 
@@ -272,23 +308,39 @@ def classify(records, delta1=DEFAULT_DELTA1, delta2=DEFAULT_DELTA2):
     return records
 
 
-def _diagnostics(dec: EigDecomposition, Bt, U, V):
-    """Arrays |y^H B~ x|, ||V^H x|| and ||U^H y|| over the eigenpairs.
+def _diagnostics(X, Y, Bt, U, V):
+    """Arrays |y^H B~ x|, ||V^H x|| and ||U^H y|| over the eigenpairs, shape (m, 3, n).
 
-    Three matrix products (B~ X, V^H X, U^H Y) cover every eigenpair at
-    once, followed by column-wise reductions.
+    Each argument stacks one matrix per pencil: the right and left
+    eigenvector columns, the perturbed B and the factors U and V.  Three
+    stacked matrix products (B~ X, V^H X, U^H Y) cover every eigenpair
+    at once, followed by column-wise reductions.
     """
-    X, Y = dec.right, dec.left
     return np.stack(
         [
-            np.abs(np.einsum("ij,ij->j", Y.conj(), Bt @ X)),
-            np.linalg.norm(V.conj().T @ X, axis=0),
-            np.linalg.norm(U.conj().T @ Y, axis=0),
-        ]
+            np.abs(np.einsum("...ij,...ij->...j", Y.conj(), Bt @ X)),
+            np.linalg.norm(V.conj().swapaxes(-1, -2) @ X, axis=-2),
+            np.linalg.norm(U.conj().swapaxes(-1, -2) @ Y, axis=-2),
+        ],
+        axis=-2,
     )
 
 
-def _has_collision(lams, cls, spec, delta1):
+def _stack(matrices):
+    """Same-shaped matrices as one (m, rows, cols) stack in their own memory layout.
+
+    Each slice is Fortran-ordered where the matrices are (LAPACK's
+    eigenvectors), so every pencil's products see the strides a stack of
+    one sees; a stack of one is a view, which copies nothing at large n.
+    """
+    if len(matrices) == 1:
+        return matrices[0][None]
+    if matrices[0].flags.f_contiguous and not matrices[0].flags.c_contiguous:
+        return np.stack([m.T for m in matrices]).swapaxes(-1, -2)
+    return np.stack(matrices)
+
+
+def _has_collision(values, cls, spec, delta1):
     """True when a prescribed gamma collides with another eigenvalue.
 
     Two symptoms are checked.  A near collision leaves the true
@@ -300,7 +352,7 @@ def _has_collision(lams, cls, spec, delta1):
     parts matches scalar complex ``abs`` bit for bit; ``np.abs`` does not.
     """
     tol = 10 * delta1
-    values = np.array([e.value for e in lams], dtype=np.complex128)
+    values = np.array(values, dtype=np.complex128)
     gammas = spec.gammas
     for g in gammas[~np.isinf(gammas)]:
         d = values - g
@@ -310,8 +362,23 @@ def _has_collision(lams, cls, spec, delta1):
     return False
 
 
-def _extreme(values, mask, pick):
-    return float(pick(values[mask])) if mask.any() else None
+def _extremes(values, mask, pick, initial):
+    """Per row, ``pick`` of the entries under ``mask`` as a float, None where there are none."""
+    got = pick(values, axis=-1, where=mask, initial=initial).tolist()
+    return [x if any_ else None for x, any_ in zip(got, mask.any(axis=-1).tolist())]
+
+
+def _gap_reports(diag, cls):
+    """One :class:`GapReport` per pencil, from (m, 3, n) diagnostics and (m, n) classes."""
+    s_abs, zeta = diag[:, 0], np.maximum(diag[:, 1], diag[:, 2])
+    true = (cls == _FINITE) | (cls == _INFINITE)
+    columns = (
+        _extremes(zeta, true, np.max, -np.inf),
+        _extremes(zeta, ~true, np.min, np.inf),
+        _extremes(s_abs, cls == _INFINITE, np.max, -np.inf),
+        _extremes(s_abs, cls == _FINITE, np.min, np.inf),
+    )
+    return [GapReport(*row) for row in zip(*columns)]
 
 
 def with_defaults(opts: SolveOptions | None, rng):
@@ -320,14 +387,17 @@ def with_defaults(opts: SolveOptions | None, rng):
     return opts, np.random.default_rng(opts.seed) if rng is None else rng
 
 
-def _prepare(p: Pencil, opts: SolveOptions | None, rng):
-    """Default ``opts`` and ``rng``, squarify and scale ``p`` and estimate its normal rank."""
-    opts, rng = with_defaults(opts, rng)
-    ps = scale(squarify(p))
-    return opts, rng, ps, normal_rank(ps, rng, tol=opts.rank_tol)
+def _prepare(pencils, opts: SolveOptions | None, rngs):
+    """Default ``opts`` and each generator, squarify and scale the pencils, probe their ranks."""
+    opts = opts or SolveOptions()
+    rngs = [with_defaults(opts, r)[1] for r in rngs]
+    if len(rngs) != len(pencils) or len({id(r) for r in rngs}) < len(rngs):
+        raise ValueError("a stack of pencils needs one distinct generator per pencil")
+    ps = scale(squarify(pencils))
+    return opts, rngs, ps, normal_rank(ps, rngs, tol=opts.rank_tol)
 
 
-def solve(p: Pencil, opts: SolveOptions | None = None, rng=None) -> SolveResult:
+def solve(p, opts: SolveOptions | None = None, rng=None):
     """Compute and classify the eigenvalues of a (possibly singular) pencil.
 
     The pipeline squarifies and scales the input, estimates the normal
@@ -345,48 +415,67 @@ def solve(p: Pencil, opts: SolveOptions | None = None, rng=None) -> SolveResult:
     ``opts.max_retries`` times); if the collision persists the result is
     returned with ``collision_warning`` set.  The check runs whenever
     k > 0, so ``max_retries=0`` checks once and flags a collision.
-    """
-    opts, rng, ps, report = _prepare(p, opts, rng)
-    n, k = ps.shape[0], report.k
-    spec, pt = None, ps
-    U = V = np.zeros((n, 0), dtype=np.complex128)
-    collision_warning = False
-    for _ in range(opts.max_retries + 1):
-        if k:
-            spec = make_perturbation(n, k, opts, rng)
-            pt, U, V = perturb(ps, spec), spec.U, spec.V
-        dec = generalized_eig(pt.A, pt.B)
-        diag = _diagnostics(dec, pt.B, U, V)
-        cls = _class_index(*diag, opts.delta1, opts.delta2)
-        lams = dec.eigenvalues()
-        if not k or not _has_collision(lams, cls, spec, opts.delta1):
-            break
-    else:
-        collision_warning = True
 
-    s_abs, vx, uy = diag
-    lams = [e.rescaled(ps.scale_alpha, ps.scale_beta) for e in lams]
-    values = np.array([e.value for e in lams], dtype=np.complex128)
-    rows, labels = diag.T.tolist(), [_CLASSES[c] for c in cls.tolist()]
-    records = [
-        EigenRecord(lams[i], dec.right[:, i], dec.left[:, i], *rows[i], label=labels[i])
-        for i in np.lexsort((values.imag, values.real, cls)).tolist()
-    ]
-    zeta = np.maximum(vx, uy)
-    true = (cls == _FINITE) | (cls == _INFINITE)
-    return SolveResult(
-        records=records,
-        finite_true=[r for r in records if r.label is EigenClass.FINITE_TRUE],
-        nrank_report=report,
-        spec_used=spec,
-        gap_report=GapReport(
-            max_true_zeta=_extreme(zeta, true, np.max),
-            min_nontrue_zeta=_extreme(zeta, ~true, np.min),
-            max_infinite_s=_extreme(s_abs, cls == _INFINITE, np.max),
-            min_finite_s=_extreme(s_abs, cls == _FINITE, np.min),
-        ),
-        collision_warning=collision_warning,
-    )
+    ``p`` may also be a list of same-shaped pencils, with ``rng`` a list
+    of as many distinct generators (or None: each pencil gets a generator
+    seeded by ``opts.seed``).  The result is then a list with one
+    :class:`SolveResult` per pencil, equal bit for bit to
+    ``solve(p[i], opts, rng[i])``: each pencil draws its probes, its
+    perturbations and its retries from its own generator, in the order a
+    solve of that pencil alone draws them.  Scaling, the rank probes (one
+    SVD call), the diagnostics and the classification run once over the
+    whole stack; the perturbation and the QZ run pencil by pencil.  A
+    single pencil is solved as a stack of one.
+    """
+    if isinstance(p, Pencil):
+        return solve([p], opts, [rng])[0]
+    pencils = list(p)
+    if not pencils:
+        return []
+    rngs = [None] * len(pencils) if rng is None else list(rng)
+    opts, rngs, ps, reports = _prepare(pencils, opts, rngs)
+    m, n = len(ps), ps[0].shape[0]
+    ks = [r.k for r in reports]
+    specs, decs, Bts = [None] * m, [None] * m, [None] * m
+    empty = np.zeros((n, 0), dtype=np.complex128)
+    UV = [(empty, empty)] * m
+    diag, cls = np.empty((m, 3, n)), np.empty((m, n), dtype=int)
+    todo = list(range(m))
+    for _ in range(opts.max_retries + 1):
+        for i in todo:
+            pt = ps[i]
+            if ks[i]:
+                specs[i] = make_perturbation(n, ks[i], opts, rngs[i])
+                pt, UV[i] = perturb(ps[i], specs[i]), (specs[i].U, specs[i].V)
+            decs[i], Bts[i] = generalized_eig(pt.A, pt.B), pt.B
+        for k in sorted({ks[i] for i in todo}):  # an equal k gives U and V one width
+            group = [i for i in todo if ks[i] == k]
+            diag[group] = _diagnostics(
+                *map(_stack, zip(*((decs[i].right, decs[i].left, Bts[i], *UV[i]) for i in group)))
+            )
+        cls[todo] = _class_index(*diag[todo].transpose(1, 0, 2), opts.delta1, opts.delta2)
+        todo = [i for i in todo
+                if ks[i] and _has_collision(decs[i].values(), cls[i], specs[i], opts.delta1)]
+        if not todo:
+            break
+    results = []
+    for i, gaps in enumerate(_gap_reports(diag, cls)):
+        e, back = decs[i], (ps[i].scale_alpha, ps[i].scale_beta)
+        values = np.array(e.values(back), dtype=np.complex128)
+        order = np.lexsort((values.imag, values.real, cls[i]))
+        results.append(SolveResult(
+            eig=EigDecomposition(e.alpha[order], e.beta[order],
+                                 e.right[:, order], e.left[:, order]),
+            back_scale=back,
+            values=values[order],
+            diagnostics=diag[i][:, order],
+            classes=cls[i][order],
+            nrank_report=reports[i],
+            spec_used=specs[i],
+            gap_report=gaps,
+            collision_warning=i in todo,
+        ))
+    return results
 
 
 @dataclass
@@ -416,9 +505,11 @@ def solve_by_intersection(
     nearest unmatched eigenvalue of the second in the chordal metric.
     Pairs closer than ``match_tol`` (default sqrt(EPS)) are accepted.
     """
-    opts, rng, ps, report = _prepare(p, opts, rng)
     if match_tol is None:
         match_tol = DEFAULT_MATCH_TOL
+    if not match_tol >= 0:
+        raise ValueError("match_tol must be a nonnegative number")
+    opts, (rng,), (ps,), (report,) = _prepare([p], opts, [rng])
     k = report.k
     spectra = []
     for _ in range(2):

@@ -93,10 +93,18 @@ class TwoParamProblem:
         vectors, i.e. how far the pair is from exactly solving each
         equation.
         """
-        return tuple(
-            float(np.linalg.svd(self.evaluate(i, lam, mu), compute_uv=False)[-1])
-            for i in (1, 2)
-        )
+        return _residuals(self, [(lam, mu)])[0]
+
+
+def _residuals(p: TwoParamProblem, pairs):
+    """:meth:`TwoParamProblem.residuals` of every (lambda, mu) pair, one SVD call per equation."""
+    if not pairs:
+        return []
+    smallest = [
+        np.linalg.svd(np.stack([p.evaluate(i, lam, mu) for lam, mu in pairs]), compute_uv=False)
+        for i in (1, 2)
+    ]
+    return list(zip(*(s[:, -1].tolist() for s in smallest)))
 
 
 @dataclass
@@ -154,19 +162,20 @@ def _cluster_values(values, tol):
     return reps
 
 
-def _mu_candidates(a_fixed, c, opts, rng):
-    """Finite mu with (a_fixed + mu c) x = 0, or None when mu is unconstrained.
+def _mu_candidates(p: TwoParamProblem, i, lams, opts, streams):
+    """Per lambda, the finite mu with (A_i + lambda B_i + mu C_i) x = 0, or None when mu is free.
 
-    A zero C makes the equation independent of mu: if the fixed matrix
-    is singular every mu works (wildcard, returns None), otherwise no mu
-    works (empty list).
+    The pencils (A_i + lambda B_i, -C_i) of every lambda go through one
+    stacked :func:`solve`, each drawing from its lambda's stream.  A zero
+    C_i makes equation i independent of mu: at a lambda where the fixed
+    matrix is singular every mu works (None), elsewhere no mu works (an
+    empty list).
     """
+    a, b, c = ((p.A1, p.B1, p.C1), (p.A2, p.B2, p.C2))[i - 1]
+    fixed = [a + lam * b for lam in lams]
     if np.linalg.norm(c, 1) == 0.0:
-        if rank_with_tol(a_fixed) < a_fixed.shape[0]:
-            return None
-        return []
-    res = solve(Pencil(A=a_fixed, B=-c), opts, rng)
-    return res.finite_true_values
+        return [None if rank_with_tol(f) < f.shape[0] else [] for f in fixed]
+    return [r.finite_true_values for r in solve([Pencil(A=f, B=-c) for f in fixed], opts, streams)]
 
 
 def solve_2ep(
@@ -184,7 +193,8 @@ def solve_2ep(
     when its discrepancy is below ``delta`` (default sqrt(EPS)) and
     contributes the midpoint.  With ``unique_lambda`` the closest pair
     is accepted unconditionally (appropriate when each eigenvalue is
-    known to have a distinct lambda component).
+    known to have a distinct lambda component).  A NaN or negative
+    ``delta`` raises ``ValueError``.
 
     Each accepted pair carries the smallest singular values of the two
     evaluated matrices as residuals; callers should treat pairs with
@@ -192,32 +202,41 @@ def solve_2ep(
     discrepancy test.
 
     The per-lambda searches run on independent RNG streams spawned from
-    ``rng``, so results do not depend on evaluation order.
+    ``rng``, so results do not depend on evaluation order.  Each
+    lambda's stream serves equation 1, retries included, then
+    equation 2.
+
+    Cost: one solve of the n1 n2 x n1 n2 pencil (Delta1, Delta0), then
+    two stacked solves over all lambdas, of the n1 x n1 and the n2 x n2
+    mu pencils (one QZ per lambda each), and one stacked SVD per
+    equation for the residuals of every accepted pair.
     """
-    opts, rng = with_defaults(opts, rng)
     if delta is None:
         delta = DEFAULT_MATCH_TOL
+    if not delta >= 0:
+        raise ValueError("delta must be a nonnegative number")
+    opts, rng = with_defaults(opts, rng)
     deltas = operator_determinants(p)
     lam_result = solve(Pencil(A=deltas.D1, B=deltas.D0), opts, rng)
     lams = _cluster_values(lam_result.finite_true_values, delta)
-    pairs = []
-    for lam, stream in zip(lams, rng.spawn(len(lams))):
-        mus1 = _mu_candidates(p.A1 + lam * p.B1, p.C1, opts, stream)
-        mus2 = _mu_candidates(p.A2 + lam * p.B2, p.C2, opts, stream)
-        if mus1 is None and mus2 is None:
+    streams = rng.spawn(len(lams))
+    mus1 = _mu_candidates(p, 1, lams, opts, streams)
+    mus2 = _mu_candidates(p, 2, lams, opts, streams)
+    accepted = []
+    for lam, m1s, m2s in zip(lams, mus1, mus2):
+        if m1s is None and m2s is None:
             continue
         # a mu-free equation accepts every mu of the other one: match that list with itself
-        matched = pair_mu_candidates(mus2 if mus1 is None else mus1, mus1 if mus2 is None else mus2)
+        matched = pair_mu_candidates(m2s if m1s is None else m1s, m1s if m2s is None else m2s)
         if unique_lambda:
             matched = matched[:1]
-        for m1, m2, disc in matched:
-            if not unique_lambda and disc >= delta:
-                continue
-            mu = (m1 + m2) / 2.0
-            r1, r2 = p.residuals(lam, mu)
-            pairs.append(
-                Eigenpair2EP(lam=lam, mu=mu, mu_discrepancy=disc, residual1=r1, residual2=r2)
-            )
+        accepted += [(lam, (m1 + m2) / 2.0, disc) for m1, m2, disc in matched
+                     if unique_lambda or not disc >= delta]
+    residuals = _residuals(p, [(lam, mu) for lam, mu, _ in accepted])
+    pairs = [
+        Eigenpair2EP(lam=lam, mu=mu, mu_discrepancy=disc, residual1=r1, residual2=r2)
+        for (lam, mu, disc), (r1, r2) in zip(accepted, residuals)
+    ]
     pairs.sort(key=lambda e: (e.lam.real, e.lam.imag, e.mu.real, e.mu.imag))
     return pairs
 

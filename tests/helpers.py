@@ -33,6 +33,39 @@ def run_python(code, cwd, timeout=60, env=None):
     )
 
 
+def result_fields(res):
+    """Every field of a ``SolveResult`` in a form that compares bit for bit.
+
+    Arrays become their dtype, shape and bytes (so -0.0 and NaN payloads
+    count), everything else its ``repr``; the records and the
+    perturbation are expanded field by field.
+    """
+
+    def raw(a):
+        a = np.asarray(a)
+        return a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes()
+
+    e, spec = res.eig, res.spec_used
+    return {
+        "eig": [raw(a) for a in (e.alpha, e.beta, e.right, e.left)],
+        "back_scale": repr(res.back_scale),
+        "values": raw(res.values),
+        "diagnostics": raw(res.diagnostics),
+        "classes": raw(res.classes),
+        "records": [
+            (repr((r.lam, r.s_abs, r.vx_norm, r.uy_norm, r.zeta, r.label)), raw(r.x), raw(r.y))
+            for r in res.records
+        ],
+        "finite_true": repr([(r.lam, r.label) for r in res.finite_true]),
+        "finite_true_values": repr(res.finite_true_values),
+        "nrank_report": repr(res.nrank_report),
+        "spec_used": None if spec is None
+        else (repr(spec.tau), [raw(a) for a in (spec.U, spec.V, spec.dA, spec.dB)]),
+        "gap_report": repr(res.gap_report),
+        "collision_warning": res.collision_warning,
+    }
+
+
 def greedy_chordal_match(xs, ys):
     """Greedy nearest pairing of two eigenvalue lists in the chordal metric."""
     d = np.array([[chordal_distance(a, b) for b in ys] for a in xs], dtype=float)

@@ -169,6 +169,18 @@ class TestSolveCommand:
         outs = [run_cli(["solve", *pair, "--format", "csv"])[1] for pair in pairs]
         assert proc.stdout == "[]\n" + "".join(out + "0 []\n" for out in outs)
 
+    def test_csv_solve_loads_no_generator_2ep_or_gallery(self, showcase_files, tmp_path):
+        # kcf_gen, two_param and gallery load on first use, which a solve never makes
+        proc = run_python(
+            "import io, sys\n"
+            "from singpencil.cli import main\n"
+            f"code = main(['solve', *{list(showcase_files)!r}, '--format', 'csv'], out=io.StringIO())\n"
+            "lazy = ('singpencil.kcf_gen', 'singpencil.two_param', 'singpencil.gallery')\n"
+            "print(code, [m for m in lazy if m in sys.modules])\n",
+            cwd=tmp_path,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
+
     def test_non_finite_entry_exits_2(self, tmp_path, showcase_files):
         nan = tmp_path / "nan.mtx"
         nan.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\nnan\n0.0\n1.0\n")
@@ -197,6 +209,10 @@ class TestSolveCommand:
             ("nrank", ["--tol", "-1"], "nonnegative"),
             ("solve", ["--tol", "nan"], "nonnegative"),
             ("nrank", ["--tol", "nan"], "nonnegative"),
+            ("solve", ["--tau", "nan"], "tau must be finite and nonzero"),
+            ("solve", ["--tau", "inf"], "tau must be finite and nonzero"),
+            ("intersect", ["--delta", "nan"], "match_tol"),
+            ("intersect", ["--delta", "-1"], "match_tol"),
         ],
     )
     def test_invalid_settings_exit_2(self, showcase_files, cmd, flags, msg):
@@ -386,6 +402,12 @@ class TestTwoParamCommand:
         code, out, _ = run_cli(["twoparam", manifest, "--seed", "7"])
         assert code == 0
         assert out.strip().splitlines()[-1] == "9 eigenvalue pairs"
+
+    @pytest.mark.parametrize("delta", ["nan", "-1e-6"])
+    def test_nan_or_negative_delta_exits_2(self, tmp_path, delta):
+        manifest = write_problem(bivariate_cubic_system()[0], tmp_path / "prob")
+        code, out, err = run_cli(["twoparam", manifest, f"--delta={delta}"])
+        assert (code, out) == (2, "") and "delta must be a nonnegative number" in err
 
 
 _JORDAN = {"kind": "jordan", "size": 1}

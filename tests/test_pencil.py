@@ -397,3 +397,35 @@ class TestPencilInvariants:
                 calls.clear()
                 assert repr(normal_rank(ps, np.random.default_rng(seed))) == repr(want)
                 assert not calls
+
+
+class TestStackedPencilStages:
+    """``scale`` and ``normal_rank`` of a list equal the calls on each member."""
+
+    def _pencils(self):
+        rng = np.random.default_rng(4)
+        big = Pencil(A=1e3 * rng.standard_normal((5, 5)), B=rng.standard_normal((5, 5)))
+        return [big, Pencil(A=np.eye(5), B=np.zeros((5, 5))), scale(big),
+                Pencil(A=np.zeros((5, 5)), B=np.zeros((5, 5)))]
+
+    def test_scale_of_a_list(self):
+        pencils = self._pencils()
+        for got, p in zip(scale(pencils), pencils):
+            want = scale(p)
+            assert got.A.tobytes() == want.A.tobytes() and got.B.tobytes() == want.B.tobytes()
+            assert (got.scale_alpha, got.scale_beta) == (want.scale_alpha, want.scale_beta)
+
+    def test_normal_rank_of_a_list(self):
+        # raw and already scaled members mix in one stack
+        pencils = self._pencils()
+        got = normal_rank(pencils, [np.random.default_rng(s) for s in range(4)], tol="auto")
+        want = [normal_rank(p, np.random.default_rng(s)) for s, p in enumerate(pencils)]
+        assert repr(got) == repr(want)
+
+    def test_normal_rank_needs_one_generator_per_pencil(self):
+        with pytest.raises(ValueError, match="one generator per pencil"):
+            normal_rank(self._pencils(), [np.random.default_rng(0)])
+
+    def test_stack_needs_equal_shapes(self):
+        with pytest.raises(ValueError, match="equal shape"):
+            scale([Pencil(A=np.eye(2), B=np.eye(2)), Pencil(A=np.eye(3), B=np.eye(3))])

@@ -32,7 +32,7 @@ from singpencil.gallery import (
 from singpencil.kcf_gen import Jordan, KcfSpec, LeftSingular, Nilpotent, RightSingular, build
 from singpencil.solver import DEFAULT_DELTA2
 
-from helpers import greedy_chordal_match, random_complex
+from helpers import greedy_chordal_match, random_complex, result_fields
 
 
 def class_counts(result):
@@ -260,6 +260,13 @@ class TestSolveOptions:
         with pytest.raises(ValueError, match="positive"):
             SolveOptions(**{name: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_tau_must_be_finite_and_nonzero(self, value):
+        # a NaN or infinite tau used to fail later as "A contains non-finite
+        # entries" (k > 0), or go unnoticed (k = 0)
+        with pytest.raises(ValueError, match="tau must be finite and nonzero"):
+            SolveOptions(tau=value)
+
 
 class TestCollisionRetry:
     def test_explicit_gamma_collision_warns(self):
@@ -462,7 +469,8 @@ class TestArrayContract:
                     for x, y in zip(dec.right.T, dec.left.T)
                 ]
             ).T
-            np.testing.assert_allclose(_diagnostics(dec, pt.B, U, V), want, rtol=0, atol=10 * EPS)
+            got = _diagnostics(*(m[None] for m in (dec.right, dec.left, pt.B, U, V)))[0]
+            np.testing.assert_allclose(got, want, rtol=0, atol=10 * EPS)
 
 
 def _strided_view(m):
@@ -632,3 +640,88 @@ class TestIntersectionBaseline:
         inter = solve_by_intersection(diagonal_demo_pencil(), SolveOptions(seed=9))
         certain = sorted(v.real for v in inter.eigenvalues)
         np.testing.assert_allclose(certain, [0.5, 2 / 3, 0.75], atol=1e-8)
+
+
+def _kcf_stack(seed, m, regular_at=()):
+    """m KCF pencils of one shape (7 x 7): two finite eigenvalues, N2, L1 and L1^T (k = 1).
+
+    At the indices in ``regular_at`` three more finite eigenvalues take the
+    place of L1 and L1^T, so those pencils are regular (k = 0).
+    """
+    rng = np.random.default_rng(seed)
+    pencils = []
+    for i in range(m):
+        z = rng.uniform(-2.0, 2.0, (5, 2))
+        blocks = [Jordan(1, complex(a, b)) for a, b in z[:2]] + [Nilpotent(2)]
+        if i in regular_at:
+            blocks += [Jordan(1, complex(a, b)) for a, b in z[2:]]
+        else:
+            blocks += [RightSingular(1), LeftSingular(1)]
+        pencils.append(build(KcfSpec(tuple(blocks), transform="general"), rng)[0])
+    return pencils
+
+
+class TestStackedSolve:
+    """``solve`` of a list of pencils equals the solves of its members, bit for bit."""
+
+    @staticmethod
+    def _check(pencils, opts, seeds):
+        got = solve(pencils, opts, [np.random.default_rng(s) for s in seeds])
+        assert len(got) == len(pencils)
+        for p, seed, res in zip(pencils, seeds, got):
+            assert result_fields(res) == result_fields(solve(p, opts, np.random.default_rng(seed)))
+        return got
+
+    def test_regular_stack(self):
+        rng = np.random.default_rng(21)
+        pencils = [Pencil(A=random_complex(rng, (5, 5)), B=random_complex(rng, (5, 5)))
+                   for _ in range(4)]
+        got = self._check(pencils, SolveOptions(), [3, 1, 4, 1])
+        assert all(res.nrank_report.k == 0 and len(res.finite_true) == 5 for res in got)
+
+    def test_singular_stack_with_a_collision_retry(self):
+        # gamma sits on a true eigenvalue of pencil 0 only: that pencil uses
+        # every retry and warns, the others pass at once; pencil 2 is regular,
+        # so the stack also mixes perturbation ranks
+        pencils = _kcf_stack(8, 4, regular_at=(2,))
+        first = solve(pencils[0], SolveOptions(seed=0))
+        lam = first.finite_true_values[0]
+        gamma = lam / scale(squarify(pencils[0])).back_factor
+        opts = SolveOptions(gamma=([gamma], [1.0]), max_retries=2)
+        got = self._check(pencils, opts, [5, 6, 7, 8])
+        assert [res.collision_warning for res in got] == [True, False, False, False]
+        assert [res.nrank_report.k for res in got] == [1, 1, 0, 1]
+
+    def test_default_generators_follow_the_seed(self):
+        pencils = _kcf_stack(9, 3)
+        opts = SolveOptions(seed=12)
+        for p, res in zip(pencils, solve(pencils, opts)):
+            assert result_fields(res) == result_fields(solve(p, opts))
+
+    def test_empty_stack(self):
+        assert solve([]) == []
+
+    def test_stack_needs_one_distinct_generator_per_pencil(self):
+        pencils = _kcf_stack(10, 2)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="distinct generator"):
+            solve(pencils, SolveOptions(), [rng, rng])
+        with pytest.raises(ValueError, match="distinct generator"):
+            solve(pencils, SolveOptions(), [rng])
+
+    def test_stack_needs_equal_shapes(self):
+        with pytest.raises(ValueError, match="equal shape"):
+            solve([showcase_pencil(), diagonal_demo_pencil()])
+
+    def test_records_are_built_once(self):
+        res = solve(showcase_pencil(), SolveOptions(seed=0))
+        assert res.records is res.records
+        assert all(any(r is t for t in res.records) for r in res.finite_true)
+        assert res.finite_true_values == [r.value for r in res.finite_true]
+
+
+class TestIntersectionTolerance:
+    @pytest.mark.parametrize("value", [math.nan, -1e-6])
+    def test_match_tol_must_be_nonnegative(self, value):
+        with pytest.raises(ValueError, match="match_tol"):
+            solve_by_intersection(showcase_pencil(), SolveOptions(seed=0), match_tol=value)

@@ -22,7 +22,9 @@ from singpencil import (
     solve_2ep,
     write_problem,
 )
-from singpencil.gallery import bivariate_cubic_system, evaluate_bivariate
+from singpencil.gallery import bivariate_cubic_system, double_eig_problem, evaluate_bivariate
+from singpencil.matrix_core import rank_with_tol
+from singpencil.solver import DEFAULT_MATCH_TOL, solve, with_defaults
 
 from helpers import assert_multiset_close, random_complex
 
@@ -163,9 +165,9 @@ class TestSolve2EP:
         a, b = complex(-1.5, 0.25), complex(2.0, -1.0)
         rng = np.random.default_rng(3)
         p = TwoParamProblem(*(random_complex(rng, (2, 2)) for _ in range(6)))
-        free_c = p.C1 if free == 1 else p.C2
         monkeypatch.setattr(
-            tp, "_mu_candidates", lambda a_fixed, c, opts, rng: None if c is free_c else [a, a, b]
+            tp, "_mu_candidates",
+            lambda p, i, lams, opts, streams: [None if i == free else [a, a, b] for _ in lams],
         )
         for unique in (False, True):
             pairs = solve_2ep(p, opts=SolveOptions(seed=2), unique_lambda=unique)
@@ -174,6 +176,13 @@ class TestSolve2EP:
             for lam in lams:
                 got = [(e.mu, e.mu_discrepancy) for e in pairs if e.lam == lam]
                 assert got == ([(a, 0.0)] if unique else [(a, 0.0), (a, 0.0), (b, 0.0)])
+
+    @pytest.mark.parametrize("delta", [math.nan, -1e-6])
+    def test_delta_must_be_nonnegative(self, delta):
+        # a NaN delta used to accept every matched pair (27 on the cubic),
+        # a negative one to return no pair at all
+        with pytest.raises(ValueError, match="delta"):
+            solve_2ep(bivariate_cubic_system()[0], delta=delta, opts=SolveOptions(seed=0))
 
     def test_unique_lambda_accepts_closest(self):
         p = TwoParamProblem(
@@ -309,3 +318,96 @@ class TestProblemIO:
                 A1=np.eye(2), B1=np.eye(3), C1=np.eye(2),
                 A2=np.eye(2), B2=np.eye(2), C2=np.eye(2),
             )
+
+
+def _per_lambda_solve_2ep(p, opts, rng, unique_lambda):
+    """:func:`solve_2ep` written out with one ``solve`` per lambda and equation.
+
+    The reference for the stacked mu solves: each lambda's stream serves
+    equation 1, then equation 2, and every residual comes from its own SVD.
+    """
+    opts, rng = with_defaults(opts, rng)
+    delta = DEFAULT_MATCH_TOL
+    d = operator_determinants(p)
+    lams = tp._cluster_values(solve(Pencil(A=d.D1, B=d.D0), opts, rng).finite_true_values, delta)
+    pairs = []
+    for lam, stream in zip(lams, rng.spawn(len(lams))):
+        mus = []
+        for a, b, c in ((p.A1, p.B1, p.C1), (p.A2, p.B2, p.C2)):
+            fixed = a + lam * b
+            if np.linalg.norm(c, 1) == 0.0:
+                mus.append(None if rank_with_tol(fixed) < fixed.shape[0] else [])
+            else:
+                mus.append(solve(Pencil(A=fixed, B=-c), opts, stream).finite_true_values)
+        mus1, mus2 = mus
+        if mus1 is None and mus2 is None:
+            continue
+        matched = pair_mu_candidates(mus2 if mus1 is None else mus1, mus1 if mus2 is None else mus2)
+        if unique_lambda:
+            matched = matched[:1]
+        for m1, m2, disc in matched:
+            if not unique_lambda and disc >= delta:
+                continue
+            mu = (m1 + m2) / 2.0
+            r1, r2 = (float(np.linalg.svd(p.evaluate(i, lam, mu), compute_uv=False)[-1])
+                      for i in (1, 2))
+            pairs.append(tp.Eigenpair2EP(lam, mu, disc, r1, r2))
+    pairs.sort(key=lambda e: (e.lam.real, e.lam.imag, e.mu.real, e.mu.imag))
+    return pairs
+
+
+def _padded_cubic():
+    """The bivariate cubic with a zero row and column added to A1, B1, C1.
+
+    Its equation-1 mu pencils are singular (k = 1), so every one of them
+    is perturbed, and the nine roots stay the same.
+    """
+    p = bivariate_cubic_system()[0]
+    pad = lambda m: np.pad(m, ((0, 1), (0, 1)))  # noqa: E731
+    return TwoParamProblem(pad(p.A1), pad(p.B1), pad(p.C1), p.A2, p.B2, p.C2)
+
+
+class TestStackedMuSolves:
+    """The two stacked mu solves give the pairs of a per-lambda loop, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name,make,unique,seeds",
+        [
+            ("double_eig_2ep_1", lambda: double_eig_problem(1), True, (11,)),
+            ("double_eig_2ep_2", lambda: double_eig_problem(2), True, (12,)),
+            ("double_eig_2ep_13", lambda: double_eig_problem(13), True, (13,)),
+            ("cubic", lambda: bivariate_cubic_system()[0], False, (0, 1)),
+            ("cubic_unique", lambda: bivariate_cubic_system()[0], True, (0,)),
+            ("padded_cubic", _padded_cubic, False, (0, 1)),
+        ],
+    )
+    def test_equals_per_lambda_loop(self, name, make, unique, seeds):
+        p = make()
+        for seed in seeds:
+            opts = SolveOptions(seed=seed)
+            got = solve_2ep(p, opts=opts, rng=np.random.default_rng(seed), unique_lambda=unique)
+            want = _per_lambda_solve_2ep(p, opts, np.random.default_rng(seed), unique)
+            assert repr(got) == repr(want)
+            assert got
+
+    def test_padded_cubic_mu_pencils_are_singular_and_keep_the_roots(self):
+        p = _padded_cubic()
+        pairs = solve_2ep(p, opts=SolveOptions(seed=0))
+        lam = pairs[0].lam
+        report = normal_rank(Pencil(A=p.A1 + lam * p.B1, B=-p.C1), np.random.default_rng(0))
+        assert report.k == 1
+        _, c1, c2 = bivariate_cubic_system()
+        assert len(pairs) == 9
+        assert max(abs(evaluate_bivariate(c, e.lam, e.mu)) for e in pairs for c in (c1, c2)) < 1e-6
+
+    def test_two_stacked_mu_solves_per_call(self, monkeypatch):
+        # one solve for lambda, then one per equation over every lambda
+        calls = []
+
+        def counting(p, opts=None, rng=None):
+            calls.append(1 if isinstance(p, Pencil) else len(p))
+            return solve(p, opts, rng)
+
+        monkeypatch.setattr(tp, "solve", counting)
+        pairs = solve_2ep(double_eig_problem(1), opts=SolveOptions(seed=1), unique_lambda=True)
+        assert calls == [1, len(pairs), len(pairs)] and len(pairs) == 30

@@ -13,7 +13,8 @@ table, csv and json format (``nrank`` and ``gen`` have no format), seeds
 ``solve`` records (eigenvectors by their bytes), gap reports, rank
 reports and perturbations, forced-collision retries,
 ``solve_by_intersection``, ``double_eig`` with and without refine and
-``solve_2ep``.
+``solve_2ep`` (on the bivariate cubic and on the benchmark's
+double-eigenvalue 2EP, whose mu pencils are 6 x 6 and 18 x 18).
 
 The package is imported from the ``src`` directory next to this file, so
 running the script of two checkouts and diffing the output compares
@@ -52,6 +53,7 @@ from singpencil.gallery import (  # noqa: E402
     bivariate_cubic_system,
     control_benchmark_pencil,
     diagonal_demo_pencil,
+    double_eig_problem,
     showcase_pencil,
     staircase_sensitive_pencil,
 )
@@ -79,6 +81,8 @@ SOLVE_FLAGS = (
 INTERSECT_FLAGS = ((), ("--delta", "1e-6"), ("--tau", "0.1"), ("--tol", "1e-10"))
 DOUBLEEIG_FLAGS = ((), ("--no-refine",), ("--tau", "0.1"))
 TWOPARAM_FLAGS = ((), ("--delta", "1e-6"), ("--unique-lambda",), ("--retries", "0"))
+# the benchmark's twoparam 2EP; seed 13 misses its lambda gate on some requests
+DOUBLE_EIG_2EP_SEEDS = (1, 2, 13)
 
 
 def _kcf(blocks, seed, transform="unitary"):
@@ -221,6 +225,9 @@ def library_cases():
             yield f"lib/solve_2ep/cubic/{seed}/unique{int(unique)}", (
                 lambda seed=seed, unique=unique: repr(
                     solve_2ep(problem, opts=SolveOptions(seed=seed), unique_lambda=unique)))
+    for seed in DOUBLE_EIG_2EP_SEEDS:
+        yield f"lib/solve_2ep/double_eig_2ep/{seed}", lambda seed=seed: repr(solve_2ep(
+            double_eig_problem(seed), opts=SolveOptions(seed=seed), unique_lambda=True))
 
 
 def main_digest():
