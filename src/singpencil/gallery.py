@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .pencil import Pencil
-from .two_param import TwoParamProblem
+from .two_param import TwoParamProblem, _double_eig_2ep
 
 __all__ = [
     "showcase_pencil",
@@ -224,20 +224,15 @@ def evaluate_bivariate(coeffs, x, y):
     return complex(coeffs @ mono)
 
 
-def double_eig_problem(seed, n=6) -> TwoParamProblem:
+def double_eig_problem(seed) -> TwoParamProblem:
     """The 2EP (A, B, -I; P, Q, R) whose lambdas make A + lambda B have a double eigenvalue.
 
-    A and B are n x n standard normal matrices from
-    ``numpy.random.default_rng(seed)``, and P, Q, R the 3n x 3n blocks of
+    A and B are 6 x 6 standard normal matrices from
+    ``numpy.random.default_rng(seed)``, and P, Q, R the 18 x 18 blocks of
     :func:`~singpencil.two_param.double_eig_linearization`, formed in real
-    arithmetic.  With n = 6 this is the problem of the benchmark's
-    ``twoparam`` workload: its mu pencils are 6 x 6 and 18 x 18, and each
-    lambda has a double eigenvalue mu of A + lambda B.
+    arithmetic.  This is the problem of the benchmark's ``twoparam``
+    workload: its mu pencils are 6 x 6 and 18 x 18, and each lambda has a
+    double eigenvalue mu of A + lambda B.
     """
     rng = np.random.default_rng(seed)
-    A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-    I, Z = np.eye(n), np.zeros((n, n))
-    P = np.block([[A @ A, A @ B + B @ A, -2.0 * A], [Z, I, Z], [Z, Z, I]])
-    Q = np.block([[Z, B @ B, -B], [-I, Z, Z], [Z, Z, Z]])
-    R = np.block([[Z, -B, I], [Z, Z, Z], [-I, Z, Z]])
-    return TwoParamProblem(A1=A, B1=B, C1=-I, A2=P, B2=Q, C2=R)
+    return _double_eig_2ep(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)))

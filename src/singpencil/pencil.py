@@ -90,7 +90,9 @@ class NormalRankReport:
 
 
 def _stacks(ps):
-    """The A and B matrices of same-shaped pencils as two stacked arrays."""
+    """The A and B matrices of same-shaped pencils as two stacked arrays (views for one)."""
+    if len(ps) == 1:
+        return ps[0].A[None], ps[0].B[None]
     if len({q.shape for q in ps}) > 1:
         raise ValueError("the pencils of a stack must have equal shape")
     return np.stack([q.A for q in ps]), np.stack([q.B for q in ps])
@@ -98,7 +100,7 @@ def _stacks(ps):
 
 def _one_norms(A, B):
     """The 1-norms of every matrix of the stacks A and B, shape (2, len(A))."""
-    return np.linalg.norm(np.stack([A, B]), 1, axis=(-2, -1))
+    return np.array([np.linalg.norm(M, 1, axis=(-2, -1)) for M in (A, B)])
 
 
 def scale(p):
@@ -125,16 +127,14 @@ def _scale(ps):
     ]
 
 
-def squarify(p):
+def squarify(p: Pencil) -> Pencil:
     """Embed a rectangular pencil into a square one by zero padding.
 
     The original entries sit in the leading block; the added zero rows
     (or columns) extend the Kronecker structure by trivial singular
     blocks and leave the eigenvalues untouched.  Square pencils pass
-    through unchanged.  A list of pencils gives the list of results.
+    through unchanged.
     """
-    if not isinstance(p, Pencil):
-        return [squarify(q) for q in p]
     if p.is_square:
         return p
     pad = [(0, max(p.shape) - d) for d in p.shape]
@@ -175,10 +175,12 @@ def normal_rank(p, rng, tol="auto"):
     if raw.any():
         raw = raw.nonzero()[0].tolist()
         A, B = A.copy(), B.copy()
-        for i, q in zip(raw, scale([p[i] for i in raw])):
+        for i in raw:
+            q = scale(p[i])
             A[i], B[i] = q.A, q.B
     zetas = np.array([[complex(np.exp(2j * np.pi * r.uniform())) for _ in range(2)] for r in rng])
-    s = np.linalg.svd(A[:, None] - zetas[:, :, None, None] * B[:, None], compute_uv=False)
+    probes = zetas[:, :, None, None] * B[:, None]
+    s = np.linalg.svd(np.subtract(A[:, None], probes, out=probes), compute_uv=False)
     reports = []
     for zeta, sv in zip(zetas.tolist(), s):
         ts = [rank_tolerance(x, shape, tol) for x in sv]

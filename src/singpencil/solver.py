@@ -393,7 +393,7 @@ def _prepare(pencils, opts: SolveOptions | None, rngs):
     rngs = [with_defaults(opts, r)[1] for r in rngs]
     if len(rngs) != len(pencils) or len({id(r) for r in rngs}) < len(rngs):
         raise ValueError("a stack of pencils needs one distinct generator per pencil")
-    ps = scale(squarify(pencils))
+    ps = scale([squarify(q) for q in pencils])
     return opts, rngs, ps, normal_rank(ps, rngs, tol=opts.rank_tol)
 
 

@@ -261,15 +261,23 @@ def double_eig_linearization(A, B):
     B = as_cmatrix(B, "B")
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise ValueError("A and B must be square and of equal size")
+    deltas = operator_determinants(_double_eig_2ep(A, B))
+    return deltas.D1, deltas.D0
+
+
+def _double_eig_2ep(A, B):
+    """The 2EP (A, B, -I; P, Q, R) of :func:`double_eig_linearization`.
+
+    The blocks are formed in the dtype of A and B, so real inputs give
+    the bits of a real-arithmetic construction.
+    """
     n = A.shape[0]
-    I = np.eye(n, dtype=np.complex128)
-    Z = np.zeros((n, n), dtype=np.complex128)
+    I = np.eye(n, dtype=A.dtype)
+    Z = np.zeros((n, n), dtype=A.dtype)
     P = np.block([[A @ A, A @ B + B @ A, -2.0 * A], [Z, I, Z], [Z, Z, I]])
     Q = np.block([[Z, B @ B, -B], [-I, Z, Z], [Z, Z, Z]])
     R = np.block([[Z, -B, I], [Z, Z, Z], [-I, Z, Z]])
-    problem = TwoParamProblem(A1=A, B1=B, C1=-I, A2=P, B2=Q, C2=R)
-    deltas = operator_determinants(problem)
-    return deltas.D1, deltas.D0
+    return TwoParamProblem(A1=A, B1=B, C1=-I, A2=P, B2=Q, C2=R)
 
 
 @dataclass
