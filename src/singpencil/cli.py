@@ -218,6 +218,10 @@ def _cmd_doubleeig(args, opts, out):
     result = double_eig(p.A, p.B, opts=opts, refine=args.refine)
     rows = list(zip(result.lambdas, result.gaps))
     footer = [("{} double-eigenvalue locations", len(rows))]
+    if result.count_warning:
+        n = p.shape[0]
+        footer.append(("warning: an n = {} pencil has at most n(n-1) = {} such locations",
+                       n, n * (n - 1)))
     _emit(args.fmt, out, _DOUBLEEIG_COLUMNS, rows, footer, lambda: {
         "lambdas": result.lambdas,
         "gaps": result.gaps,

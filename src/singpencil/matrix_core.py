@@ -34,6 +34,7 @@ __all__ = [
     "kron",
     "chordal_distance",
     "greedy_match",
+    "greedy_match_distances",
 ]
 
 EPS = float(np.finfo(np.float64).eps)
@@ -63,17 +64,22 @@ def as_cmatrix(a, name="matrix"):
     Returns
     -------
     numpy.ndarray
-        C-contiguous complex128 array of shape (rows, cols).
+        C-contiguous complex128 array of shape (rows, cols); ``a`` itself
+        when it already is one.
 
     Raises
     ------
     ValueError
         If the input is not 2-dimensional or contains NaN/Inf entries.
     """
-    m = np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
+    return _checked(np.ascontiguousarray(np.asarray(a, dtype=np.complex128)), name)
+
+
+def _checked(m, name):
+    """The complex128 array ``m``, after the 2-d and finiteness checks of :func:`as_cmatrix`."""
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(np.float64))):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -143,6 +149,11 @@ def greedy_match(xs, ys, metric):
     distance ``d``; the output length is ``min(len(xs), len(ys))``.
     """
     d = np.array([[metric(a, b) for b in ys] for a in xs], dtype=float)
+    return greedy_match_distances(xs, ys, d.reshape(len(xs), len(ys)))
+
+
+def greedy_match_distances(xs, ys, d):
+    """:func:`greedy_match` of ``xs`` and ``ys`` by distances ``d[i, j]``, which it overwrites."""
     out = []
     for _ in range(min(d.shape)):
         i, j = np.unravel_index(np.argmin(d), d.shape)
@@ -221,7 +232,8 @@ def _zggev3(path=_umath_linalg.__file__):
     ``zggev3_64_`` or ``zggev3_``.  A ``*_64_`` name takes 64-bit
     integers and any other name 32-bit ones, so a 32-bit library never
     gets 64-bit integers.  The two trailing arguments are the lengths of
-    the ``jobvl`` and ``jobvr`` strings.  None where the library has no
+    the ``jobvl`` and ``jobvr`` strings; ``workspace(n)`` is the cached
+    optimal ``lwork`` for order n.  None where the library has no
     ``zggev3`` (e.g. numpy on Accelerate) or does not load.
     """
     try:
@@ -236,7 +248,33 @@ def _zggev3(path=_umath_linalg.__file__):
     c, p, length = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t  # p: an array's address
     fn.argtypes = [c, c, i, p, i, p, i, p, p, p, i, p, i, p, i, p, i, length, length]
     fn.restype = None
+    fn.workspace = functools.cache(functools.partial(_workspace, fn))
     return fn
+
+
+def _workspace(zggev3, n):
+    """The optimal ``lwork`` of ``zggev3`` (of ``zggev`` when None) for order n, from one query.
+
+    The query asks for both eigenvector sets of the whole matrix, so its
+    answer depends on n alone, not on the entries: each driver keeps it
+    in a ``functools.cache`` keyed by n (``zggev3.workspace``).
+    """
+    if zggev3 is None:
+        from scipy.linalg import lapack
+
+        z = np.zeros((n, n), np.complex128)
+        return int(lapack.zggev(z, z, lwork=-1)[-2][0].real)
+    integer = zggev3.argtypes[2]._type_
+    dim, info = integer(n), integer(0)
+    matrix, vector = np.zeros((n, n), np.complex128), np.zeros(n, np.complex128)
+    work, rwork = np.zeros(1, np.complex128), np.zeros(8 * n)
+    m, v = matrix.ctypes.data, vector.ctypes.data  # every array stays referenced until the call returns
+    zggev3(b"V", b"V", dim, m, dim, m, dim, v, v, m, dim, m, dim,
+           work.ctypes.data, integer(-1), rwork.ctypes.data, info, 1, 1)
+    return int(work[0].real)
+
+
+_zggev_workspace = functools.cache(functools.partial(_workspace, None))
 
 
 def generalized_eig(A, B):
@@ -249,7 +287,9 @@ def generalized_eig(A, B):
     deflation) in the LAPACK numpy links, as :func:`_zggev3` binds it, so
     no scipy module is imported; where numpy's LAPACK exports no
     ``zggev3``, the unblocked single-shift ``zggev`` through
-    ``scipy.linalg.lapack``.
+    ``scipy.linalg.lapack``.  Each matrix is converted and checked once,
+    into the Fortran-order copy LAPACK overwrites, and the workspace size
+    is cached per order (:func:`_workspace`), so a call makes one LAPACK call.
 
     Parameters
     ----------
@@ -265,73 +305,71 @@ def generalized_eig(A, B):
     Raises
     ------
     ValueError
-        On shape mismatch.
+        On a matrix that :func:`as_cmatrix` rejects, and on shape mismatch.
     NumericalError
         If LAPACK reports a failure (``info != 0``, e.g. the QZ iteration
         did not converge), or an eigenvalue comes back as the
         indeterminate pair (0, 0).
     """
-    A = as_cmatrix(A, "A")
-    B = as_cmatrix(B, "B")
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got {A.shape}")
-    if A.shape != B.shape:
-        raise ValueError(f"A and B must have equal shape, got {A.shape} and {B.shape}")
-    n = A.shape[0]
+    # ndmin=1: a scalar is reported with the shape as_cmatrix gives it
+    a = _checked(np.array(A, dtype=np.complex128, order="F", ndmin=1), "A")
+    b = _checked(np.array(B, dtype=np.complex128, order="F", ndmin=1), "B")
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"A must be square, got {a.shape}")
+    if a.shape != b.shape:
+        raise ValueError(f"A and B must have equal shape, got {a.shape} and {b.shape}")
+    n = a.shape[0]
     if n == 0:  # LAPACK rejects n = 0 as an illegal argument
         vec, mat = np.zeros(0, np.complex128), np.zeros((0, 0), np.complex128)
         return EigDecomposition(alpha=vec, beta=vec, right=mat, left=mat)
     zggev3 = _zggev3()
+    lwork = (_zggev_workspace if zggev3 is None else zggev3.workspace)(n)
+    # one buffer: alpha and beta, the left then the right eigenvectors as one
+    # Fortran-order n x 2n matrix, the workspace, and the 8n reals of rwork
+    offsets = (0, n, 2 * n, n * (n + 2), 2 * n * (n + 1), 2 * n * (n + 1) + lwork)
+    out = np.empty(offsets[-1] + 4 * n, np.complex128)
+    pairs = out[:2 * n].reshape(2, n)
+    vectors = out[2 * n:offsets[4]].reshape((n, 2 * n), order="F")
     if zggev3 is None:
         from scipy.linalg import lapack
 
-        lwork = int(lapack.zggev(A, B, lwork=-1)[-2][0].real)
-        alpha, beta, vl, vr, _, info = lapack.zggev(A, B, lwork=lwork)
+        alpha, beta, vl, vr, _, info = lapack.zggev(a, b, lwork=lwork, overwrite_a=1, overwrite_b=1)
+        pairs[:], vectors[:, :n], vectors[:, n:] = (alpha, beta), vl, vr
     else:
-        a, b = np.array(A, order="F"), np.array(B, order="F")  # LAPACK overwrites both
-        alpha, beta = np.empty(n, np.complex128), np.empty(n, np.complex128)
-        vl = np.empty((n, n), np.complex128, order="F")
-        vr = np.empty((n, n), np.complex128, order="F")
-        work, rwork = np.zeros(1, np.complex128), np.empty(8 * n)
         integer = zggev3.argtypes[2]._type_
         dim, info = integer(n), integer(0)
-        # raw addresses of the complex128 Fortran-order arrays made above: numpy's
-        # ndpointer checks on every call cost more than a small QZ
-        args = [x.ctypes.data if isinstance(x, np.ndarray) else x
-                for x in (b"V", b"V", dim, a, dim, b, dim, alpha, beta, vl, dim, vr, dim)]
-        zggev3(*args, work.ctypes.data, integer(-1), rwork.ctypes.data, info, 1, 1)  # workspace query
-        if info.value == 0:
-            work = np.empty(int(work[0].real), np.complex128)
-            zggev3(*args, work.ctypes.data, integer(work.size), rwork.ctypes.data, info, 1, 1)
+        # raw addresses: numpy's ndpointer checks on every call cost more than a small QZ
+        alpha, beta, vl, vr, work, rwork = (out.ctypes.data + 16 * i for i in offsets)
+        zggev3(b"V", b"V", dim, a.ctypes.data, dim, b.ctypes.data, dim, alpha, beta,
+               vl, dim, vr, dim, work, integer(lwork), rwork, info, 1, 1)
         info = info.value
+    del a, b  # overwritten by LAPACK: freed before the normalization allocates
     if info != 0:
         raise NumericalError(
             f"generalized eigenvalue iteration failed: LAPACK info = {info}",
             details={"n": n, "lapack_info": int(info)},
         )
-    scale = np.hypot(np.abs(alpha), np.abs(beta))
-    bad = np.nonzero(scale == 0.0)[0]
-    if bad.size:
+    scale = np.hypot(*np.abs(pairs))
+    if not scale.all():
         raise NumericalError(
             "indeterminate eigenvalues returned; pencil is numerically singular",
-            details={"indices": bad.tolist()},
+            details={"indices": np.nonzero(scale == 0.0)[0].tolist()},
         )
-    alpha = alpha / scale
-    beta = beta / scale
-    vr = vr / np.linalg.norm(vr, axis=0)
-    vl = vl / np.linalg.norm(vl, axis=0)
-    return EigDecomposition(alpha=alpha, beta=beta, right=vr, left=vl)
+    pairs = pairs / scale
+    left, right = (v / np.linalg.norm(v, axis=0) for v in (vectors[:, :n], vectors[:, n:]))
+    return EigDecomposition(pairs[0], pairs[1], right=right, left=left)
 
 
 def rank_tolerance(s, shape, tol="auto"):
-    """Rank cut for the singular values ``s`` (largest first) of a ``shape`` matrix.
+    """Rank cut for the singular values ``s`` (along the last axis) of a ``shape`` matrix.
 
     ``"auto"`` gives ``max(rows, cols) * EPS * sigma_max``, the usual
-    dense-rank convention (0 without singular values); a number must be
-    nonnegative.
+    dense-rank convention (0 without singular values), as an array over
+    the leading axes of ``s``; a number must be nonnegative and is
+    returned as a float.
     """
     if tol == "auto":
-        return max(shape) * EPS * (s[0] if s.size else 0.0)
+        return max(shape) * EPS * np.max(s, axis=-1, initial=0.0)
     tol = float(tol)
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")

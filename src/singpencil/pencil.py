@@ -17,7 +17,7 @@ from __future__ import annotations
 import bz2
 import gzip
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,10 +121,24 @@ def _scale(ps):
     norms = _one_norms(A, B)
     norms[norms == 0.0] = 1.0
     A, B = A / norms[0, :, None, None], B / norms[1, :, None, None]
+    for M, name in ((A, "A"), (B, "B")):  # a subnormal norm's reciprocal overflows
+        if not np.isfinite(M).all():
+            raise ValueError(f"{name} contains non-finite entries")
     return [
-        Pencil(A=a, B=b, scale_alpha=q.scale_alpha * alpha, scale_beta=q.scale_beta * beta)
+        _derived(q, A=a, B=b, scale_alpha=q.scale_alpha * alpha, scale_beta=q.scale_beta * beta)
         for q, a, b, alpha, beta in zip(ps, A, B, *norms.tolist())
     ]
+
+
+def _derived(p, **changes):
+    """``dataclasses.replace(p, **changes)`` without checking the arrays again.
+
+    For matrices computed from ``p``'s own, which :class:`Pencil` has
+    validated already: complex128, C-contiguous, of equal shape and finite.
+    """
+    q = object.__new__(type(p))
+    q.__dict__.update(p.__dict__, **changes)
+    return q
 
 
 def squarify(p: Pencil) -> Pencil:
@@ -138,7 +152,7 @@ def squarify(p: Pencil) -> Pencil:
     if p.is_square:
         return p
     pad = [(0, max(p.shape) - d) for d in p.shape]
-    return replace(p, A=np.pad(p.A, pad), B=np.pad(p.B, pad))
+    return _derived(p, A=np.pad(p.A, pad), B=np.pad(p.B, pad))
 
 
 def normal_rank(p, rng, tol="auto"):
@@ -181,13 +195,13 @@ def normal_rank(p, rng, tol="auto"):
     zetas = np.array([[complex(np.exp(2j * np.pi * r.uniform())) for _ in range(2)] for r in rng])
     probes = zetas[:, :, None, None] * B[:, None]
     s = np.linalg.svd(np.subtract(A[:, None], probes, out=probes), compute_uv=False)
-    reports = []
-    for zeta, sv in zip(zetas.tolist(), s):
-        ts = [rank_tolerance(x, shape, tol) for x in sv]
-        best = max(int(np.sum(x > t)) for x, t in zip(sv, ts))
-        k = max(shape) - best
-        reports.append(NormalRankReport(nrank=best, k=k, zeta_samples=zeta, tol_used=max(0.0, *ts)))
-    return reports
+    cut = rank_tolerance(s, shape, tol)  # (m, 2) np.float64 under "auto", else one float
+    nranks = (s > np.asarray(cut)[..., None]).sum(axis=-1).max(axis=-1).tolist()
+    used = cut.max(axis=-1) if tol == "auto" else [cut] * len(p)
+    return [  # tol_used = max(0.0, *cuts): the float 0.0 unless a cut is positive
+        NormalRankReport(nrank=r, k=max(shape) - r, zeta_samples=z, tol_used=t if t > 0.0 else 0.0)
+        for r, z, t in zip(nranks, zetas.tolist(), used)
+    ]
 
 
 _WIDTHS = {b"pattern": 0, b"real": 1, b"integer": 1, b"complex": 2}  # numbers per value

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .matrix_core import (
     greedy_match,
     random_orthonormal,
 )
-from .pencil import NormalRankReport, Pencil, normal_rank, scale, squarify
+from .pencil import NormalRankReport, Pencil, _derived, normal_rank, scale, squarify
 
 __all__ = [
     "EigenClass",
@@ -271,7 +271,11 @@ def make_perturbation(n, k, opts: SolveOptions, rng) -> PerturbationSpec:
 
 
 def perturb(p: Pencil, spec: PerturbationSpec) -> Pencil:
-    """Apply the rank-completing perturbation to a square pencil."""
+    """Apply the rank-completing perturbation to a square pencil.
+
+    The sums are not validated again; :func:`generalized_eig` rejects a
+    non-finite one (a ``tau`` or ``gamma`` near overflow).
+    """
     if not p.is_square:
         raise ValueError("perturb requires a square pencil; squarify first")
     n = p.shape[0]
@@ -279,7 +283,7 @@ def perturb(p: Pencil, spec: PerturbationSpec) -> Pencil:
         raise ValueError(f"perturbation built for dimension {spec.U.shape[0]}, pencil has {n}")
     E = (spec.U * spec.dA) @ spec.V.conj().T
     F = (spec.U * spec.dB) @ spec.V.conj().T
-    return replace(p, A=p.A + spec.tau * E, B=p.B + spec.tau * F)
+    return _derived(p, A=p.A + spec.tau * E, B=p.B + spec.tau * F)
 
 
 def _class_index(s_abs, vx, uy, delta1, delta2):

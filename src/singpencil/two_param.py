@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import as_cmatrix, greedy_match, kron, rank_with_tol
+from .matrix_core import as_cmatrix, greedy_match_distances, kron, rank_with_tol
 from .pencil import Pencil, csv_text, read_matrix, write_matrix
 from .solver import DEFAULT_MATCH_TOL, SolveOptions, solve, with_defaults
 
@@ -148,9 +148,27 @@ def pair_mu_candidates(mus1, mus2):
     Returns ``(mu1, mu2, discrepancy)`` triples sorted by ascending
     discrepancy, as :func:`~singpencil.matrix_core.greedy_match` does.
     """
-    return greedy_match(
-        [complex(m) for m in mus1], [complex(m) for m in mus2], lambda a, b: abs(a - b)
-    )
+    return greedy_match_distances(*_mu_distances(mus1, mus2))
+
+
+def _mu_distances(mus1, mus2):
+    """Both lists as Python complex numbers, and their distances ``|mu1 - mu2|`` as an array.
+
+    ``np.hypot`` of the parts of each difference gives the bits of
+    Python's complex ``abs``, for the whole outer array at once.
+    """
+    xs, ys = [complex(m) for m in mus1], [complex(m) for m in mus2]
+    d = np.subtract.outer(np.array(xs, dtype=np.complex128), np.array(ys, dtype=np.complex128))
+    return xs, ys, np.hypot(d.real, d.imag)
+
+
+def _closest_mu_pair(mus1, mus2):
+    """``pair_mu_candidates(mus1, mus2)[:1]``: the first pair at the smallest distance."""
+    xs, ys, d = _mu_distances(mus1, mus2)
+    if not d.size:
+        return []
+    i, j = divmod(int(d.argmin()), d.shape[1])
+    return [(xs[i], ys[j], float(d[i, j]))]
 
 
 def _cluster_values(values, tol):
@@ -227,9 +245,8 @@ def solve_2ep(
         if m1s is None and m2s is None:
             continue
         # a mu-free equation accepts every mu of the other one: match that list with itself
-        matched = pair_mu_candidates(m2s if m1s is None else m1s, m1s if m2s is None else m2s)
-        if unique_lambda:
-            matched = matched[:1]
+        lists = (m2s if m1s is None else m1s, m1s if m2s is None else m2s)
+        matched = _closest_mu_pair(*lists) if unique_lambda else pair_mu_candidates(*lists)
         accepted += [(lam, (m1 + m2) / 2.0, disc) for m1, m2, disc in matched
                      if unique_lambda or not disc >= delta]
     residuals = _residuals(p, [(lam, mu) for lam, mu, _ in accepted])
@@ -295,12 +312,14 @@ class DoubleEigResult:
     certifies the double eigenvalue, a value of order one flags a
     spurious or degenerate answer.  ``solve_result`` exposes the full
     classified spectrum of the linearization, including its separation
-    diagnostics.
+    diagnostics.  ``count_warning`` is set when more than n(n-1) lambdas
+    came back, more than an n x n pencil can have, so some are spurious.
     """
 
     lambdas: list
     gaps: list
     solve_result: object
+    count_warning: bool = False
 
 
 def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
@@ -332,6 +351,7 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
         lambdas=[complex(lambdas[i]) for i in order],
         gaps=[gaps[i] for i in order],
         solve_result=result,
+        count_warning=len(order) > A.shape[0] * (A.shape[0] - 1),
     )
 
 

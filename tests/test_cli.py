@@ -262,6 +262,19 @@ class TestOutputFormats:
             assert all(math.isfinite(float(cell)) for cell in line.split(","))
 
 
+    def test_doubleeig_table_warns_only_on_too_many_locations(self, tmp_path, overflow_files):
+        # the 1e150 pencil returns 11 lambdas, more than n(n-1) = 6 for n = 3
+        rng = np.random.default_rng(12)
+        a, b = str(tmp_path / "A.mtx"), str(tmp_path / "B.mtx")
+        write_pencil(Pencil(A=rng.standard_normal((3, 3)), B=rng.standard_normal((3, 3))), a, b)
+        warning = "warning: an n = 3 pencil has at most n(n-1) = 6 such locations"
+        for files, count, warned in ((overflow_files, 11, True), ((a, b), 6, False)):
+            code, out, err = run_cli(["doubleeig", *files])
+            assert code == 0, err
+            tail = out.splitlines()[-2:] if warned else out.splitlines()[-1:]
+            assert tail == [f"{count} double-eigenvalue locations"] + [warning] * warned
+
+
 class TestDefaults:
     @pytest.mark.parametrize(
         "argv",

@@ -115,7 +115,7 @@ class TestGeneralizedEig:
         monkeypatch.setattr(scipy.linalg.lapack, "zggev", failing_zggev)
         resolvers = [lambda: None]
         if zggev3:
-            failing_zggev3.argtypes = zggev3.argtypes
+            failing_zggev3.argtypes, failing_zggev3.workspace = zggev3.argtypes, zggev3.workspace
             resolvers.append(lambda: failing_zggev3)
         for resolve in resolvers:
             monkeypatch.setattr(mc, "_zggev3", resolve)
@@ -266,6 +266,95 @@ class TestQzDrivers:
             for got, want in zip((dec.alpha, dec.beta, dec.right, dec.left),
                                  _parent_generalized_eig(A, B)):
                 np.testing.assert_array_equal(got, want)
+
+
+def _queried_generalized_eig(A, B):
+    """Reference: the zggev3 call with a workspace query on every call, and the normalization."""
+    zggev3 = mc._zggev3()
+    a, b = np.array(as_cmatrix(A), order="F"), np.array(as_cmatrix(B), order="F")
+    n = a.shape[0]
+    alpha, beta = np.empty(n, np.complex128), np.empty(n, np.complex128)
+    vl, vr = np.empty((n, n), np.complex128, order="F"), np.empty((n, n), np.complex128, order="F")
+    work, rwork = np.zeros(1, np.complex128), np.empty(8 * n)
+    integer = zggev3.argtypes[2]._type_
+    dim, info = integer(n), integer(0)
+    args = [x.ctypes.data if isinstance(x, np.ndarray) else x
+            for x in (b"V", b"V", dim, a, dim, b, dim, alpha, beta, vl, dim, vr, dim)]
+    zggev3(*args, work.ctypes.data, integer(-1), rwork.ctypes.data, info, 1, 1)
+    work = np.empty(int(work[0].real), np.complex128)
+    zggev3(*args, work.ctypes.data, integer(work.size), rwork.ctypes.data, info, 1, 1)
+    assert info.value == 0
+    scale = np.hypot(np.abs(alpha), np.abs(beta))
+    return alpha / scale, beta / scale, vr / np.linalg.norm(vr, axis=0), vl / np.linalg.norm(vl, axis=0)
+
+
+class TestLeanGeneralizedEig:
+    """One validated copy per matrix, a workspace size cached per order, one LAPACK call."""
+
+    SIZES = (1, 2, 5, 18, 64)
+
+    @pytest.mark.parametrize("order", [SIZES, SIZES[::-1], (18, 1, 64, 18, 2, 5, 1, 64)])
+    def test_bits_equal_a_workspace_query_on_every_call(self, order):
+        zggev3 = mc._zggev3()
+        if zggev3 is None:
+            pytest.skip("this LAPACK exports no zggev3")
+        zggev3.workspace.cache_clear()  # the first call of each order fills the cache
+        for n in order:
+            rng = np.random.default_rng(n)
+            A, B = random_complex(rng, (n, n)), random_complex(rng, (n, n))
+            dec = generalized_eig(A, B)
+            for got, want in zip((dec.alpha, dec.beta, dec.right, dec.left),
+                                 _queried_generalized_eig(A, B)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert zggev3.workspace.cache_info().currsize == len(set(order))
+
+    def test_workspace_query_of_a_large_order_in_a_fresh_process(self, tmp_path):
+        # a fresh process returns a freed multi-megabyte array to the system at
+        # once, so a query handed the address of an array no longer referenced crashes
+        if mc._zggev3() is None:
+            pytest.skip("this LAPACK exports no zggev3")
+        proc = run_python("import singpencil.matrix_core as mc; print(mc._zggev3().workspace(400))",
+                          cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == mc._zggev3().workspace(400)
+
+    @pytest.mark.parametrize("A, B, message", [
+        ([[np.nan, 0], [0, 1]], np.eye(2), "A contains non-finite entries"),
+        (np.eye(2), [[1, 0], [0, complex(0, np.inf)]], "B contains non-finite entries"),
+        ([1.0, 2.0], np.eye(2), r"A must be 2-dimensional, got shape \(2,\)"),
+        (3.0, np.eye(2), r"A must be 2-dimensional, got shape \(1,\)"),
+        (np.eye(2), np.ones((2, 2, 2)), r"B must be 2-dimensional, got shape \(2, 2, 2\)"),
+        (np.ones((2, 3)), np.ones((2, 3)), r"A must be square, got \(2, 3\)"),
+        (np.eye(2), np.eye(3), r"A and B must have equal shape, got \(2, 2\) and \(3, 3\)"),
+    ])
+    def test_rejects_bad_input_with_the_messages_of_as_cmatrix(self, A, B, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generalized_eig(A, B)
+
+    def test_accepts_lists_and_real_or_integer_arrays_and_leaves_them_alone(self):
+        A, B = [[2, 1, 0], [0, 3, 1], [1, 0, 4]], [[1, 0, 0], [0, 2, 0], [1, 0, 1]]
+        want = generalized_eig(np.array(A, np.complex128), np.array(B, np.complex128))
+        fortran = np.asfortranarray(np.array(A, np.complex128))
+        for a, b in ((A, B), (np.array(A), np.array(B)), (np.array(A, float), np.array(B, np.float32)),
+                     (fortran, np.array(B, np.complex128))):
+            got = generalized_eig(a, b)
+            for x, y in zip((got.alpha, got.beta, got.right, got.left),
+                            (want.alpha, want.beta, want.right, want.left)):
+                assert x.tobytes() == y.tobytes()
+        np.testing.assert_array_equal(fortran, A)  # LAPACK overwrote a copy
+
+    def test_zggev_fallback_agrees_to_roundoff(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        A, B = random_complex(rng, (12, 12)), random_complex(rng, (12, 12))
+        want = generalized_eig(A, B)
+        monkeypatch.setattr(mc, "_zggev3", lambda: None)
+        got = generalized_eig(A, B)
+        chordal = np.abs(got.alpha[:, None] * want.beta[None, :] - want.alpha[None, :] * got.beta[:, None])
+        rows, cols = linear_sum_assignment(chordal)
+        assert chordal[rows, cols].max() <= 1e-12
+        for x, y in ((got.right, want.right), (got.left, want.left)):  # equal up to a unit factor
+            overlap = np.abs(np.einsum("ij,ij->j", x[:, rows].conj(), y[:, cols]))
+            np.testing.assert_allclose(overlap, 1.0, atol=1e-9)
 
 
 class TestRankWithTol:

@@ -10,6 +10,8 @@ import scipy.io
 import scipy.sparse
 
 from singpencil import (
+    EPS,
+    NormalRankReport,
     Pencil,
     SolveOptions,
     generalized_eig,
@@ -421,6 +423,35 @@ class TestStackedPencilStages:
         got = normal_rank(pencils, [np.random.default_rng(s) for s in range(4)], tol="auto")
         want = [normal_rank(p, np.random.default_rng(s)) for s, p in enumerate(pencils)]
         assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("tol", ["auto", 1e-10, 0, np.float64(0.5)])
+    def test_normal_rank_reports_equal_the_per_probe_loop(self, monkeypatch, tol):
+        # the bookkeeping of the parent commit, one probe at a time, on the singular
+        # values the stacked call computed; the digest prints tol_used's repr, so its
+        # type counts: np.float64 under "auto", float for a number, 0.0 when no cut is positive
+        stacks = [self._pencils(), [Pencil(A=np.zeros((3, 5)), B=np.ones((3, 5)))],
+                  [Pencil(A=np.zeros((3, 0)), B=np.zeros((3, 0)))]]
+        svd, captured = np.linalg.svd, []
+
+        def capturing(*args, **kwargs):
+            captured.append(svd(*args, **kwargs))
+            return captured[-1]
+
+        monkeypatch.setattr(np.linalg, "svd", capturing)
+        for pencils in stacks:
+            got = normal_rank(pencils, [np.random.default_rng(s) for s in range(len(pencils))], tol=tol)
+            want = []
+            for seed, sv, p in zip(range(len(pencils)), captured.pop(), pencils):
+                rng = np.random.default_rng(seed)
+                zetas = [complex(np.exp(2j * np.pi * rng.uniform())) for _ in range(2)]
+                n = max(p.shape)
+                ts = [(n * EPS * (x[0] if x.size else 0.0)) if tol == "auto" else float(tol) for x in sv]
+                best = max(int(np.sum(x > t)) for x, t in zip(sv, ts))
+                want.append(NormalRankReport(nrank=best, k=n - best, zeta_samples=zetas,
+                                             tol_used=max(0.0, *ts)))
+            assert repr(got) == repr(want)
+            assert [type(r.tol_used) for r in got] == [type(r.tol_used) for r in want]
+        assert type(want[0].tol_used) is float  # the 3 x 0 pencil has no singular values
 
     def test_normal_rank_needs_one_generator_per_pencil(self):
         with pytest.raises(ValueError, match="one generator per pencil"):

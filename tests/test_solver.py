@@ -300,6 +300,37 @@ class TestCollisionRetry:
         assert len(calls) == retries + 1
         assert res.collision_warning
 
+    @pytest.mark.parametrize("retries", [0, 2])
+    def test_stack_calls_each_traced_name_in_solver(self, monkeypatch, retries):
+        # perfbench's tracer wraps these names where solver looks them up, and counts
+        # the QZ of an n x n pencil as n**3: a stack of m pencils must make m
+        # generalized_eig calls per attempt, each on 2-d n x n arrays
+        import singpencil.solver as solver_mod
+
+        calls = []
+
+        def traced(name, fn):
+            def wrapper(*args, **kwargs):
+                shapes = [a.shape for a in args] if name == "generalized_eig" else None
+                calls.append((name, shapes))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("generalized_eig", "normal_rank", "scale", "make_perturbation", "perturb"):
+            monkeypatch.setattr(solver_mod, name, traced(name, getattr(solver_mod, name)))
+        p = showcase_pencil()
+        n = max(p.shape)
+        gamma_true = (1 / 3) / scale(squarify(p)).back_factor  # a collision on every attempt
+        opts = SolveOptions(gamma=([gamma_true], [1.0]), max_retries=retries)
+        results = solve([p] * 3, opts, [np.random.default_rng(s) for s in range(3)])
+        assert all(r.collision_warning for r in results)
+        qz = [shapes for name, shapes in calls if name == "generalized_eig"]
+        assert qz == [[(n, n), (n, n)]] * (3 * (retries + 1))
+        counts = {name: sum(c == name for c, _ in calls) for name, _ in calls}
+        attempts = 3 * (retries + 1)
+        assert counts == {"scale": 1, "normal_rank": 1, "make_perturbation": attempts,
+                          "perturb": attempts, "generalized_eig": attempts}
+
     def test_retry_option_removed(self):
         with pytest.raises(TypeError):
             SolveOptions(retry_on_collision=False)

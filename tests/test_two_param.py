@@ -23,7 +23,7 @@ from singpencil import (
     write_problem,
 )
 from singpencil.gallery import bivariate_cubic_system, double_eig_problem, evaluate_bivariate
-from singpencil.matrix_core import rank_with_tol
+from singpencil.matrix_core import greedy_match, rank_with_tol
 from singpencil.solver import DEFAULT_MATCH_TOL, solve, with_defaults
 
 from helpers import assert_multiset_close, random_complex
@@ -103,6 +103,32 @@ class TestPairMuCandidates:
     def test_sorted_by_discrepancy(self):
         out = pair_mu_candidates([0.0, 10.0], [10.5, 0.001])
         assert out[0][2] <= out[1][2]
+
+    @staticmethod
+    def _candidate_lists():
+        """Random lists with exact duplicates, an empty side, extreme magnitudes and ties."""
+        rng = np.random.default_rng(31)
+        for m, n in ((6, 18), (18, 6), (5, 5), (1, 1), (0, 4), (4, 0), (0, 0)):
+            for scale in (1.0, 1e-160, 1e150):
+                xs = [complex(z) * scale for z in random_complex(rng, (m,))]
+                ys = [complex(z) * scale for z in random_complex(rng, (n,))]
+                if m > 1 and n > 1:
+                    # a double eigenvalue twice on each side: four tied zero distances
+                    xs[1] = xs[0]
+                    ys[0], ys[1] = xs[0], xs[0]
+                yield xs, ys
+        yield [0.0, 2.0, 4.0], [1.0, 3.0]  # every distance to a neighbour is 1.0
+        yield list(np.array([1 + 2j, 1 + 2j], dtype=np.complex128)), [1 + 2j, -1j]
+
+    def test_equals_greedy_match_on_python_abs_bit_for_bit(self):
+        for xs, ys in self._candidate_lists():
+            want = greedy_match([complex(x) for x in xs], [complex(y) for y in ys],
+                                lambda a, b: abs(a - b))
+            assert repr(pair_mu_candidates(xs, ys)) == repr(want)
+
+    def test_unique_lambda_pick_is_the_first_matched_pair(self):
+        for xs, ys in self._candidate_lists():
+            assert repr(tp._closest_mu_pair(xs, ys)) == repr(pair_mu_candidates(xs, ys)[:1])
 
 
 class TestSolve2EP:
@@ -257,6 +283,16 @@ class TestDoubleEig:
         # eigenvalue gap of diag(0,1) + lam I is 1 for every lam
         res = double_eig(np.diag([0.0, 1.0]), np.eye(2), opts=SolveOptions(seed=2))
         assert res.lambdas == [] or all(g > 1e-3 for g in res.gaps)
+
+    def test_count_warning_flags_more_lambdas_than_n_n_minus_1(self):
+        # the 1e150 pencil's overflowing linearization returns 11 lambdas for n = 3
+        res = double_eig(np.diag([1e150, 1.0, 2.0]), np.diag([1.0, 1e-150, 1.0]),
+                         opts=SolveOptions(seed=1))
+        assert len(res.lambdas) > 6 and res.count_warning
+        rng = np.random.default_rng(8)
+        res = double_eig(random_complex(rng, (3, 3)), random_complex(rng, (3, 3)),
+                         opts=SolveOptions(seed=4))
+        assert len(res.lambdas) == 6 and not res.count_warning
 
     def test_n3_count_and_unitary_invariance(self):
         from singpencil import random_orthonormal

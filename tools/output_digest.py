@@ -9,7 +9,9 @@ process on pencils written to a temporary directory: every subcommand in
 table, csv and json format (``nrank`` and ``gen`` have no format), seeds
 0 and 1, and the flags ``--retries 0/1``, ``--tol``, ``--delta1``,
 ``--delta2``, ``--tau``, ``--delta``, ``--no-refine`` and
-``--unique-lambda``.  Library cases digest the exact ``repr`` of
+``--unique-lambda``, and the ``doubleeig`` table of the 3 x 3 pencil
+``(diag(1e150, 1, 2), diag(1, 1e-150, 1))``, which ends with the count
+warning.  Library cases digest the exact ``repr`` of
 ``solve`` records (eigenvectors by their bytes), gap reports, rank
 reports and perturbations, forced-collision retries,
 ``solve_by_intersection``, ``double_eig`` with and without refine and
@@ -199,6 +201,10 @@ def cli_cases(tmp):
                 yield (f"twoparam/cubic/{seed}/{fmt}/{'_'.join(flags) or 'default'}",
                        ("twoparam", manifest, "--format", fmt) + s + flags)
         yield f"gen/{seed}", ("gen", spec_path, "-o", os.path.join(tmp, f"gen{seed}")) + s
+    # more lambdas than n(n-1) = 6: the table ends with the count warning
+    overflow = tuple(os.path.join(tmp, f"overflow_{m}.mtx") for m in "AB")
+    write_pencil(Pencil(A=np.diag([1e150, 1.0, 2.0]), B=np.diag([1.0, 1e-150, 1.0])), *overflow)
+    yield "doubleeig/overflow/1/table/default", ("doubleeig", *overflow, "--format", "table", "--seed", "1")
 
 
 def library_cases():
