@@ -261,7 +261,6 @@ class TestOutputFormats:
         for line in lines[1:]:
             assert all(math.isfinite(float(cell)) for cell in line.split(","))
 
-
     def test_doubleeig_table_warns_only_on_too_many_locations(self, tmp_path, overflow_files):
         # the 1e150 pencil returns 11 lambdas, more than n(n-1) = 6 for n = 3
         rng = np.random.default_rng(12)

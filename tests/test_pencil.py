@@ -426,9 +426,9 @@ class TestStackedPencilStages:
 
     @pytest.mark.parametrize("tol", ["auto", 1e-10, 0, np.float64(0.5)])
     def test_normal_rank_reports_equal_the_per_probe_loop(self, monkeypatch, tol):
-        # the bookkeeping of the parent commit, one probe at a time, on the singular
-        # values the stacked call computed; the digest prints tol_used's repr, so its
-        # type counts: np.float64 under "auto", float for a number, 0.0 when no cut is positive
+        # the bookkeeping written as a loop over the probes, on the singular values
+        # the stacked call computed; the digest prints tol_used's repr, so its type
+        # counts: np.float64 under "auto", float for a number, 0.0 when no cut is positive
         stacks = [self._pencils(), [Pencil(A=np.zeros((3, 5)), B=np.ones((3, 5)))],
                   [Pencil(A=np.zeros((3, 0)), B=np.zeros((3, 0)))]]
         svd, captured = np.linalg.svd, []
