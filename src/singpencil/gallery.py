@@ -129,6 +129,22 @@ def staircase_sensitive_pencil(eps_scale=1.5e-8) -> Pencil:
     return Pencil(A=A, B=B)
 
 
+# Where coefficient j of [1, x, y, x^2, x y, y^2, x^3, x^2 y, x y^2, y^3] sits in
+# the stack (A, B, C) of _determinantal_cubic: matrix, row and column indices.
+_CUBIC_ENTRIES = ([0, 0, 0, 0, 0, 0, 1, 1, 1, 2], [2, 1, 2, 0, 1, 2, 0, 1, 2, 2],
+                  [2, 2, 1, 2, 1, 0, 2, 1, 0, 0])
+
+
+def _determinantal_cubic(c):
+    """The 5x5 matrices (A, B, C) with det(A + x B + y C) the cubic with coefficients ``c``."""
+    M = np.zeros((3, 5, 5), dtype=np.complex128)
+    M[0, [0, 1, 3, 4], [3, 4, 0, 1]] = 1
+    M[1, [1, 2], [3, 4]] = -1
+    M[2, [3, 4], [1, 2]] = -1
+    M[_CUBIC_ENTRIES] = c
+    return M
+
+
 def bivariate_cubic_system():
     """A pair of bivariate cubics in determinantal form, with 9 common roots.
 
@@ -138,74 +154,18 @@ def bivariate_cubic_system():
         [1, x, y, x^2, x y, y^2, x^3, x^2 y, x y^2, y^3]
 
     (coefficients 1..10 and 10..1).  The 5x5 matrix families of the
-    returned :class:`TwoParamProblem` satisfy
-    ``det(A_i + x B_i + y C_i) = p_i(x, y)``, so the finite regular
+    returned :class:`TwoParamProblem` are built from these vectors: each
+    coefficient sits in one entry of A_i, B_i or C_i, beside a fixed
+    pattern of ones and minus ones, so that
+    ``det(A_i + x B_i + y C_i) = p_i(x, y)``.  The finite regular
     eigenvalues of the induced singular 2EP are exactly the 9 solutions
     of ``p_1 = p_2 = 0``.
     """
-    A1 = np.array(
-        [
-            [0, 0, 4, 1, 0],
-            [0, 5, 2, 0, 1],
-            [6, 3, 1, 0, 0],
-            [1, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0],
-        ],
-        dtype=np.complex128,
-    )
-    B1 = np.array(
-        [
-            [0, 0, 7, 0, 0],
-            [0, 8, 0, -1, 0],
-            [9, 0, 0, 0, -1],
-            [0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-        ],
-        dtype=np.complex128,
-    )
-    C1 = np.array(
-        [
-            [0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-            [10, 0, 0, 0, 0],
-            [0, -1, 0, 0, 0],
-            [0, 0, -1, 0, 0],
-        ],
-        dtype=np.complex128,
-    )
-    A2 = np.array(
-        [
-            [0, 0, 7, 1, 0],
-            [0, 6, 9, 0, 1],
-            [5, 8, 10, 0, 0],
-            [1, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0],
-        ],
-        dtype=np.complex128,
-    )
-    B2 = np.array(
-        [
-            [0, 0, 4, 0, 0],
-            [0, 3, 0, -1, 0],
-            [2, 0, 0, 0, -1],
-            [0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-        ],
-        dtype=np.complex128,
-    )
-    C2 = np.array(
-        [
-            [0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-            [1, 0, 0, 0, 0],
-            [0, -1, 0, 0, 0],
-            [0, 0, -1, 0, 0],
-        ],
-        dtype=np.complex128,
-    )
-    problem = TwoParamProblem(A1=A1, B1=B1, C1=C1, A2=A2, B2=B2, C2=C2)
     coeffs1 = np.arange(1.0, 11.0)
     coeffs2 = np.arange(10.0, 0.0, -1.0)
+    A1, B1, C1 = _determinantal_cubic(coeffs1)
+    A2, B2, C2 = _determinantal_cubic(coeffs2)
+    problem = TwoParamProblem(A1=A1, B1=B1, C1=C1, A2=A2, B2=B2, C2=C2)
     return problem, coeffs1, coeffs2
 
 

@@ -58,7 +58,10 @@ class Jordan:
 
 @dataclass(frozen=True)
 class Nilpotent:
-    """Block I - lambda N with N a single nilpotent Jordan block (infinite eigenvalue)."""
+    """Block I - lambda N with N a single nilpotent Jordan block (infinite eigenvalue).
+
+    Its matrices are those of ``Jordan(size, 0)`` with A and B swapped.
+    """
 
     size: int
 
@@ -67,10 +70,8 @@ class Nilpotent:
             raise ValueError("nilpotent block size must be >= 1")
 
     def matrices(self):
-        return (
-            np.eye(self.size, dtype=np.complex128),
-            np.diag(np.ones(self.size - 1, dtype=np.complex128), 1),
-        )
+        J, I = Jordan(self.size, 0).matrices()
+        return I, J
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,10 @@ class RightSingular:
 
 @dataclass(frozen=True)
 class LeftSingular:
-    """Transposed singular block L_index^T, size (index + 1) x index."""
+    """Transposed singular block L_index^T, size (index + 1) x index.
+
+    Its matrices are the transposes of those of ``RightSingular(index)``.
+    """
 
     index: int
 
@@ -103,12 +107,8 @@ class LeftSingular:
             raise ValueError("minimal index must be >= 0")
 
     def matrices(self):
-        m = self.index
-        A = np.zeros((m + 1, m), dtype=np.complex128)
-        B = np.zeros((m + 1, m), dtype=np.complex128)
-        A[1:, :] = np.eye(m)
-        B[:m, :] = np.eye(m)
-        return A, B
+        A, B = RightSingular(self.index).matrices()
+        return A.T, B.T
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix_core import EPS, as_cmatrix, rank_tolerance
+from .matrix_core import as_cmatrix, rank_tolerance
 
 __all__ = [
     "Pencil",
@@ -89,18 +89,25 @@ class NormalRankReport:
     tol_used: float = 0.0
 
 
+def _stack(matrices):
+    """Same-shaped matrices as one (m, rows, cols) stack in their own memory layout.
+
+    Each slice is Fortran-ordered where the matrices are (LAPACK's
+    eigenvectors), so every pencil's products see the strides a stack of
+    one sees; a stack of one is a view, which copies nothing at large n.
+    """
+    if len(matrices) == 1:
+        return matrices[0][None]
+    if len({m.shape for m in matrices}) > 1:
+        raise ValueError("the matrices of a stack must have equal shape")
+    if matrices[0].flags.f_contiguous and not matrices[0].flags.c_contiguous:
+        return np.stack([m.T for m in matrices]).swapaxes(-1, -2)
+    return np.stack(matrices)
+
+
 def _stacks(ps):
     """The A and B matrices of same-shaped pencils as two stacked arrays (views for one)."""
-    if len(ps) == 1:
-        return ps[0].A[None], ps[0].B[None]
-    if len({q.shape for q in ps}) > 1:
-        raise ValueError("the pencils of a stack must have equal shape")
-    return np.stack([q.A for q in ps]), np.stack([q.B for q in ps])
-
-
-def _one_norms(A, B):
-    """The 1-norms of every matrix of the stacks A and B, shape (2, len(A))."""
-    return np.array([np.linalg.norm(M, 1, axis=(-2, -1)) for M in (A, B)])
+    return _stack([q.A for q in ps]), _stack([q.B for q in ps])
 
 
 def scale(p):
@@ -118,7 +125,7 @@ def _scale(ps):
     if not ps:
         return []
     A, B = _stacks(ps)
-    norms = _one_norms(A, B)
+    norms = np.array([np.linalg.norm(M, 1, axis=(-2, -1)) for M in (A, B)])  # shape (2, m)
     norms[norms == 0.0] = 1.0
     A, B = A / norms[0, :, None, None], B / norms[1, :, None, None]
     for M, name in ((A, "A"), (B, "B")):  # a subnormal norm's reciprocal overflows
@@ -163,9 +170,10 @@ def normal_rank(p, rng, tol="auto"):
     the maximum rank over two draws is taken.  A single probe can
     in principle land on an eigenvalue and under-report; two independent
     probes make that a non-event in practice while the report keeps the
-    values for auditing.  A pencil whose 1-norms are already 0 or within
-    ``10 * EPS * max(1, rows)`` of 1 (as :func:`scale` leaves them) is
-    probed as it is.  An empty (0 x 0) pencil and a negative ``tol`` are
+    values for auditing.  Whether a pencil is scaled is read from its
+    record: one whose factors ``scale_alpha`` and ``scale_beta`` are both
+    1.0 is scaled first, any other (one :func:`scale` returned) is probed
+    as it is.  An empty (0 x 0) pencil and a negative ``tol`` are
     rejected with ``ValueError``.
 
     A list of same-shaped pencils with a list of as many generators gives
@@ -179,19 +187,10 @@ def normal_rank(p, rng, tol="auto"):
         raise ValueError("a stack of pencils needs one generator per pencil")
     if not p:
         return []
-    A, B = _stacks(p)
-    shape = A.shape[1:]
+    shape = p[0].shape
     if max(shape) == 0:
         raise ValueError("empty pencil")
-    norms = _one_norms(A, B)
-    unit = 10 * EPS * max(1, shape[0])
-    raw = ~((norms == 0.0) | (np.abs(norms - 1.0) <= unit)).all(axis=0)
-    if raw.any():
-        raw = raw.nonzero()[0].tolist()
-        A, B = A.copy(), B.copy()
-        for i in raw:
-            q = scale(p[i])
-            A[i], B[i] = q.A, q.B
+    A, B = _stacks([scale(q) if q.scale_alpha == q.scale_beta == 1.0 else q for q in p])
     zetas = np.array([[complex(np.exp(2j * np.pi * r.uniform())) for _ in range(2)] for r in rng])
     probes = zetas[:, :, None, None] * B[:, None]
     s = np.linalg.svd(np.subtract(A[:, None], probes, out=probes), compute_uv=False)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ from .matrix_core import (
     greedy_match,
     random_orthonormal,
 )
-from .pencil import NormalRankReport, Pencil, _derived, normal_rank, scale, squarify
+from .pencil import NormalRankReport, Pencil, _derived, _stack, normal_rank, scale, squarify
 
 __all__ = [
     "EigenClass",
@@ -58,6 +59,15 @@ __all__ = [
 DEFAULT_DELTA1 = math.sqrt(EPS)
 DEFAULT_DELTA2 = 100.0 * EPS
 DEFAULT_MATCH_TOL = math.sqrt(EPS)
+
+
+def _match_tol(value, name):
+    """The matching tolerance ``value``, ``DEFAULT_MATCH_TOL`` for None; NaN or negative raises."""
+    if value is None:
+        return DEFAULT_MATCH_TOL
+    if not value >= 0:
+        raise ValueError(f"{name} must be a nonnegative number")
+    return value
 
 
 class EigenClass(enum.Enum):
@@ -99,8 +109,8 @@ class SolveOptions:
             raise ValueError("tau must be finite and nonzero")
         if not (self.delta1 > 0 and self.delta2 > 0):
             raise ValueError("delta1 and delta2 must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be nonnegative")
+        if not isinstance(self.max_retries, numbers.Integral) or self.max_retries < 0:
+            raise ValueError("max_retries must be a nonnegative integer")
 
 
 @dataclass
@@ -330,20 +340,6 @@ def _diagnostics(X, Y, Bt, U, V):
     )
 
 
-def _stack(matrices):
-    """Same-shaped matrices as one (m, rows, cols) stack in their own memory layout.
-
-    Each slice is Fortran-ordered where the matrices are (LAPACK's
-    eigenvectors), so every pencil's products see the strides a stack of
-    one sees; a stack of one is a view, which copies nothing at large n.
-    """
-    if len(matrices) == 1:
-        return matrices[0][None]
-    if matrices[0].flags.f_contiguous and not matrices[0].flags.c_contiguous:
-        return np.stack([m.T for m in matrices]).swapaxes(-1, -2)
-    return np.stack(matrices)
-
-
 def _has_collision(values, cls, spec, delta1):
     """True when a prescribed gamma collides with another eigenvalue.
 
@@ -509,10 +505,7 @@ def solve_by_intersection(
     nearest unmatched eigenvalue of the second in the chordal metric.
     Pairs closer than ``match_tol`` (default sqrt(EPS)) are accepted.
     """
-    if match_tol is None:
-        match_tol = DEFAULT_MATCH_TOL
-    if not match_tol >= 0:
-        raise ValueError("match_tol must be a nonnegative number")
+    match_tol = _match_tol(match_tol, "match_tol")
     opts, (rng,), (ps,), (report,) = _prepare([p], opts, [rng])
     k = report.k
     spectra = []

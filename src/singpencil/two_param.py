@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import as_cmatrix, greedy_match_distances, kron, rank_with_tol
-from .pencil import Pencil, csv_text, read_matrix, write_matrix
-from .solver import DEFAULT_MATCH_TOL, SolveOptions, solve, with_defaults
+from .matrix_core import as_cmatrix, greedy_match_distances, rank_with_tol
+from .pencil import Pencil, _derived, csv_text, read_matrix, write_matrix
+from .solver import SolveOptions, _match_tol, solve, with_defaults
 
 __all__ = [
     "TwoParamProblem",
@@ -136,9 +136,9 @@ class Eigenpair2EP:
 def operator_determinants(p: TwoParamProblem) -> DeltaTriple:
     """The Kronecker-product operator determinants of the 2EP."""
     return DeltaTriple(
-        D0=kron(p.B1, p.C2) - kron(p.C1, p.B2),
-        D1=kron(p.C1, p.A2) - kron(p.A1, p.C2),
-        D2=kron(p.A1, p.B2) - kron(p.B1, p.A2),
+        D0=np.kron(p.B1, p.C2) - np.kron(p.C1, p.B2),
+        D1=np.kron(p.C1, p.A2) - np.kron(p.A1, p.C2),
+        D2=np.kron(p.A1, p.B2) - np.kron(p.B1, p.A2),
     )
 
 
@@ -184,16 +184,19 @@ def _mu_candidates(p: TwoParamProblem, i, lams, opts, streams):
     """Per lambda, the finite mu with (A_i + lambda B_i + mu C_i) x = 0, or None when mu is free.
 
     The pencils (A_i + lambda B_i, -C_i) of every lambda go through one
-    stacked :func:`solve`, each drawing from its lambda's stream.  A zero
-    C_i makes equation i independent of mu: at a lambda where the fixed
-    matrix is singular every mu works (None), elsewhere no mu works (an
-    empty list).
+    stacked :func:`solve`, each drawing from its lambda's stream.  They
+    are derived from one checked pencil (A_i, -C_i), so no matrix is
+    checked again; an overflowing A_i + lambda B_i stops in
+    :func:`~singpencil.pencil.scale`.  A zero C_i makes equation i
+    independent of mu: at a lambda where the fixed matrix is singular
+    every mu works (None), elsewhere no mu works (an empty list).
     """
     a, b, c = ((p.A1, p.B1, p.C1), (p.A2, p.B2, p.C2))[i - 1]
     fixed = [a + lam * b for lam in lams]
     if np.linalg.norm(c, 1) == 0.0:
         return [None if rank_with_tol(f) < f.shape[0] else [] for f in fixed]
-    return [r.finite_true_values for r in solve([Pencil(A=f, B=-c) for f in fixed], opts, streams)]
+    base = Pencil(A=a, B=-c)
+    return [r.finite_true_values for r in solve([_derived(base, A=f) for f in fixed], opts, streams)]
 
 
 def solve_2ep(
@@ -229,10 +232,7 @@ def solve_2ep(
     mu pencils (one QZ per lambda each), and one stacked SVD per
     equation for the residuals of every accepted pair.
     """
-    if delta is None:
-        delta = DEFAULT_MATCH_TOL
-    if not delta >= 0:
-        raise ValueError("delta must be a nonnegative number")
+    delta = _match_tol(delta, "delta")
     opts, rng = with_defaults(opts, rng)
     deltas = operator_determinants(p)
     lam_result = solve(Pencil(A=deltas.D1, B=deltas.D0), opts, rng)

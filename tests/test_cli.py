@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -141,7 +142,23 @@ class TestSolveCommand:
 
     def test_solve_imports_no_scipy(self, showcase_files, tmp_path):
         # the QZ binds numpy's own LAPACK and the reader parses every kind with numpy:
-        # general arrays, the "symmetric" files mmwrite writes for a diagonal pencil, coordinate files
+        # general arrays, the "symmetric" files mmwrite writes for a diagonal pencil, coordinate
+        # files; gen, twoparam and doubleeig load no scipy module either, and on Linux no file
+        # of scipy's own libraries is mapped into the process
+        write_pencil(Pencil(A=np.random.default_rng(11).standard_normal((3, 3)),
+                            B=np.random.default_rng(12).standard_normal((3, 3))),
+                     tmp_path / "rA.mtx", tmp_path / "rB.mtx")
+        manifest = write_problem(bivariate_cubic_system()[0], tmp_path / "problem")
+        spec = {"blocks": [{"kind": "jordan", "size": 1, "eigenvalue": [0.5, 0.0]},
+                           {"kind": "right_singular", "index": 1},
+                           {"kind": "left_singular", "index": 2}]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        others = [
+            ["gen", str(tmp_path / "spec.json"), "-o", str(tmp_path / "gen")],
+            ["twoparam", manifest, "--format", "csv"],
+            ["doubleeig", str(tmp_path / "rA.mtx"), str(tmp_path / "rB.mtx"), "--format", "csv"],
+        ]
+        linux = sys.platform.startswith("linux")
         sym_files = str(tmp_path / "sA.mtx"), str(tmp_path / "sB.mtx")
         coo_files = str(tmp_path / "cA.mtx"), str(tmp_path / "cB.mtx")
         d, p = diagonal_demo_pencil(), showcase_pencil()
@@ -162,12 +179,18 @@ class TestSolveCommand:
             "print(scipy_modules())\n"
             f"for pair in {pairs!r}:\n"
             "    code = singpencil.cli.main(['solve', *pair, '--format', 'csv'])\n"
-            "    print(code, scipy_modules())\n",
+            "    print(code, scipy_modules())\n"
+            "import io\n"
+            f"for argv in {others!r}:\n"
+            "    print(singpencil.cli.main(argv, out=io.StringIO()), scipy_modules())\n"
+            + (linux * "print(sorted({line.split()[-1] for line in open('/proc/self/maps')\n"
+                       "              if '/scipy.libs/' in line}))\n"),
             cwd=tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
         outs = [run_cli(["solve", *pair, "--format", "csv"])[1] for pair in pairs]
-        assert proc.stdout == "[]\n" + "".join(out + "0 []\n" for out in outs)
+        assert proc.stdout == ("[]\n" + "".join(out + "0 []\n" for out in outs)
+                               + "0 []\n" * len(others) + linux * "[]\n")
 
     def test_csv_solve_loads_no_generator_2ep_or_gallery(self, showcase_files, tmp_path):
         # kcf_gen, two_param and gallery load on first use, which a solve never makes
@@ -180,6 +203,15 @@ class TestSolveCommand:
             cwd=tmp_path,
         )
         assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
+
+    def test_lazy_table_lists_each_lazy_module_all(self):
+        # singpencil names the lazy modules' public names without importing them
+        import singpencil
+        import singpencil.kcf_gen
+        import singpencil.two_param
+
+        for module in (singpencil.kcf_gen, singpencil.two_param):
+            assert set(singpencil._LAZY[module.__name__.rsplit(".", 1)[1]]) == set(module.__all__)
 
     def test_non_finite_entry_exits_2(self, tmp_path, showcase_files):
         nan = tmp_path / "nan.mtx"

@@ -101,6 +101,30 @@ class TestBuild:
         assert np.linalg.norm(p.A) > 0
 
 
+class TestDualBlocks:
+    """L_m^T and N_k, derived from L_m and J_k(0), equal the blocks written out."""
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_left_singular(self, m):
+        A, B = LeftSingular(m).matrices()
+        # L_m^T = [0; I] - lambda [I; 0], of size (m + 1) x m
+        want_A = np.vstack([np.zeros((1, m)), np.eye(m)]).astype(complex)
+        want_B = np.vstack([np.eye(m), np.zeros((1, m))]).astype(complex)
+        assert A.dtype == B.dtype == np.complex128
+        np.testing.assert_array_equal(A, want_A)
+        np.testing.assert_array_equal(B, want_B)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_nilpotent(self, k):
+        A, B = Nilpotent(k).matrices()
+        N = np.zeros((k, k), dtype=complex)
+        for i in range(k - 1):
+            N[i, i + 1] = 1.0
+        assert A.dtype == B.dtype == np.complex128
+        np.testing.assert_array_equal(A, np.eye(k))
+        np.testing.assert_array_equal(B, N)
+
+
 class TestNormalRankProperty:
     def test_oracle_matches_probe_on_random_specs(self):
         for trial in range(100):

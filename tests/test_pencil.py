@@ -108,6 +108,14 @@ class TestSquarify:
         np.testing.assert_array_equal(q.A[1:, :], np.zeros((2, 3)))
 
 
+def _nearly_unit_pencil():
+    """A raw 3 x 3 pencil whose two 1-norms are both one ulp above 1."""
+    u = np.nextafter(1.0, 2.0)
+    p = Pencil(A=np.diag([u, 0.5, 0.25]), B=u * np.array([[0, 0, 0.5], [0, 0, 0.5], [0.25, 0.5, 0]]))
+    assert np.linalg.norm(p.A, 1) == np.linalg.norm(p.B, 1) == u
+    return p
+
+
 class TestNormalRank:
     def test_diagonal_demo(self):
         rep = normal_rank(diagonal_demo_pencil(), np.random.default_rng(0))
@@ -155,6 +163,31 @@ class TestNormalRank:
         p = Pencil(A=np.zeros(shape), B=np.zeros(shape))
         rep = normal_rank(p, np.random.default_rng(0))
         assert (rep.nrank, rep.k) == (0, 3)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            showcase_pencil,
+            diagonal_demo_pencil,
+            control_benchmark_pencil,
+            staircase_sensitive_pencil,
+            lambda: Pencil(A=np.zeros((3, 3)), B=np.zeros((3, 3))),
+            _nearly_unit_pencil,
+        ],
+    )
+    def test_equals_the_report_of_the_scaled_pencil(self, make, monkeypatch):
+        # whether a pencil is scaled is read from its record alone: a raw pencil is
+        # scaled first, one from scale() with factors other than 1.0 is probed as it is
+        import singpencil.pencil as pencil_module
+
+        p, ps = make(), scale(make())
+        for seed in range(3):
+            want = normal_rank(ps, np.random.default_rng(seed))
+            assert repr(normal_rank(p, np.random.default_rng(seed))) == repr(want)
+        calls = []
+        monkeypatch.setattr(pencil_module, "scale", lambda q: calls.append(q) or scale(q))
+        normal_rank(ps, np.random.default_rng(0))
+        assert len(calls) == ((ps.scale_alpha, ps.scale_beta) == (1.0, 1.0))
 
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -377,8 +410,9 @@ class TestPencilInvariants:
             Pencil(A=np.eye(2), B=np.eye(3))
 
     def test_normal_rank_probes_a_scaled_pencil_as_it_is(self, monkeypatch):
-        # a pencil that scale() produced is probed without a second scaling,
-        # any other pencil is scaled first: both give the very same report
+        # a pencil is scaled first exactly when its recorded factors are both 1.0,
+        # so a raw one always is and one that scale() produced only if its norms were
+        # 1 or 0, where a second scaling changes no bit: both give the very same report
         import singpencil.pencil as pencil_module
 
         calls = []
@@ -395,10 +429,11 @@ class TestPencilInvariants:
             unit = (ps.scale_alpha, ps.scale_beta) == (1.0, 1.0)
             for seed in range(3):
                 want = normal_rank(p, np.random.default_rng(seed))
-                assert len(calls) == (0 if unit else 1)
+                assert len(calls) == 1
                 calls.clear()
                 assert repr(normal_rank(ps, np.random.default_rng(seed))) == repr(want)
-                assert not calls
+                assert len(calls) == (1 if unit else 0)
+                calls.clear()
 
 
 class TestStackedPencilStages:

@@ -254,6 +254,16 @@ class TestSolveOptions:
         with pytest.raises(ValueError, match="max_retries"):
             SolveOptions(max_retries=-1)
 
+    @pytest.mark.parametrize("retries", [1.5, 2.0, "2", None])
+    def test_non_integral_retries_rejected(self, retries):
+        with pytest.raises(ValueError, match="max_retries must be a nonnegative integer"):
+            SolveOptions(max_retries=retries)
+
+    def test_numpy_integer_retries_accepted(self):
+        opts = SolveOptions(seed=1, max_retries=np.int64(2))
+        assert repr(solve(showcase_pencil(), opts).records) == repr(
+            solve(showcase_pencil(), SolveOptions(seed=1, max_retries=2)).records)
+
     @pytest.mark.parametrize("name", ["delta1", "delta2"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_thresholds_must_be_positive(self, name, value):

@@ -436,6 +436,37 @@ class TestStackedMuSolves:
         assert len(pairs) == 9
         assert max(abs(evaluate_bivariate(c, e.lam, e.mu)) for e in pairs for c in (c1, c2)) < 1e-6
 
+    def test_each_matrix_is_checked_once(self, monkeypatch):
+        # matrix_core._checked runs twice per QZ call, twice per pencil built outside
+        # solve (the core pencil and the base of each equation's mu pencils) and twice
+        # per perturbation; the mu pencils derived from a base are not checked again
+        import singpencil.matrix_core as mc
+        import singpencil.solver as solver_module
+
+        p = double_eig_problem(1)
+        counts = {"checked": 0, "qz": 0, "perturbations": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(mc, "_checked", counting("checked", mc._checked))
+        monkeypatch.setattr(solver_module, "generalized_eig", counting("qz", solver_module.generalized_eig))
+        monkeypatch.setattr(solver_module, "make_perturbation",
+                            counting("perturbations", solver_module.make_perturbation))
+        solve_2ep(p, opts=SolveOptions(seed=1), rng=np.random.default_rng(1), unique_lambda=True)
+        assert counts == {"checked": 130, "qz": 61, "perturbations": 1}
+        assert counts["checked"] == 2 * counts["qz"] + 2 * 3 + 2 * counts["perturbations"]
+
+    def test_overflowing_mu_pencil_stops_in_scale(self):
+        p = bivariate_cubic_system()[0]
+        streams = np.random.default_rng(0).spawn(1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="A contains non-finite entries"):
+            tp._mu_candidates(p, 1, [1e308 + 0j], SolveOptions(seed=0), streams)
+
     def test_two_stacked_mu_solves_per_call(self, monkeypatch):
         # one solve for lambda, then one per equation over every lambda
         calls = []
