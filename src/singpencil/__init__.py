@@ -20,7 +20,6 @@ from .matrix_core import (
     chordal_distance,
     generalized_eig,
     greedy_match,
-    kron,
     random_orthonormal,
     rank_with_tol,
 )

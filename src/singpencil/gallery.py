@@ -189,10 +189,14 @@ def double_eig_problem(seed) -> TwoParamProblem:
 
     A and B are 6 x 6 standard normal matrices from
     ``numpy.random.default_rng(seed)``, and P, Q, R the 18 x 18 blocks of
-    :func:`~singpencil.two_param.double_eig_linearization`, formed in real
-    arithmetic.  This is the problem of the benchmark's ``twoparam``
-    workload: its mu pencils are 6 x 6 and 18 x 18, and each lambda has a
-    double eigenvalue mu of A + lambda B.
+    the squared double-eigenvalue 2EP (``two_param._double_eig_2ep``),
+    formed in real arithmetic.  Its operator determinants are 108 x 108,
+    against the 72 x 72 of
+    :func:`~singpencil.two_param.double_eig_linearization` at n = 6, which
+    :func:`~singpencil.two_param.double_eig` solves.  This is the problem
+    of the benchmark's ``twoparam`` workload: its mu pencils are 6 x 6
+    and 18 x 18, and each lambda has a double eigenvalue mu of
+    A + lambda B.
     """
     rng = np.random.default_rng(seed)
     return _double_eig_2ep(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)))

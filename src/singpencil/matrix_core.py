@@ -31,7 +31,6 @@ __all__ = [
     "rank_tolerance",
     "rank_with_tol",
     "random_orthonormal",
-    "kron",
     "chordal_distance",
     "greedy_match",
     "greedy_match_distances",
@@ -409,8 +408,3 @@ def random_orthonormal(n, k, rng):
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
     return np.ascontiguousarray(q * (d / np.abs(d)).conj())
-
-
-def kron(A, B):
-    """Kronecker product with the package's matrix coercion applied."""
-    return np.kron(as_cmatrix(A, "A"), as_cmatrix(B, "B"))

@@ -93,7 +93,10 @@ class SolveOptions:
     orthogonality threshold), ``delta2 = 100 * EPS`` (finite/infinite
     split on ``|s|``).  ``gamma`` may hold an explicit pair of diagonal
     vectors (dA, dB); by default both are drawn uniformly from [1, 2] so
-    the prescribed eigenvalues land in [1/2, 2].
+    the prescribed eigenvalues land in [1/2, 2].  A field of the wrong
+    type or range raises ``ValueError`` naming it; that the two ``gamma``
+    vectors have k entries each is checked by :func:`make_perturbation`,
+    which knows k.
     """
 
     tau: float = 1e-2
@@ -107,10 +110,20 @@ class SolveOptions:
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau != 0):
             raise ValueError("tau must be finite and nonzero")
-        if not (self.delta1 > 0 and self.delta2 > 0):
-            raise ValueError("delta1 and delta2 must be positive")
+        for name in ("delta1", "delta2"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and value > 0):
+                raise ValueError(f"{name} must be a positive real number")
         if not isinstance(self.max_retries, numbers.Integral) or self.max_retries < 0:
             raise ValueError("max_retries must be a nonnegative integer")
+        if not (self.rank_tol == "auto" if isinstance(self.rank_tol, str) else
+                isinstance(self.rank_tol, numbers.Real) and 0 <= self.rank_tol < math.inf):
+            raise ValueError('rank_tol must be "auto" or a finite nonnegative real number')
+        if not (self.gamma is None or isinstance(self.gamma, (tuple, list, np.ndarray))
+                and len(self.gamma) == 2 and all(np.ndim(g) == 1 for g in self.gamma)):
+            raise ValueError("gamma must be None or a pair (dA, dB) of 1-D vectors")
+        if not (self.seed is None or isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError("seed must be None or a nonnegative integer")
 
 
 @dataclass

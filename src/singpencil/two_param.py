@@ -20,8 +20,9 @@ each lambda the matching mu is found by intersecting the mu-spectra of
 the two one-parameter pencils (A_i + lambda B_i) + mu C_i.
 
 Two applications are layered on top: finding all lambda where A + lambda B
-has a double eigenvalue (via a quadratic 2EP linearization), and solving
-systems of two bivariate polynomials given in determinantal form.
+has a double eigenvalue (via a linear 2EP whose second equation holds a
+Jordan chain of length 2), and solving systems of two bivariate
+polynomials given in determinantal form.
 """
 
 from __future__ import annotations
@@ -259,34 +260,72 @@ def solve_2ep(
 
 
 def double_eig_linearization(A, B):
-    """Singular pencil whose finite eigenvalues are the double-eigenvalue lambdas.
+    """Singular pencil whose finite regular eigenvalues are the double-eigenvalue lambdas.
 
-    The quadratic condition that A + lambda B has a repeated eigenvalue
-    mu (a nonzero x with (A + lambda B - mu I) x = 0 and a second vector
-    in the kernel of the square) is linearized into a 2EP whose second
-    equation uses the 3n x 3n block matrices
+    A + lambda B has a double eigenvalue mu exactly when M = A + lambda B
+    - mu I has a Jordan chain of length 2 or a kernel of dimension 2, that
+    is a nonzero z = (z1, z2) with M z1 = z2 and M z2 = 0 beyond the
+    (x, 0) of a simple eigenvalue.  Both conditions are linear in lambda
+    and mu, which gives the 2EP
 
-        P = [[A^2, AB + BA, -2A], [0, I, 0], [0, 0, I]],
-        Q = [[0, B^2, -B], [-I, 0, 0], [0, 0, 0]],
-        R = [[0, -B, I], [0, 0, 0], [-I, 0, 0]],
+        (A + lambda B - mu I) x = 0,
+        ([[A, -I], [0, A]] + lambda diag(B, B) - mu I_2n) z = 0.
 
-    acting on (y, lambda y, mu y).  The returned pair (D1, D0) consists
-    of the operator determinants of that 2EP; it is of size
-    3 n^2 x 3 n^2 and generically has normal rank 3 n^2 - n.
+    The returned pair (D1, D0) consists of its operator determinants; it
+    is of size 2 n^2 x 2 n^2 and generically has normal rank 2 n^2 - n.
+    The 2EP is singular, because the second matrix is singular wherever
+    the first one is (its determinant is det(M)^2): every (lambda, mu) on
+    the curve det M = 0 solves both equations.  Along the curve the
+    common kernel of the two equations, in the tensor space the Delta
+    pencils act on, is x (x) (x, 0), of dimension one, since a simple
+    eigenvalue's x is not in the range of M.  It grows exactly where
+    the eigenvalue is double: there x = M z1 for some z1 (a Jordan
+    chain) or M has two kernel vectors, and the extra kernel vectors are
+    what the regular part of (D1, D0) holds.  So its finite eigenvalues
+    are the double-eigenvalue lambdas, generically n(n-1) of them, and a
+    semisimple crossing, where the eigenvalue curves of A + lambda B
+    meet without a Jordan block, comes back as a cluster of lambdas.
+
+    Jarlebring, Kvaal & Michiels (SIMAX 2011) hold the two colliding
+    eigenvalues at a small fixed relative distance, which gives a 2EP
+    whose solutions only approximate the double-eigenvalue lambdas and
+    need an iterative refinement (the role :func:`_polish` plays here).
+    Muhič & Plestenjak (LAA 2014) solve the problem exactly as a
+    singular 2EP reduced to its regular part, as done here.  The squared
+    condition M^2 y = 0, linearized on (y, lambda y, mu y), gives the
+    3n x 3n second equation of :func:`_double_eig_2ep` and a 3 n^2 x
+    3 n^2 pencil; the chain z = (z1, z2) states the same condition with
+    a 2n x 2n equation that is linear already, so the QZ works on
+    (2/3)^3 of the flops, and the count of lambdas is the same.
     """
     A = as_cmatrix(A, "A")
     B = as_cmatrix(B, "B")
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise ValueError("A and B must be square and of equal size")
-    deltas = operator_determinants(_double_eig_2ep(A, B))
+    I, Z = np.eye(len(A), dtype=A.dtype), np.zeros_like(A)
+    deltas = operator_determinants(TwoParamProblem(
+        A1=A, B1=B, C1=-I, A2=np.block([[A, -I], [Z, A]]), B2=np.block([[B, Z], [Z, B]]),
+        C2=-np.eye(2 * len(A))))
     return deltas.D1, deltas.D0
 
 
 def _double_eig_2ep(A, B):
-    """The 2EP (A, B, -I; P, Q, R) of :func:`double_eig_linearization`.
+    """The squared 2EP (A, B, -I; P, Q, R) of the double-eigenvalue problem, 3n x 3n.
 
-    The blocks are formed in the dtype of A and B, so real inputs give
-    the bits of a real-arithmetic construction.
+    The second equation asks for (A + lambda B - mu I)^2 y = 0 with the
+    3n x 3n block matrices
+
+        P = [[A^2, AB + BA, -2A], [0, I, 0], [0, 0, I]],
+        Q = [[0, B^2, -B], [-I, 0, 0], [0, 0, 0]],
+        R = [[0, -B, I], [0, 0, 0], [-I, 0, 0]],
+
+    acting on (y, lambda y, mu y), so its operator determinants are
+    3 n^2 x 3 n^2 (normal rank 3 n^2 - n).  :func:`double_eig` uses the
+    smaller form of :func:`double_eig_linearization`; this one is the
+    2EP of :func:`~singpencil.gallery.double_eig_problem` and of the
+    benchmark's ``twoparam`` workload.  The blocks are formed in the
+    dtype of A and B, so real inputs give the bits of a real-arithmetic
+    construction.
     """
     n = A.shape[0]
     I = np.eye(n, dtype=A.dtype)
@@ -335,7 +374,7 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
     typically improves the verification gap from about 1e-4 to below
     1e-7.
 
-    Cost: one dense QZ of the 3n^2 x 3n^2 linearization plus stacked
+    Cost: one dense QZ of the 2n^2 x 2n^2 linearization plus stacked
     n x n ``eigvals`` calls over all lambdas in lockstep: one without
     ``refine``, and with it two more per Newton step until the last
     lambda stops: 3 when one step suffices for every lambda, at most 25.

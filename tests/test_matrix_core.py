@@ -19,7 +19,6 @@ from singpencil import (
     chordal_distance,
     generalized_eig,
     greedy_match,
-    kron,
     random_orthonormal,
     rank_with_tol,
 )
@@ -419,42 +418,6 @@ class TestRandomOrthonormal:
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
             random_orthonormal(3, 4, np.random.default_rng(0))
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_block_placement(self):
-        n = np.array([[0, 1], [0, 0]])
-        k = kron(n, np.eye(2))
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[:2, 2:] = np.eye(2)
-        np.testing.assert_array_equal(k, expected)
-
-    def test_mixed_product_on_vectors(self):
-        rng = np.random.default_rng(11)
-        A = random_complex(rng, (2, 2))
-        B = random_complex(rng, (2, 2))
-        x = random_complex(rng, (2, 1))
-        y = random_complex(rng, (2, 1))
-        lhs = kron(A, B) @ kron(x, y)
-        rhs = kron(A @ x, B @ y)
-        assert np.linalg.norm(lhs - rhs) <= 1e-14
-
-    def test_bilinearity_and_mixed_product(self):
-        rng = np.random.default_rng(12)
-        for _ in range(5):
-            A = random_complex(rng, (3, 2))
-            A2 = random_complex(rng, (3, 2))
-            B = random_complex(rng, (2, 3))
-            C = random_complex(rng, (2, 4))
-            D = random_complex(rng, (3, 2))
-            assert np.linalg.norm(kron(A + A2, B) - kron(A, B) - kron(A2, B)) <= 1e-13
-            # (A (x) B)(C (x) D) = AC (x) BD
-            lhs = kron(A, B) @ kron(C, D)
-            rhs = kron(A @ C, B @ D)
-            assert np.linalg.norm(lhs - rhs) <= 1e-13
 
 
 def test_eigenvalue_multiset_match_helper():

@@ -259,6 +259,32 @@ class TestSolveOptions:
         with pytest.raises(ValueError, match="max_retries must be a nonnegative integer"):
             SolveOptions(max_retries=retries)
 
+    @pytest.mark.parametrize("value", ["bogus", math.inf, -1.0])
+    def test_rank_tol_must_be_auto_or_finite_nonnegative(self, value):
+        with pytest.raises(ValueError, match='rank_tol must be "auto" or a finite nonnegative'):
+            SolveOptions(rank_tol=value)
+
+    @pytest.mark.parametrize("gamma", [([1.0],), ([[1.0]], [1.0]), "ab"])
+    def test_gamma_must_be_a_pair_of_vectors(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be None or a pair"):
+            SolveOptions(gamma=gamma)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "1"])
+    def test_seed_must_be_none_or_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be None or a nonnegative integer"):
+            SolveOptions(seed=seed)
+
+    @pytest.mark.parametrize("name", ["delta1", "delta2"])
+    def test_thresholds_must_be_real(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be a positive real number"):
+            SolveOptions(**{name: None})
+
+    def test_checked_fields_accept_numpy_scalars_and_arrays(self):
+        opts = SolveOptions(seed=np.int64(1), rank_tol=np.float64(0.0), delta1=np.float32(1e-8),
+                            gamma=np.array([[1.0, 2.0], [1.0, 1.0]]))
+        spec = make_perturbation(4, 2, opts, np.random.default_rng(0))
+        np.testing.assert_array_equal(spec.gammas, [1.0, 2.0])
+
     def test_numpy_integer_retries_accepted(self):
         opts = SolveOptions(seed=1, max_retries=np.int64(2))
         assert repr(solve(showcase_pencil(), opts).records) == repr(

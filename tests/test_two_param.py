@@ -24,7 +24,7 @@ from singpencil import (
 )
 from singpencil.gallery import bivariate_cubic_system, double_eig_problem, evaluate_bivariate
 from singpencil.matrix_core import greedy_match, rank_with_tol
-from singpencil.solver import DEFAULT_MATCH_TOL, solve, with_defaults
+from singpencil.solver import DEFAULT_MATCH_TOL, EigenClass, solve, with_defaults
 
 from helpers import assert_multiset_close, random_complex
 
@@ -245,13 +245,13 @@ class TestDoubleEig:
         A = random_complex(rng, (2, 2))
         B = random_complex(rng, (2, 2))
         D1, D0 = double_eig_linearization(A, B)
-        assert D1.shape == D0.shape == (12, 12)
+        assert D1.shape == D0.shape == (8, 8)
         rep = normal_rank(Pencil(A=D1, B=D0), np.random.default_rng(0))
-        assert rep.nrank == 10  # 3 n^2 - n
+        assert rep.nrank == 6  # 2 n^2 - n
 
     def test_scalar_case_has_no_solutions(self):
         D1, D0 = double_eig_linearization([[2.0]], [[1.0]])
-        assert D1.shape == (3, 3)
+        assert D1.shape == (2, 2)
         res = double_eig([[2.0]], [[1.0]], opts=SolveOptions(seed=0))
         assert res.lambdas == []
 
@@ -285,7 +285,7 @@ class TestDoubleEig:
         assert res.lambdas == [] or all(g > 1e-3 for g in res.gaps)
 
     def test_count_warning_flags_more_lambdas_than_n_n_minus_1(self):
-        # the 1e150 pencil's overflowing linearization returns 11 lambdas for n = 3
+        # the 1e150 pencil's overflowing linearization returns 8 lambdas for n = 3
         res = double_eig(np.diag([1e150, 1.0, 2.0]), np.diag([1.0, 1e-150, 1.0]),
                          opts=SolveOptions(seed=1))
         assert len(res.lambdas) > 6 and res.count_warning
@@ -293,6 +293,38 @@ class TestDoubleEig:
         res = double_eig(random_complex(rng, (3, 3)), random_complex(rng, (3, 3)),
                          opts=SolveOptions(seed=4))
         assert len(res.lambdas) == 6 and not res.count_warning
+
+    @pytest.mark.parametrize("n,seed", [(n, s) for n in (3, 4, 5, 6) for s in (1, 2)])
+    def test_linearization_class_counts_are_closed_form(self, n, seed):
+        # n(n-1) double-eigenvalue lambdas, n infinite, k = n prescribed and
+        # M = N = n(n-1)/2 random eigenvalues of the 2 n^2 x 2 n^2 pencil
+        rng = np.random.default_rng(seed)
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        res = double_eig(A, B, opts=SolveOptions(seed=seed))
+        counts = np.bincount(res.solve_result.classes, minlength=len(EigenClass))
+        expected = {
+            EigenClass.FINITE_TRUE: n * (n - 1),
+            EigenClass.INFINITE_TRUE: n,
+            EigenClass.PRESCRIBED: n,
+            EigenClass.RANDOM_RIGHT: n * (n - 1) // 2,
+            EigenClass.RANDOM_LEFT: n * (n - 1) // 2,
+        }
+        assert {c: int(counts[i]) for i, c in enumerate(EigenClass) if counts[i]} == expected
+        assert len(res.lambdas) == n * (n - 1) and not res.count_warning
+
+    @pytest.mark.parametrize("similar", [False, True])
+    def test_semisimple_crossings_come_back_as_clusters(self, similar):
+        # the eigenvalue curves 1, 2 + lam and 3 + 3 lam of this pair cross
+        # (without a Jordan block) at lam = -1, -2/3 and -1/2
+        A, B = np.diag([1.0, 2.0, 3.0]), np.diag([0.0, 1.0, 3.0])
+        if similar:
+            S = np.random.default_rng(0).standard_normal((3, 3))
+            A, B = S @ A @ np.linalg.inv(S), S @ B @ np.linalg.inv(S)
+        crossings = np.array([-1.0, -2.0 / 3.0, -0.5])
+        res = double_eig(A, B, opts=SolveOptions(seed=0))
+        dist = np.abs(np.subtract.outer(res.lambdas, crossings))
+        assert np.all(dist.min(axis=1) <= 5e-8)
+        assert set(dist.argmin(axis=1).tolist()) == {0, 1, 2}
 
     def test_n3_count_and_unitary_invariance(self):
         from singpencil import random_orthonormal
@@ -306,6 +338,34 @@ class TestDoubleEig:
         Q = random_orthonormal(3, 3, np.random.default_rng(12))
         res_u = double_eig(Q.conj().T @ A @ Q, Q.conj().T @ B @ Q, opts=SolveOptions(seed=4))
         assert_multiset_close(res_u.lambdas, res.lambdas, atol=1e-8, rtol=1e-8)
+
+
+def _sweep_problems():
+    """n = 2..8 with 8 seeds each (odd seeds complex), plus criterion 5's near-triple problem."""
+    for n in range(2, 9):
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            draw = random_complex if seed % 2 else (lambda r, shape: r.standard_normal(shape))
+            yield f"n{n}-s{seed}", draw(rng, (n, n)), draw(rng, (n, n)), seed
+    rng = np.random.default_rng(6)
+    yield "near-triple", rng.standard_normal((4, 4)), rng.standard_normal((4, 4)), 0
+
+
+@pytest.mark.slow
+def test_chain_linearization_matches_the_squared_one():
+    # double_eig's 2 n^2 form against the 3 n^2 form of _double_eig_2ep, both
+    # solved and polished the same way: the lambdas match one to one
+    for name, A, B, seed in _sweep_problems():
+        A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+        squared = operator_determinants(tp._double_eig_2ep(A, B))
+        lams = []
+        for D1, D0 in (double_eig_linearization(A, B), (squared.D1, squared.D0)):
+            found = solve(Pencil(A=D1, B=D0), SolveOptions(seed=seed)).finite_true_values
+            lams.append(tp._polish(A, B, found, True)[0])
+        n = A.shape[0]
+        assert len(lams[0]) == len(lams[1]) == n * (n - 1), name
+        matched = greedy_match(*lams, lambda a, b: abs(a - b) / abs(b))
+        assert max(d for _, _, d in matched) <= 1e-12, name
 
 
 class TestProblemIO:
