@@ -40,7 +40,6 @@ from .solver import (
     PerturbationSpec,
     SolveOptions,
     SolveResult,
-    classify,
     make_perturbation,
     perturb,
     solve,
@@ -72,7 +71,6 @@ _LAZY = {
         "pair_mu_candidates",
         "read_problem",
         "solve_2ep",
-        "solutions_to_csv",
         "write_problem",
     ),
     "gallery": (),

@@ -22,8 +22,8 @@ json   full-precision floats; a complex value is ``{"re": .., "im": ..}``
        (flat ``solve`` records split it like csv) and a non-finite
        number is ``null`` (both parts of a complex one)
 
-Exit codes: 0 success, 2 argument or input-file errors, 3 numerical
-failure inside a solver.
+Exit codes: 0 success, 2 argument or input-file errors (and a QZ that
+needs the missing ``zggev`` fallback), 3 numerical failure inside a solver.
 
 ``main(argv, out=None, err=None)`` is the in-process entry point: it
 runs one command line and returns the exit status without exiting.  The
@@ -46,7 +46,7 @@ import sys
 import numpy as np
 
 from .matrix_core import NumericalError
-from .pencil import csv_text, normal_rank, read_pencil, write_pencil
+from .pencil import normal_rank, read_pencil, write_pencil
 from .solver import SolveOptions, solve, solve_by_intersection
 
 __all__ = ["main", "entry"]
@@ -74,6 +74,23 @@ def _jsonable(x):
         finite = cmath.isfinite(x)
         return {"re": x.real if finite else None, "im": x.imag if finite else None}
     return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def _csv_field(x):
+    if isinstance(x, complex):
+        return f"{float(x.real)!r},{float(x.imag)!r}"
+    if isinstance(x, float):
+        return repr(float(x))
+    return str(int(x) if isinstance(x, bool) else x)
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of ``rows`` under the field names ``header``, in full precision.
+
+    A float is written as ``repr(float(x))``, a bool as 0 or 1, and a
+    complex number fills two fields, its real and imaginary parts.
+    """
+    return "".join(",".join(line) + "\n" for line in [header, *(map(_csv_field, r) for r in rows)])
 
 
 def _record(columns, row):
@@ -269,9 +286,12 @@ def _solve_options(args) -> SolveOptions:
             given["seed"] = int(env)
         except ValueError:
             raise ValueError(f"SINGPENCIL_SEED must be an integer, got {env!r}") from None
-    if given.get("rank_tol", "auto") != "auto":
-        given["rank_tol"] = float(given["rank_tol"])
     return SolveOptions(**given)
+
+
+def tolerance(text):
+    """A ``--tol`` value: ``auto`` or a number (argparse names this type in its errors)."""
+    return text if text == "auto" else float(text)
 
 
 def _build_parser():
@@ -292,7 +312,8 @@ def _build_parser():
     seed.add_argument("--seed", type=int, default=None,
                       help="RNG seed (default: $SINGPENCIL_SEED or 0)")
     tol = group()
-    tol.add_argument("--tol", dest="rank_tol", metavar="TOL", default=defaults.rank_tol,
+    tol.add_argument("--tol", dest="rank_tol", metavar="TOL", type=tolerance,
+                     default=defaults.rank_tol,
                      help="rank decision tolerance (number or 'auto')")
     solver = group(seed, tol)
     solver.add_argument("--tau", type=float, default=defaults.tau, help="perturbation strength")
@@ -346,7 +367,7 @@ def main(argv=None, out=None, err=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args, _solve_options(args), out)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, ImportError) as exc:
         err.write(f"error: {exc}\n")
         return 2
     except NumericalError as exc:

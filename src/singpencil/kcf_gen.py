@@ -157,10 +157,6 @@ class GroundTruth:
     rows: int
     cols: int
 
-    @property
-    def is_square(self):
-        return self.rows == self.cols
-
 
 def oracle_eigenvalues(spec: KcfSpec) -> GroundTruth:
     """Read the exact spectral data off the block list, no numerics involved."""
@@ -203,26 +199,14 @@ def oracle_eigenvalues(spec: KcfSpec) -> GroundTruth:
     )
 
 
-def build(spec: KcfSpec, rng, require_square=False):
+def build(spec: KcfSpec, rng):
     """Assemble the canonical pencil and hide it behind the transform.
 
     Blocks are laid out block-diagonally in list order (the transform
     destroys any ordering information, so callers must not rely on it).
     Returns the pencil together with its :class:`GroundTruth`.
-
-    Raises
-    ------
-    ValueError
-        If ``require_square`` is set and the numbers of right and left
-        singular blocks differ (which is exactly when the assembled
-        pencil comes out rectangular).
     """
     truth = oracle_eigenvalues(spec)
-    if require_square and truth.rows != truth.cols:
-        raise ValueError(
-            "unbalanced singular blocks: a square pencil needs equal numbers "
-            "of right and left singular blocks"
-        )
     A = np.zeros((truth.rows, truth.cols), dtype=np.complex128)
     B = np.zeros((truth.rows, truth.cols), dtype=np.complex128)
     r0 = c0 = 0

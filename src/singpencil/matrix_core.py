@@ -251,6 +251,24 @@ def _zggev3(path=_umath_linalg.__file__):
     return fn
 
 
+def _zggev():
+    """scipy's ``zggev``, the QZ driver where numpy's LAPACK has no ``zggev3``.
+
+    Raises
+    ------
+    ImportError
+        If scipy is not installed; the message names the extra that brings it.
+    """
+    try:
+        from scipy.linalg import lapack
+    except ImportError:
+        raise ImportError(
+            "numpy's LAPACK exports no zggev3, and the zggev fallback needs scipy: "
+            "pip install 'singpencil[scipy]'"
+        ) from None
+    return lapack.zggev
+
+
 def _workspace(zggev3, n):
     """The optimal ``lwork`` of ``zggev3`` (of ``zggev`` when None) for order n, from one query.
 
@@ -259,10 +277,8 @@ def _workspace(zggev3, n):
     in a ``functools.cache`` keyed by n (``zggev3.workspace``).
     """
     if zggev3 is None:
-        from scipy.linalg import lapack
-
         z = np.zeros((n, n), np.complex128)
-        return int(lapack.zggev(z, z, lwork=-1)[-2][0].real)
+        return int(_zggev()(z, z, lwork=-1)[-2][0].real)
     integer = zggev3.argtypes[2]._type_
     dim, info = integer(n), integer(0)
     matrix, vector = np.zeros((n, n), np.complex128), np.zeros(n, np.complex128)
@@ -286,9 +302,10 @@ def generalized_eig(A, B):
     deflation) in the LAPACK numpy links, as :func:`_zggev3` binds it, so
     no scipy module is imported; where numpy's LAPACK exports no
     ``zggev3``, the unblocked single-shift ``zggev`` through
-    ``scipy.linalg.lapack``.  Each matrix is converted and checked once,
-    into the Fortran-order copy LAPACK overwrites, and the workspace size
-    is cached per order (:func:`_workspace`), so a call makes one LAPACK call.
+    ``scipy.linalg.lapack`` (:func:`_zggev`).  Each matrix is converted
+    and checked once, into the Fortran-order copy LAPACK overwrites, and
+    the workspace size is cached per order (:func:`_workspace`), so a
+    call makes one LAPACK call.
 
     Parameters
     ----------
@@ -305,6 +322,8 @@ def generalized_eig(A, B):
     ------
     ValueError
         On a matrix that :func:`as_cmatrix` rejects, and on shape mismatch.
+    ImportError
+        Where numpy's LAPACK has no ``zggev3`` and scipy is not installed.
     NumericalError
         If LAPACK reports a failure (``info != 0``, e.g. the QZ iteration
         did not converge), or an eigenvalue comes back as the
@@ -330,9 +349,7 @@ def generalized_eig(A, B):
     pairs = out[:2 * n].reshape(2, n)
     vectors = out[2 * n:offsets[4]].reshape((n, 2 * n), order="F")
     if zggev3 is None:
-        from scipy.linalg import lapack
-
-        alpha, beta, vl, vr, _, info = lapack.zggev(a, b, lwork=lwork, overwrite_a=1, overwrite_b=1)
+        alpha, beta, vl, vr, _, info = _zggev()(a, b, lwork=lwork, overwrite_a=1, overwrite_b=1)
         pairs[:], vectors[:, :n], vectors[:, n:] = (alpha, beta), vl, vr
     else:
         integer = zggev3.argtypes[2]._type_

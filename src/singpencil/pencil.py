@@ -8,8 +8,7 @@ estimates the normal rank ``max_zeta rank(A - zeta B)`` from random
 probe points.
 
 Pencils are read and written as pairs of Matrix Market files, one file
-per matrix; :func:`read_matrix` parses every kind with numpy.  Results
-are written as CSV by :func:`csv_text`.
+per matrix; :func:`read_matrix` parses every kind with numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "write_matrix",
     "read_pencil",
     "write_pencil",
-    "csv_text",
 ]
 
 
@@ -301,20 +299,3 @@ def write_pencil(p: Pencil, path_a, path_b):
     """Write a pencil to two Matrix Market files."""
     write_matrix(path_a, p.A)
     write_matrix(path_b, p.B)
-
-
-def _csv_field(x):
-    if isinstance(x, complex):
-        return f"{float(x.real)!r},{float(x.imag)!r}"
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(int(x) if isinstance(x, bool) else x)
-
-
-def csv_text(header, rows) -> str:
-    """CSV text of ``rows`` under the field names ``header``, in full precision.
-
-    A float is written as ``repr(float(x))``, a bool as 0 or 1, and a
-    complex number fills two fields, its real and imaginary parts.
-    """
-    return "".join(",".join(line) + "\n" for line in [header, *(map(_csv_field, r) for r in rows)])

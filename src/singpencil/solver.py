@@ -51,7 +51,6 @@ __all__ = [
     "IntersectionResult",
     "make_perturbation",
     "perturb",
-    "classify",
     "solve",
     "solve_by_intersection",
 ]
@@ -320,19 +319,6 @@ def _class_index(s_abs, vx, uy, delta1, delta2):
     cls = _PATTERN_CLASS[2 * (vx < delta1) + (uy < delta1)]
     cls[(cls == _FINITE) & ~(s_abs > delta2)] = _INFINITE
     return cls
-
-
-def classify(records, delta1=DEFAULT_DELTA1, delta2=DEFAULT_DELTA2):
-    """Assign an :class:`EigenClass` to each record in place.
-
-    Applies the rule of :func:`solve` to the records' ``s_abs``,
-    ``vx_norm`` and ``uy_norm``.  Returns the same list.
-    """
-    diag = np.array([(r.s_abs, r.vx_norm, r.uy_norm) for r in records], dtype=float)
-    cls = _class_index(*diag.reshape(-1, 3).T, delta1, delta2)
-    for r, c in zip(records, cls.tolist()):
-        r.label = _CLASSES[c]
-    return records
 
 
 def _diagnostics(X, Y, Bt, U, V):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import as_cmatrix, greedy_match_distances, rank_with_tol
-from .pencil import Pencil, _derived, csv_text, read_matrix, write_matrix
+from .pencil import Pencil, _derived, read_matrix, write_matrix
 from .solver import SolveOptions, _match_tol, solve, with_defaults
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "double_eig",
     "read_problem",
     "write_problem",
-    "solutions_to_csv",
 ]
 
 
@@ -87,18 +86,13 @@ class TwoParamProblem:
         a, b, c = ((self.A1, self.B1, self.C1), (self.A2, self.B2, self.C2))[i - 1]
         return a + lam * b + mu * c
 
-    def residuals(self, lam, mu):
-        """Smallest singular value of each evaluated matrix at (lambda, mu).
-
-        Equals the norm of the best achievable residual over unit
-        vectors, i.e. how far the pair is from exactly solving each
-        equation.
-        """
-        return _residuals(self, [(lam, mu)])[0]
-
 
 def _residuals(p: TwoParamProblem, pairs):
-    """:meth:`TwoParamProblem.residuals` of every (lambda, mu) pair, one SVD call per equation."""
+    """Smallest singular value of each evaluated matrix at every (lambda, mu) pair.
+
+    That is the norm of the best residual over unit vectors, how far the
+    pair is from solving each equation; one SVD call per equation.
+    """
     if not pairs:
         return []
     smallest = [
@@ -521,11 +515,3 @@ def write_problem(p: TwoParamProblem, directory, manifest_name="problem.json"):
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
     return path
-
-
-def solutions_to_csv(pairs) -> str:
-    """Render accepted eigenpairs as CSV with full-precision columns."""
-    return csv_text(
-        ["lambda_re", "lambda_im", "mu_re", "mu_im", "discrepancy", "residual1", "residual2"],
-        [(e.lam, e.mu, e.mu_discrepancy, e.residual1, e.residual2) for e in pairs],
-    )

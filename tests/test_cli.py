@@ -17,7 +17,6 @@ from singpencil import (
     Pencil,
     SolveOptions,
     read_problem,
-    solutions_to_csv,
     solve_2ep,
     spec_from_json,
     write_pencil,
@@ -251,6 +250,25 @@ class TestSolveCommand:
         code, out, err = run_cli([cmd, *showcase_files, *flags])
         assert code == 2 and out == "" and msg in err
 
+    @pytest.mark.parametrize("cmd", ["solve", "nrank"])
+    def test_unparsable_tol_names_the_option(self, showcase_files, cmd):
+        code, out, err = run_cli([cmd, *showcase_files, "--tol", "bogus"])
+        assert code == 2 and out == ""
+        assert "argument --tol: invalid tolerance value: 'bogus'" in err
+
+    def test_missing_zggev_fallback_exits_2(self, showcase_files, monkeypatch):
+        # a numpy whose LAPACK exports no zggev3, without scipy for the zggev fallback
+        import singpencil.matrix_core as mc
+
+        monkeypatch.setattr(mc, "_zggev3", lambda: None)
+        for name in ("scipy", "scipy.linalg", "scipy.linalg.lapack"):
+            monkeypatch.setitem(sys.modules, name, None)
+        with pytest.raises(ImportError, match=r"singpencil\[scipy\]"):
+            mc.generalized_eig(np.eye(2), np.eye(2))
+        code, out, err = run_cli(["solve", *showcase_files])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "singpencil[scipy]" in err
+
     @pytest.mark.parametrize("cmd", ["solve", "nrank", "intersect", "doubleeig"])
     def test_empty_pencil_exits_2(self, tmp_path, cmd):
         a, b = tmp_path / "A.mtx", tmp_path / "B.mtx"
@@ -432,7 +450,11 @@ class TestTwoParamCommand:
         lines = out.strip().splitlines()
         assert lines[0].startswith("lambda_re,lambda_im,mu_re")
         assert len(lines) == 10  # header + 9 roots
-        assert out == solutions_to_csv(solve_2ep(p, opts=SolveOptions(seed=7)))
+        pairs = solve_2ep(p, opts=SolveOptions(seed=7))
+        assert [[float(x) for x in ln.split(",")] for ln in lines[1:]] == [
+            [e.lam.real, e.lam.imag, e.mu.real, e.mu.imag, e.mu_discrepancy, e.residual1, e.residual2]
+            for e in pairs
+        ]
         from singpencil.gallery import evaluate_bivariate
 
         for ln in lines[1:]:

@@ -87,11 +87,6 @@ class TestBuild:
         assert p.shape == (3, 4)
         assert truth.finite == [0.0, 0.0]
 
-    def test_require_square_rejects_unbalanced(self):
-        spec = KcfSpec((Jordan(1, 1.0), RightSingular(1)))
-        with pytest.raises(ValueError, match="unbalanced"):
-            build(spec, np.random.default_rng(0), require_square=True)
-
     def test_general_transform_condition_bound(self):
         spec = KcfSpec((Jordan(1, 1.0), RightSingular(1), LeftSingular(1)),
                        transform="general", cond_bound=1e3)

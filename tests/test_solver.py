@@ -1,5 +1,6 @@
 """Tests for the rank-completing perturbation solver and its classification."""
 
+import cmath
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from singpencil import (
     Pencil,
     PerturbationSpec,
     SolveOptions,
-    classify,
     generalized_eig,
     make_perturbation,
     perturb,
@@ -30,9 +30,9 @@ from singpencil.gallery import (
     staircase_sensitive_pencil,
 )
 from singpencil.kcf_gen import Jordan, KcfSpec, LeftSingular, Nilpotent, RightSingular, build
-from singpencil.solver import DEFAULT_DELTA2
+from singpencil.solver import DEFAULT_DELTA2, _class_index
 
-from helpers import greedy_chordal_match, random_complex, result_fields
+from helpers import assert_multiset_close, greedy_chordal_match, random_complex, result_fields
 
 
 def class_counts(result):
@@ -140,27 +140,29 @@ def _record(s_abs, vx, uy):
     )
 
 
+def _label(s_abs, vx, uy):
+    """The class the rule of ``solve`` gives one diagnostic triple at the default thresholds."""
+    opts = SolveOptions()
+    cls = _class_index(*np.array([[s_abs], [vx], [uy]]), opts.delta1, opts.delta2)
+    return list(EigenClass)[cls[0]]
+
+
 class TestClassify:
     # diagnostic triples as printed for the showcase pencil's spectrum
     def test_finite_true_row(self):
-        r = classify([_record(1.5e-2, 1.3e-15, 1.3e-14)])[0]
-        assert r.label is EigenClass.FINITE_TRUE
+        assert _label(1.5e-2, 1.3e-15, 1.3e-14) is EigenClass.FINITE_TRUE
 
     def test_infinite_true_row(self):
-        r = classify([_record(3.8e-19, 2.8e-15, 1.3e-14)])[0]
-        assert r.label is EigenClass.INFINITE_TRUE
+        assert _label(3.8e-19, 2.8e-15, 1.3e-14) is EigenClass.INFINITE_TRUE
 
     def test_random_right_row(self):
-        r = classify([_record(2.6e-4, 9.2e-15, 5.2e-1)])[0]
-        assert r.label is EigenClass.RANDOM_RIGHT
+        assert _label(2.6e-4, 9.2e-15, 5.2e-1) is EigenClass.RANDOM_RIGHT
 
     def test_random_left_row(self):
-        r = classify([_record(7.8e-3, 5.8e-2, 5.6e-15)])[0]
-        assert r.label is EigenClass.RANDOM_LEFT
+        assert _label(7.8e-3, 5.8e-2, 5.6e-15) is EigenClass.RANDOM_LEFT
 
     def test_prescribed_row(self):
-        r = classify([_record(2.1e-4, 2.6e-2, 4.2e-1)])[0]
-        assert r.label is EigenClass.PRESCRIBED
+        assert _label(2.1e-4, 2.6e-2, 4.2e-1) is EigenClass.PRESCRIBED
 
     def test_zeta_invariant(self):
         r = _record(1.0, 0.25, 0.5)
@@ -468,7 +470,7 @@ class TestArrayContract:
             res = solve(p, opts)
             recs = res.records
             labels = [r.label for r in recs]
-            assert [r.label for r in classify(list(recs), opts.delta1, opts.delta2)] == labels
+            assert np.array_equal(_class_index(*res.diagnostics, opts.delta1, opts.delta2), res.classes)
             true_z = [r.zeta for r in recs if r.label.is_true]
             assert res.gap_report == GapReport(
                 max_true_zeta=extreme(max, true_z),
@@ -637,6 +639,16 @@ class TestHardCases:
         assert len(res.finite_true) == 3
         near = sorted(abs(v - 0.5) for v in res.finite_true_values)[:2]
         assert all(e <= 1e-6 for e in near)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_true_eigenvalues_on_the_unit_circle(self, seed):
+        # the rank probes sample on the unit circle, where these eigenvalues lie
+        roots = [cmath.exp(2j * math.pi * j / 6) for j in range(6)]
+        blocks = (*(Jordan(1, z) for z in roots), Nilpotent(1), RightSingular(1), LeftSingular(2))
+        p, truth = build(KcfSpec(blocks, transform="unitary"), np.random.default_rng(seed))
+        res = solve(p, SolveOptions(seed=seed))
+        assert res.nrank_report.k == truth.k
+        assert_multiset_close(res.finite_true_values, roots, rtol=0.0, atol=1e-8)
 
     def test_one_by_one_regular(self):
         res = solve(Pencil(A=[[2.0]], B=[[1.0]]), SolveOptions(seed=0))

@@ -18,10 +18,10 @@ from singpencil import (
     operator_determinants,
     pair_mu_candidates,
     read_problem,
-    solutions_to_csv,
     solve_2ep,
     write_problem,
 )
+from singpencil.cli import csv_text
 from singpencil.gallery import bivariate_cubic_system, double_eig_problem, evaluate_bivariate
 from singpencil.matrix_core import greedy_match, rank_with_tol
 from singpencil.solver import DEFAULT_MATCH_TOL, EigenClass, solve, with_defaults
@@ -400,13 +400,15 @@ class TestProblemIO:
                 residual2=2.2e-12,
             )
         ]
-        text = solutions_to_csv(pairs)
+        text = csv_text(
+            ["lambda_re", "lambda_im", "mu_re", "mu_im", "discrepancy", "residual1", "residual2"],
+            [(e.lam, e.mu, e.mu_discrepancy, e.residual1, e.residual2) for e in pairs],
+        )
         header, row = text.strip().split("\n")
-        vals = row.split(",")
-        assert float(vals[0]) == pairs[0].lam.real
-        assert float(vals[1]) == pairs[0].lam.imag
-        assert float(vals[2]) == pairs[0].mu.real
-        assert float(vals[4]) == pairs[0].mu_discrepancy
+        e = pairs[0]
+        assert [float(v) for v in row.split(",")] == [
+            e.lam.real, e.lam.imag, e.mu.real, e.mu.imag, e.mu_discrepancy, e.residual1, e.residual2
+        ]
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="equation 1"):
