@@ -367,7 +367,7 @@ def main(argv=None, out=None, err=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args, _solve_options(args), out)
-    except (ValueError, OSError, KeyError, ImportError) as exc:
+    except (ValueError, OSError, ImportError) as exc:
         err.write(f"error: {exc}\n")
         return 2
     except NumericalError as exc:

@@ -280,6 +280,8 @@ def spec_from_json(doc: dict) -> KcfSpec:
             raise ValueError(f"block {i}: unknown kind {kind!r}")
         try:
             args = {f.name: _integer(rb[f.name]) for f in fields(cls) if f.name != "eigenvalue"}
+        except KeyError as exc:
+            raise ValueError(f"block {i}: {kind} needs an integer {exc.args[0]!r}") from None
         except TypeError:
             raise ValueError(f"block {i}: {kind} sizes and indices must be integers") from None
         if cls is Jordan:

@@ -28,12 +28,10 @@ __all__ = [
     "HomogeneousEigenvalue",
     "EigDecomposition",
     "generalized_eig",
-    "rank_tolerance",
     "rank_with_tol",
     "random_orthonormal",
     "chordal_distance",
     "greedy_match",
-    "greedy_match_distances",
 ]
 
 EPS = float(np.finfo(np.float64).eps)
@@ -148,10 +146,10 @@ def greedy_match(xs, ys, metric):
     distance ``d``; the output length is ``min(len(xs), len(ys))``.
     """
     d = np.array([[metric(a, b) for b in ys] for a in xs], dtype=float)
-    return greedy_match_distances(xs, ys, d.reshape(len(xs), len(ys)))
+    return _greedy_match_distances(xs, ys, d.reshape(len(xs), len(ys)))
 
 
-def greedy_match_distances(xs, ys, d):
+def _greedy_match_distances(xs, ys, d):
     """:func:`greedy_match` of ``xs`` and ``ys`` by distances ``d[i, j]``, which it overwrites."""
     out = []
     for _ in range(min(d.shape)):
@@ -376,7 +374,7 @@ def generalized_eig(A, B):
     return EigDecomposition(pairs[0], pairs[1], right=right, left=left)
 
 
-def rank_tolerance(s, shape, tol="auto"):
+def _rank_tolerance(s, shape, tol="auto"):
     """Rank cut for the singular values ``s`` (along the last axis) of a ``shape`` matrix.
 
     ``"auto"`` gives ``max(rows, cols) * EPS * sigma_max``, the usual
@@ -395,13 +393,13 @@ def rank_tolerance(s, shape, tol="auto"):
 def rank_with_tol(M, tol="auto"):
     """Numerical rank of M: the number of singular values above ``tol``.
 
-    ``tol`` follows :func:`rank_tolerance`.
+    ``tol`` follows :func:`_rank_tolerance`.
     """
     M = as_cmatrix(M, "M")
     if M.size == 0:
         raise ValueError("rank of an empty matrix is undefined")
     s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > rank_tolerance(s, M.shape, tol)))
+    return int(np.sum(s > _rank_tolerance(s, M.shape, tol)))
 
 
 def random_orthonormal(n, k, rng):

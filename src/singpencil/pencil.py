@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix_core import as_cmatrix, rank_tolerance
+from .matrix_core import _rank_tolerance, as_cmatrix
 
 __all__ = [
     "Pencil",
@@ -192,7 +192,7 @@ def normal_rank(p, rng, tol="auto"):
     zetas = np.array([[complex(np.exp(2j * np.pi * r.uniform())) for _ in range(2)] for r in rng])
     probes = zetas[:, :, None, None] * B[:, None]
     s = np.linalg.svd(np.subtract(A[:, None], probes, out=probes), compute_uv=False)
-    cut = rank_tolerance(s, shape, tol)  # (m, 2) np.float64 under "auto", else one float
+    cut = _rank_tolerance(s, shape, tol)  # (m, 2) np.float64 under "auto", else one float
     nranks = (s > np.asarray(cut)[..., None]).sum(axis=-1).max(axis=-1).tolist()
     used = cut.max(axis=-1) if tol == "auto" else [cut] * len(p)
     return [  # tol_used = max(0.0, *cuts): the float 0.0 unless a cut is positive

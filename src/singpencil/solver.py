@@ -111,7 +111,7 @@ class SolveOptions:
             raise ValueError("tau must be finite and nonzero")
         for name in ("delta1", "delta2"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and value > 0):
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
                 raise ValueError(f"{name} must be a positive real number")
         if not isinstance(self.max_retries, numbers.Integral) or self.max_retries < 0:
             raise ValueError("max_retries must be a nonnegative integer")
@@ -308,6 +308,20 @@ def perturb(p: Pencil, spec: PerturbationSpec) -> Pencil:
     return _derived(p, A=p.A + spec.tau * E, B=p.B + spec.tau * F)
 
 
+def _perturbed_eig(p: Pencil, k, opts: SolveOptions, rng):
+    """One perturb-and-QZ step on the square pencil ``p`` of rank defect k.
+
+    Returns the perturbation drawn from ``rng`` (None when k = 0, where
+    ``p`` is solved as it is), the :func:`generalized_eig` decomposition
+    of the perturbed pencil and its B~.  :func:`make_perturbation`,
+    :func:`perturb` and :func:`generalized_eig` are looked up in this
+    module when the step runs, where a tracer may have wrapped them.
+    """
+    spec = make_perturbation(p.shape[0], k, opts, rng) if k else None
+    pt = perturb(p, spec) if k else p
+    return spec, generalized_eig(pt.A, pt.B), pt.B
+
+
 def _class_index(s_abs, vx, uy, delta1, delta2):
     """Class of every eigenpair as an index into ``list(EigenClass)``.
 
@@ -442,11 +456,9 @@ def solve(p, opts: SolveOptions | None = None, rng=None):
     todo = list(range(m))
     for _ in range(opts.max_retries + 1):
         for i in todo:
-            pt = ps[i]
+            specs[i], decs[i], Bts[i] = _perturbed_eig(ps[i], ks[i], opts, rngs[i])
             if ks[i]:
-                specs[i] = make_perturbation(n, ks[i], opts, rngs[i])
-                pt, UV[i] = perturb(ps[i], specs[i]), (specs[i].U, specs[i].V)
-            decs[i], Bts[i] = generalized_eig(pt.A, pt.B), pt.B
+                UV[i] = (specs[i].U, specs[i].V)
         for k in sorted({ks[i] for i in todo}):  # an equal k gives U and V one width
             group = [i for i in todo if ks[i] == k]
             diag[group] = _diagnostics(
@@ -506,15 +518,8 @@ def solve_by_intersection(
     """
     match_tol = _match_tol(match_tol, "match_tol")
     opts, (rng,), (ps,), (report,) = _prepare([p], opts, [rng])
-    k = report.k
-    spectra = []
-    for _ in range(2):
-        pt = perturb(ps, make_perturbation(ps.shape[0], k, opts, rng)) if k else ps
-        dec = generalized_eig(pt.A, pt.B)
-        spectra.append(
-            [e.rescaled(ps.scale_alpha, ps.scale_beta) for e in dec.eigenvalues()]
-        )
-
+    decs = [_perturbed_eig(ps, report.k, opts, rng)[1] for _ in range(2)]  # both from rng, in turn
+    spectra = [[e.rescaled(ps.scale_alpha, ps.scale_beta) for e in d.eigenvalues()] for d in decs]
     matches = greedy_match(*spectra, chordal_distance)
     eigenvalues = [
         (a.value + b.value) / 2.0

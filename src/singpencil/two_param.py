@@ -30,11 +30,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .matrix_core import as_cmatrix, greedy_match_distances, rank_with_tol
+from .matrix_core import _greedy_match_distances, as_cmatrix, rank_with_tol
 from .pencil import Pencil, _derived, read_matrix, write_matrix
 from .solver import SolveOptions, _match_tol, solve, with_defaults
 
@@ -65,26 +65,27 @@ class TwoParamProblem:
     C2: np.ndarray
 
     def __post_init__(self):
-        for name in ("A1", "B1", "C1", "A2", "B2", "C2"):
+        for name in _MANIFEST_KEYS:
             setattr(self, name, as_cmatrix(getattr(self, name), name))
-        for i, (a, b, c) in enumerate(((self.A1, self.B1, self.C1), (self.A2, self.B2, self.C2)), 1):
+        for i in (1, 2):
+            a, b, c = self.equation(i)
             if not (a.shape == b.shape == c.shape) or a.shape[0] != a.shape[1]:
                 raise ValueError(
                     f"equation {i}: A{i}, B{i}, C{i} must be square and of equal size"
                 )
 
-    @property
-    def n1(self):
-        return self.A1.shape[0]
-
-    @property
-    def n2(self):
-        return self.A2.shape[0]
+    def equation(self, i):
+        """The matrices (A_i, B_i, C_i) of equation i, 1 or 2."""
+        return ((self.A1, self.B1, self.C1), (self.A2, self.B2, self.C2))[i - 1]
 
     def evaluate(self, i, lam, mu):
         """The matrix A_i + lambda B_i + mu C_i."""
-        a, b, c = ((self.A1, self.B1, self.C1), (self.A2, self.B2, self.C2))[i - 1]
+        a, b, c = self.equation(i)
         return a + lam * b + mu * c
+
+
+# the six matrix names, which a manifest maps to its files
+_MANIFEST_KEYS = tuple(f.name for f in fields(TwoParamProblem))
 
 
 def _residuals(p: TwoParamProblem, pairs):
@@ -143,7 +144,7 @@ def pair_mu_candidates(mus1, mus2):
     Returns ``(mu1, mu2, discrepancy)`` triples sorted by ascending
     discrepancy, as :func:`~singpencil.matrix_core.greedy_match` does.
     """
-    return greedy_match_distances(*_mu_distances(mus1, mus2))
+    return _greedy_match_distances(*_mu_distances(mus1, mus2))
 
 
 def _mu_distances(mus1, mus2):
@@ -186,7 +187,7 @@ def _mu_candidates(p: TwoParamProblem, i, lams, opts, streams):
     independent of mu: at a lambda where the fixed matrix is singular
     every mu works (None), elsewhere no mu works (an empty list).
     """
-    a, b, c = ((p.A1, p.B1, p.C1), (p.A2, p.B2, p.C2))[i - 1]
+    a, b, c = p.equation(i)
     fixed = [a + lam * b for lam in lams]
     if np.linalg.norm(c, 1) == 0.0:
         return [None if rank_with_tol(f) < f.shape[0] else [] for f in fixed]
@@ -474,9 +475,6 @@ def _polish(A, B, lams, refine, iters=12):
         i, j = _closest_pair(w)
         gaps[live[k]] = float(abs(w[i] - w[j]) / max(1.0, float(np.max(np.abs(w)))))
     return lams, gaps
-
-
-_MANIFEST_KEYS = ("A1", "B1", "C1", "A2", "B2", "C2")
 
 
 def read_problem(manifest_path) -> TwoParamProblem:

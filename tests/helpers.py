@@ -7,7 +7,7 @@ import sys
 import numpy as np
 
 import singpencil
-from singpencil import chordal_distance
+from singpencil import chordal_distance, greedy_match
 from singpencil.kcf_gen import Jordan, KcfSpec, LeftSingular, Nilpotent, RightSingular
 
 
@@ -68,14 +68,7 @@ def result_fields(res):
 
 def greedy_chordal_match(xs, ys):
     """Greedy nearest pairing of two eigenvalue lists in the chordal metric."""
-    d = np.array([[chordal_distance(a, b) for b in ys] for a in xs], dtype=float)
-    pairs = []
-    for _ in range(min(len(xs), len(ys))):
-        i, j = np.unravel_index(np.argmin(d), d.shape)
-        pairs.append((xs[i], ys[j], float(d[i, j])))
-        d[i, :] = np.inf
-        d[:, j] = np.inf
-    return pairs
+    return greedy_match(xs, ys, chordal_distance)
 
 
 def assert_multiset_close(got, expected, rtol=1e-8, atol=1e-8):

@@ -212,6 +212,21 @@ class TestSolveCommand:
         for module in (singpencil.kcf_gen, singpencil.two_param):
             assert set(singpencil._LAZY[module.__name__.rsplit(".", 1)[1]]) == set(module.__all__)
 
+    def test_namespace_is_each_module_all(self):
+        # singpencil's names are its modules' __all__ lists, the lazy ones through
+        # _LAZY, and the six module names; an eager name is its module's own object
+        import singpencil
+        from singpencil import matrix_core, pencil, solver
+
+        eager = (matrix_core, pencil, solver)
+        lazy = {name for names in singpencil._LAZY.values() for name in names}
+        modules = {"matrix_core", "pencil", "solver", *singpencil._LAZY}
+        assert set(singpencil.__all__) == {n for m in eager for n in m.__all__} | lazy | modules
+        assert len(singpencil.__all__) == 57
+        for module in eager:
+            for name in module.__all__:
+                assert getattr(singpencil, name) is getattr(module, name), name
+
     def test_non_finite_entry_exits_2(self, tmp_path, showcase_files):
         nan = tmp_path / "nan.mtx"
         nan.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\nnan\n0.0\n1.0\n")
@@ -439,6 +454,15 @@ class TestGenCommand:
         code, _, err = run_cli(["gen", str(spec_path)])
         assert code == 2
         assert "spec.json:1:" in err
+
+    @pytest.mark.parametrize("block,field", [({"kind": "jordan"}, "size"),
+                                             ({"kind": "right_singular"}, "index")])
+    def test_block_without_its_size_or_index_exits_2(self, tmp_path, block, field):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"blocks": [{"kind": "jordan", "size": 1}, block]}))
+        code, out, err = run_cli(["gen", str(spec_path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: block 1: {block['kind']} needs an integer '{field}'\n"
 
 
 class TestTwoParamCommand:

@@ -387,8 +387,14 @@ class TestGreedyMatch:
         for m, n in ((5, 5), (3, 6), (6, 2)):
             xs = [complex(z) for z in random_complex(rng, (m,))] + [complex(np.inf)]
             ys = [complex(z) for z in random_complex(rng, (n,))]
-            ref = sorted(greedy_chordal_match(xs, ys), key=lambda t: t[2])
-            assert greedy_match(xs, ys, chordal_distance) == ref
+            # an independent reference: take the closest unmatched pair, first in index order
+            d = np.array([[chordal_distance(a, b) for b in ys] for a in xs])
+            ref = []
+            for _ in range(min(len(xs), len(ys))):
+                i, j = np.unravel_index(np.argmin(d), d.shape)
+                ref.append((xs[i], ys[j], float(d[i, j])))
+                d[i, :] = d[:, j] = np.inf
+            assert greedy_match(xs, ys, chordal_distance) == sorted(ref, key=lambda t: t[2])
 
     def test_ties_break_by_index(self):
         out = greedy_match(["a", "b"], ["c", "d", "e"], lambda a, b: 0.0)

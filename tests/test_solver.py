@@ -293,7 +293,7 @@ class TestSolveOptions:
             solve(showcase_pencil(), SolveOptions(seed=1, max_retries=2)).records)
 
     @pytest.mark.parametrize("name", ["delta1", "delta2"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_thresholds_must_be_positive(self, name, value):
         with pytest.raises(ValueError, match="positive"):
             SolveOptions(**{name: value})
