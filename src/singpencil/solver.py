@@ -107,7 +107,7 @@ class SolveOptions:
     rank_tol: object = "auto"
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau != 0):
+        if not (isinstance(self.tau, numbers.Complex) and np.isfinite(self.tau) and self.tau != 0):
             raise ValueError("tau must be finite and nonzero")
         for name in ("delta1", "delta2"):
             value = getattr(self, name)

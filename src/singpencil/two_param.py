@@ -17,7 +17,9 @@ Delta2 z = mu Delta0 z on decomposable tensors z = x1 (x) x2.  For the
 problems of interest here both pencils are singular, so the lambda
 components come out of the rank-completing-perturbation solver, and for
 each lambda the matching mu is found by intersecting the mu-spectra of
-the two one-parameter pencils (A_i + lambda B_i) + mu C_i.
+the two one-parameter pencils (A_i + lambda B_i) + mu C_i.  When every
+matrix is real the solutions come in conjugate pairs, and only one
+member of each pair is searched; the other takes its conjugate.
 
 Two applications are layered on top: finding all lambda where A + lambda B
 has a double eigenvalue (via a linear 2EP whose second equation holds a
@@ -30,13 +32,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .matrix_core import _greedy_match_distances, as_cmatrix, rank_with_tol
 from .pencil import Pencil, _derived, read_matrix, write_matrix
-from .solver import SolveOptions, _match_tol, solve, with_defaults
+from .solver import DEFAULT_MATCH_TOL, SolveOptions, _match_tol, solve, with_defaults
 
 __all__ = [
     "TwoParamProblem",
@@ -75,8 +77,10 @@ class TwoParamProblem:
                 )
 
     def equation(self, i):
-        """The matrices (A_i, B_i, C_i) of equation i, 1 or 2."""
-        return ((self.A1, self.B1, self.C1), (self.A2, self.B2, self.C2))[i - 1]
+        """The matrices (A_i, B_i, C_i) of equation i, 1 or 2; any other i raises ValueError."""
+        if i not in (1, 2):
+            raise ValueError(f"equation index i must be 1 or 2, got {i!r}")
+        return (self.A1, self.B1, self.C1) if i == 1 else (self.A2, self.B2, self.C2)
 
     def evaluate(self, i, lam, mu):
         """The matrix A_i + lambda B_i + mu C_i."""
@@ -176,6 +180,31 @@ def _cluster_values(values, tol):
     return reps
 
 
+def _conjugate_partners(values, tol, inputs=()):
+    """Conjugate pairs among ``values`` as {partner index: representative index}.
+
+    A problem whose ``inputs`` matrices are all real is solved by z
+    exactly when it is solved by conj(z), so one member of each pair
+    stands for both.  Only finite values take part.  A value with
+    |Im z| <= tol max(1, |z|) is real and stands for itself; each value
+    below the real axis is matched one to one, closest first, with a
+    value above it whose conjugate lies within tol max(1, |z|) of it, and
+    the upper value is the representative.  A value left unmatched
+    stands for itself.  A nonzero imaginary part in any of ``inputs``
+    gives no partners.
+    """
+    if any(np.any(m.imag) for m in inputs):
+        return {}
+    z = np.asarray(values, dtype=np.complex128)
+    bound = tol * np.maximum(1.0, np.abs(z))
+    off = np.isfinite(z) & (np.abs(z.imag) > bound)
+    lower, upper = np.flatnonzero(off & (z.imag < 0)), np.flatnonzero(off & (z.imag > 0))
+    d = np.abs(np.subtract.outer(z[lower], z[upper].conj()))
+    d[d > bound[lower, None]] = np.inf
+    matched = _greedy_match_distances(lower.tolist(), upper.tolist(), d)
+    return {lo: up for lo, up, dist in matched if dist < math.inf}
+
+
 def _mu_candidates(p: TwoParamProblem, i, lams, opts, streams):
     """Per lambda, the finite mu with (A_i + lambda B_i + mu C_i) x = 0, or None when mu is free.
 
@@ -218,38 +247,53 @@ def solve_2ep(
     large residuals as suspect rather than silently trusting the
     discrepancy test.
 
+    When all six matrices are real, (lambda, mu) solves the 2EP exactly
+    when its conjugate does, so the lambdas are split by
+    :func:`_conjugate_partners` (tolerance ``delta``): only the
+    representatives are searched, and each partner gets its
+    representative's pairs with lambda and mu conjugated and the same
+    discrepancy and residuals.  The result of a real problem is thus
+    closed under conjugation, bit for bit; a complex problem has no
+    partners.
+
     The per-lambda searches run on independent RNG streams spawned from
-    ``rng``, so results do not depend on evaluation order.  Each
-    lambda's stream serves equation 1, retries included, then
-    equation 2.
+    ``rng``, one per lambda, so results do not depend on evaluation
+    order.  Each representative's stream serves equation 1, retries
+    included, then equation 2; a partner's stream is not used.
 
     Cost: one solve of the n1 n2 x n1 n2 pencil (Delta1, Delta0), then
-    two stacked solves over all lambdas, of the n1 x n1 and the n2 x n2
-    mu pencils (one QZ per lambda each), and one stacked SVD per
-    equation for the residuals of every accepted pair.
+    two stacked solves over the representative lambdas, of the n1 x n1
+    and the n2 x n2 mu pencils (one QZ per lambda each), and one
+    stacked SVD per equation for the residuals of their accepted pairs.
     """
     delta = _match_tol(delta, "delta")
     opts, rng = with_defaults(opts, rng)
     deltas = operator_determinants(p)
     lam_result = solve(Pencil(A=deltas.D1, B=deltas.D0), opts, rng)
     lams = _cluster_values(lam_result.finite_true_values, delta)
+    partners = _conjugate_partners(lams, delta, [getattr(p, k) for k in _MANIFEST_KEYS])
     streams = rng.spawn(len(lams))
-    mus1 = _mu_candidates(p, 1, lams, opts, streams)
-    mus2 = _mu_candidates(p, 2, lams, opts, streams)
+    reps = [r for r in range(len(lams)) if r not in partners]
+    rep_lams = [lams[r] for r in reps]
+    mus1 = _mu_candidates(p, 1, rep_lams, opts, [streams[r] for r in reps])
+    mus2 = _mu_candidates(p, 2, rep_lams, opts, [streams[r] for r in reps])
     accepted = []
-    for lam, m1s, m2s in zip(lams, mus1, mus2):
+    for r, lam, m1s, m2s in zip(reps, rep_lams, mus1, mus2):
         if m1s is None and m2s is None:
             continue
         # a mu-free equation accepts every mu of the other one: match that list with itself
         lists = (m2s if m1s is None else m1s, m1s if m2s is None else m2s)
         matched = _closest_mu_pair(*lists) if unique_lambda else pair_mu_candidates(*lists)
-        accepted += [(lam, (m1 + m2) / 2.0, disc) for m1, m2, disc in matched
+        accepted += [(r, lam, (m1 + m2) / 2.0, disc) for m1, m2, disc in matched
                      if unique_lambda or not disc >= delta]
-    residuals = _residuals(p, [(lam, mu) for lam, mu, _ in accepted])
+    residuals = _residuals(p, [(lam, mu) for _, lam, mu, _ in accepted])
     pairs = [
         Eigenpair2EP(lam=lam, mu=mu, mu_discrepancy=disc, residual1=r1, residual2=r2)
-        for (lam, mu, disc), (r1, r2) in zip(accepted, residuals)
+        for (_, lam, mu, disc), (r1, r2) in zip(accepted, residuals)
     ]
+    mirrored = set(partners.values())
+    pairs += [replace(e, lam=e.lam.conjugate(), mu=e.mu.conjugate())
+              for (r, *_), e in zip(accepted, pairs) if r in mirrored]
     pairs.sort(key=lambda e: (e.lam.real, e.lam.imag, e.mu.real, e.mu.imag))
     return pairs
 
@@ -369,17 +413,30 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
     typically improves the verification gap from about 1e-4 to below
     1e-7.
 
+    When A and B are real, A + conj(lambda) B is the conjugate of
+    A + lambda B, so the lambdas are split by :func:`_conjugate_partners`
+    (tolerance sqrt(EPS)): only the representatives are polished, and
+    each partner gets the conjugate of its representative's lambda
+    (polished or not) and the same gap.
+
     Cost: one dense QZ of the 2n^2 x 2n^2 linearization plus stacked
-    n x n ``eigvals`` calls over all lambdas in lockstep: one without
-    ``refine``, and with it two more per Newton step until the last
-    lambda stops: 3 when one step suffices for every lambda, at most 25.
+    n x n ``eigvals`` calls over the representative lambdas in
+    lockstep: one without ``refine``, and with it two more per Newton
+    step until the last lambda stops: 3 when one step suffices for
+    every lambda, at most 25.
     """
     opts, rng = with_defaults(opts, rng)
     A = as_cmatrix(A, "A")
     B = as_cmatrix(B, "B")
     D1, D0 = double_eig_linearization(A, B)
     result = solve(Pencil(A=D1, B=D0), opts, rng)
-    lambdas, gaps = _polish(A, B, result.finite_true_values, refine)
+    values = result.finite_true_values
+    partners = _conjugate_partners(values, DEFAULT_MATCH_TOL, (A, B))
+    reps = [r for r in range(len(values)) if r not in partners]
+    lambdas, gaps = _polish(A, B, [values[r] for r in reps], refine)
+    mirrored = [reps.index(r) for r in partners.values()]
+    lambdas += [lambdas[t].conjugate() for t in mirrored]
+    gaps += [gaps[t] for t in mirrored]
     order = _lambda_order(lambdas)
     return DoubleEigResult(
         lambdas=[complex(lambdas[i]) for i in order],

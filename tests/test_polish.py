@@ -6,7 +6,9 @@ changed to the relative one of the batched polish: a lambda stops once
 its best gap is below 1e-7 of its best spectrum's scale.  The batched
 polish must reproduce it bit for bit (compared by ``repr`` of each value
 as a Python complex, which ``double_eig`` returns) and must not fall back
-to one ``eigvals`` call per lambda.
+to one ``eigvals`` call per lambda.  On a real pencil the oracle applies
+``double_eig``'s conjugate-pair rule: a partner takes the conjugate of
+its representative's lambda and the same gap.
 """
 
 import math
@@ -18,6 +20,7 @@ import pytest
 import singpencil.matrix_core as mc
 import singpencil.two_param as tp
 from singpencil import SolveOptions, double_eig
+from singpencil.solver import DEFAULT_MATCH_TOL
 
 
 def _closest_pair(w):
@@ -95,6 +98,8 @@ def _oracle(A, B, candidates, refine):
             lam = _refine_double(A, B, lam)
         lambdas.append(lam)
         gaps.append(_relative_gap(A, B, lam))
+    for lo, up in tp._conjugate_partners(candidates, DEFAULT_MATCH_TOL, (A, B)).items():
+        lambdas[lo], gaps[lo] = complex(lambdas[up]).conjugate(), gaps[up]
     order = tp._lambda_order(lambdas)
     return [lambdas[i] for i in order], [gaps[i] for i in order]
 
@@ -164,7 +169,9 @@ def test_polish_makes_stacked_eigvals_calls(monkeypatch, refine, bound):
         assert len(calls) <= bound
     else:
         assert len(calls) == bound
-    assert calls[0] == (56, 8, 8)
+    # one row per representative of a conjugate pair or real lambda
+    partners = tp._conjugate_partners(res.solve_result.finite_true_values, DEFAULT_MATCH_TOL, (A, B))
+    assert calls[0] == (56 - len(partners), 8, 8) and len(partners) > 0
 
 
 @pytest.mark.parametrize("refine", [True, False])

@@ -305,6 +305,12 @@ class TestSolveOptions:
         with pytest.raises(ValueError, match="tau must be finite and nonzero"):
             SolveOptions(tau=value)
 
+    @pytest.mark.parametrize("value", ["x", None])
+    def test_tau_of_the_wrong_type_names_tau(self, value):
+        # used to raise numpy's TypeError from np.isfinite, which names no field
+        with pytest.raises(ValueError, match="tau must be finite and nonzero"):
+            SolveOptions(tau=value)
+
 
 class TestCollisionRetry:
     def test_explicit_gamma_collision_warns(self):

@@ -417,19 +417,34 @@ class TestProblemIO:
                 A2=np.eye(2), B2=np.eye(2), C2=np.eye(2),
             )
 
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_equation_index_must_be_1_or_2(self, i):
+        # equation(0) used to return equation 2's matrices, equation(3) a bare IndexError
+        p = bivariate_cubic_system()[0]
+        with pytest.raises(ValueError, match=f"equation index i must be 1 or 2, got {i}"):
+            p.equation(i)
+        with pytest.raises(ValueError, match=f"equation index i must be 1 or 2, got {i}"):
+            p.evaluate(i, 0.5, 0.25)
+
 
 def _per_lambda_solve_2ep(p, opts, rng, unique_lambda):
     """:func:`solve_2ep` written out with one ``solve`` per lambda and equation.
 
     The reference for the stacked mu solves: each lambda's stream serves
     equation 1, then equation 2, and every residual comes from its own SVD.
+    A conjugate partner of a real problem uses no stream and takes its
+    representative's pairs with lambda and mu conjugated.
     """
     opts, rng = with_defaults(opts, rng)
     delta = DEFAULT_MATCH_TOL
     d = operator_determinants(p)
     lams = tp._cluster_values(solve(Pencil(A=d.D1, B=d.D0), opts, rng).finite_true_values, delta)
-    pairs = []
-    for lam, stream in zip(lams, rng.spawn(len(lams))):
+    partners = tp._conjugate_partners(lams, delta, (p.A1, p.B1, p.C1, p.A2, p.B2, p.C2))
+    pairs, own = [], {}
+    for r, (lam, stream) in enumerate(zip(lams, rng.spawn(len(lams)))):
+        if r in partners:
+            continue
+        own[r] = []
         mus = []
         for a, b, c in ((p.A1, p.B1, p.C1), (p.A2, p.B2, p.C2)):
             fixed = a + lam * b
@@ -449,7 +464,12 @@ def _per_lambda_solve_2ep(p, opts, rng, unique_lambda):
             mu = (m1 + m2) / 2.0
             r1, r2 = (float(np.linalg.svd(p.evaluate(i, lam, mu), compute_uv=False)[-1])
                       for i in (1, 2))
-            pairs.append(tp.Eigenpair2EP(lam, mu, disc, r1, r2))
+            own[r].append(tp.Eigenpair2EP(lam, mu, disc, r1, r2))
+    for r, found in own.items():
+        pairs += found
+    for up in partners.values():
+        pairs += [tp.Eigenpair2EP(e.lam.conjugate(), e.mu.conjugate(), e.mu_discrepancy,
+                                  e.residual1, e.residual2) for e in own[up]]
     pairs.sort(key=lambda e: (e.lam.real, e.lam.imag, e.mu.real, e.mu.imag))
     return pairs
 
@@ -501,7 +521,8 @@ class TestStackedMuSolves:
     def test_each_matrix_is_checked_once(self, monkeypatch):
         # matrix_core._checked runs twice per QZ call, twice per pencil built outside
         # solve (the core pencil and the base of each equation's mu pencils) and twice
-        # per perturbation; the mu pencils derived from a base are not checked again
+        # per perturbation; the mu pencils derived from a base are not checked again.
+        # The problem is real: 18 of its 30 lambdas are representatives, 2 x 18 + 1 QZ
         import singpencil.matrix_core as mc
         import singpencil.solver as solver_module
 
@@ -519,7 +540,7 @@ class TestStackedMuSolves:
         monkeypatch.setattr(solver_module, "make_perturbation",
                             counting("perturbations", solver_module.make_perturbation))
         solve_2ep(p, opts=SolveOptions(seed=1), rng=np.random.default_rng(1), unique_lambda=True)
-        assert counts == {"checked": 130, "qz": 61, "perturbations": 1}
+        assert counts == {"checked": 82, "qz": 37, "perturbations": 1}
         assert counts["checked"] == 2 * counts["qz"] + 2 * 3 + 2 * counts["perturbations"]
 
     def test_overflowing_mu_pencil_stops_in_scale(self):
@@ -530,7 +551,8 @@ class TestStackedMuSolves:
             tp._mu_candidates(p, 1, [1e308 + 0j], SolveOptions(seed=0), streams)
 
     def test_two_stacked_mu_solves_per_call(self, monkeypatch):
-        # one solve for lambda, then one per equation over every lambda
+        # one solve for lambda, then one per equation over the representative
+        # lambdas: one per real lambda and per conjugate pair, 18 of the 30
         calls = []
 
         def counting(p, opts=None, rng=None):
@@ -539,4 +561,95 @@ class TestStackedMuSolves:
 
         monkeypatch.setattr(tp, "solve", counting)
         pairs = solve_2ep(double_eig_problem(1), opts=SolveOptions(seed=1), unique_lambda=True)
-        assert calls == [1, len(pairs), len(pairs)] and len(pairs) == 30
+        reps = len({(e.lam.real, abs(e.lam.imag)) for e in pairs})
+        assert calls == [1, reps, reps] and reps == 18 and len(pairs) == 30
+
+
+def _complex_double_eig_problem(seed):
+    """``double_eig_problem(seed)`` with equation 1 times 1j: the same solutions, complex input."""
+    p = double_eig_problem(seed)
+    return TwoParamProblem(1j * p.A1, 1j * p.B1, 1j * p.C1, p.A2, p.B2, p.C2)
+
+
+def _assert_closed_under_conjugation(items, tol=DEFAULT_MATCH_TOL):
+    """Every non-real entry's exact conjugate is in ``items``; returns how many are non-real.
+
+    ``items`` are tuples whose first two entries are conjugated (lambda and
+    mu, or lambda and a dummy) and whose remaining entries are copied.
+    """
+    conj = {(a.conjugate(), b.conjugate()) + tuple(rest) for a, b, *rest in items}
+    off = [t for t in items if abs(t[0].imag) > tol * max(1.0, abs(t[0]))]
+    assert all(t in conj for t in off)
+    return len(off)
+
+
+class TestConjugatePartners:
+    """One member of each conjugate pair of a real problem is solved, the other mirrors it."""
+
+    tol = 1e-8
+
+    def test_pair_maps_lower_to_upper(self):
+        assert tp._conjugate_partners([1 + 2j, 1 - 2j], self.tol) == {1: 0}
+        assert tp._conjugate_partners([1 - 2j, 1 + 2j + 1e-12], self.tol) == {0: 1}
+
+    def test_real_value_stands_for_itself(self):
+        assert tp._conjugate_partners([3.0 + 1e-12j, -2.0 - 1e-12j, 5.0], self.tol) == {}
+
+    def test_lone_upper_value_stands_for_itself(self):
+        assert tp._conjugate_partners([1 + 2j, 4 - 1j], self.tol) == {}
+
+    def test_non_finite_values_take_no_part(self):
+        values = [complex(math.inf, 1.0), complex(math.inf, -1.0), complex(math.nan, 1.0)]
+        assert tp._conjugate_partners(values, self.tol) == {}
+
+    def test_close_pairs_match_closest_first(self):
+        # two pairs 2e-9 apart, closer than tol to each other: each lower value
+        # takes the upper value whose conjugate is nearest to it
+        a, b = 1 + 2j, 1 + 2e-9 + 2j
+        values = [a, b, b.conjugate() + 1e-13, a.conjugate() - 1e-13]
+        assert tp._conjugate_partners(values, self.tol) == {2: 1, 3: 0}
+
+    def test_complex_input_gives_no_partners(self):
+        values = [1 + 2j, 1 - 2j]
+        assert tp._conjugate_partners(values, self.tol, (np.eye(2), np.eye(2))) == {1: 0}
+        assert tp._conjugate_partners(values, self.tol, (np.eye(2), 1j * np.eye(2))) == {}
+
+    @pytest.mark.parametrize(
+        "make,unique,count",
+        [(lambda: double_eig_problem(1), True, 30), (lambda: bivariate_cubic_system()[0], False, 9)],
+    )
+    def test_solve_2ep_partners_mirror_their_representatives(self, make, unique, count):
+        pairs = solve_2ep(make(), opts=SolveOptions(seed=1), rng=np.random.default_rng(1),
+                          unique_lambda=unique)
+        assert len(pairs) == count
+        items = [(e.lam, e.mu, e.mu_discrepancy, e.residual1, e.residual2) for e in pairs]
+        assert _assert_closed_under_conjugation(items) >= count // 3
+
+    def test_double_eig_partners_mirror_their_representatives(self):
+        rng = np.random.default_rng(1)
+        A, B = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
+        for refine in (True, False):
+            res = double_eig(A, B, opts=SolveOptions(seed=1), refine=refine)
+            assert len(res.lambdas) == 56
+            items = [(lam, 0j, gap) for lam, gap in zip(res.lambdas, res.gaps)]
+            assert _assert_closed_under_conjugation(items) >= 40
+
+    def test_complex_problem_is_not_paired(self, monkeypatch):
+        # equation 1 times 1j keeps the solutions of the real problem, but no lambda
+        # may mirror another: every one gets its own mu solves, as in the loop
+        p = _complex_double_eig_problem(1)
+        opts = SolveOptions(seed=1)
+        want = _per_lambda_solve_2ep(p, opts, np.random.default_rng(1), True)
+        calls = []
+
+        def counting(q, opts=None, rng=None):
+            calls.append(1 if isinstance(q, Pencil) else len(q))
+            return solve(q, opts, rng)
+
+        monkeypatch.setattr(tp, "solve", counting)
+        got = solve_2ep(p, opts=opts, rng=np.random.default_rng(1), unique_lambda=True)
+        assert repr(got) == repr(want)
+        assert calls == [1, 30, 30] and len(got) == 30
+        real = solve_2ep(double_eig_problem(1), opts=opts, rng=np.random.default_rng(1),
+                         unique_lambda=True)
+        assert_multiset_close([e.lam for e in got], [e.lam for e in real], rtol=1e-6, atol=1e-6)

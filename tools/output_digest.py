@@ -16,7 +16,9 @@ warning.  Library cases digest the exact ``repr`` of
 reports and perturbations, forced-collision retries,
 ``solve_by_intersection``, ``double_eig`` with and without refine and
 ``solve_2ep`` (on the bivariate cubic and on the benchmark's
-double-eigenvalue 2EP, whose mu pencils are 6 x 6 and 18 x 18).
+double-eigenvalue 2EP, whose mu pencils are 6 x 6 and 18 x 18, also
+with equation 1 times 1j, a complex problem whose lambdas are not
+paired with their conjugates).
 
 The package is imported from the ``src`` directory next to this file, so
 running the script of two checkouts and diffing the output compares
@@ -41,6 +43,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from singpencil import (  # noqa: E402
     Pencil,
     SolveOptions,
+    TwoParamProblem,
     double_eig,
     scale,
     solve,
@@ -85,6 +88,7 @@ DOUBLEEIG_FLAGS = ((), ("--no-refine",), ("--tau", "0.1"))
 TWOPARAM_FLAGS = ((), ("--delta", "1e-6"), ("--unique-lambda",), ("--retries", "0"))
 # the benchmark's twoparam 2EP; seed 13 misses its lambda gate on some requests
 DOUBLE_EIG_2EP_SEEDS = (1, 2, 13)
+COMPLEX_2EP_SEEDS = (1, 2)
 
 
 def _kcf(blocks, seed, transform="unitary"):
@@ -234,6 +238,15 @@ def library_cases():
     for seed in DOUBLE_EIG_2EP_SEEDS:
         yield f"lib/solve_2ep/double_eig_2ep/{seed}", lambda seed=seed: repr(solve_2ep(
             double_eig_problem(seed), opts=SolveOptions(seed=seed), unique_lambda=True))
+    for seed in COMPLEX_2EP_SEEDS:
+        yield f"lib/solve_2ep/double_eig_2ep_complex/{seed}", lambda seed=seed: repr(solve_2ep(
+            _times_1j_in_equation_1(double_eig_problem(seed)), opts=SolveOptions(seed=seed),
+            unique_lambda=True))
+
+
+def _times_1j_in_equation_1(p):
+    """The 2EP ``p`` with equation 1 multiplied by 1j: the same solutions, complex matrices."""
+    return TwoParamProblem(1j * p.A1, 1j * p.B1, 1j * p.C1, p.A2, p.B2, p.C2)
 
 
 def main_digest():
