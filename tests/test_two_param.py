@@ -440,7 +440,7 @@ def _per_lambda_solve_2ep(p, opts, rng, unique_lambda):
     d = operator_determinants(p)
     lams = tp._cluster_values(solve(Pencil(A=d.D1, B=d.D0), opts, rng).finite_true_values, delta)
     partners = tp._conjugate_partners(lams, delta, (p.A1, p.B1, p.C1, p.A2, p.B2, p.C2))
-    pairs, own = [], {}
+    own = {}
     for r, (lam, stream) in enumerate(zip(lams, rng.spawn(len(lams)))):
         if r in partners:
             continue
@@ -465,11 +465,9 @@ def _per_lambda_solve_2ep(p, opts, rng, unique_lambda):
             r1, r2 = (float(np.linalg.svd(p.evaluate(i, lam, mu), compute_uv=False)[-1])
                       for i in (1, 2))
             own[r].append(tp.Eigenpair2EP(lam, mu, disc, r1, r2))
-    for r, found in own.items():
-        pairs += found
-    for up in partners.values():
-        pairs += [tp.Eigenpair2EP(e.lam.conjugate(), e.mu.conjugate(), e.mu_discrepancy,
-                                  e.residual1, e.residual2) for e in own[up]]
+    pairs = [e for found in own.values() for e in found]
+    pairs += [tp.Eigenpair2EP(e.lam.conjugate(), e.mu.conjugate(), e.mu_discrepancy,
+                              e.residual1, e.residual2) for up in partners.values() for e in own[up]]
     pairs.sort(key=lambda e: (e.lam.real, e.lam.imag, e.mu.real, e.mu.imag))
     return pairs
 
