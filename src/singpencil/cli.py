@@ -46,7 +46,7 @@ import sys
 import numpy as np
 
 from .matrix_core import NumericalError
-from .pencil import normal_rank, read_pencil, write_pencil
+from .pencil import _read_json, normal_rank, read_pencil, write_pencil
 from .solver import SolveOptions, solve, solve_by_intersection
 
 __all__ = ["main", "entry"]
@@ -166,14 +166,7 @@ def _cmd_nrank(args, opts, out):
 def _cmd_gen(args, opts, out):
     from .kcf_gen import build, spec_from_json, spec_to_json
 
-    with open(args.spec) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{args.spec}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
-            ) from exc
-    spec = spec_from_json(doc)
+    spec = spec_from_json(_read_json(args.spec))
     pencil, truth = build(spec, np.random.default_rng(opts.seed))
     os.makedirs(args.output_dir, exist_ok=True)
     path_a = os.path.join(args.output_dir, "A.mtx")

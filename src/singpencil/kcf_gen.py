@@ -8,7 +8,12 @@ minimal index m) and ``L_n^T`` (size (n+1) x n, left minimal index n).
 Assembling chosen blocks and hiding them behind random equivalence
 transformations yields test pencils whose eigenvalues, normal rank and
 block counts are known exactly; that ground truth is the oracle every
-property test in this package leans on.
+property test in this package leans on.  :func:`oracle_eigenvalues`
+derives it from the block fields alone, by the identities of the form.
+
+``_BLOCK_KINDS`` is the one list of block kinds: :class:`KcfSpec`
+accepts a block only of one of its four exact types, and each block
+stores its size or index as an int, checked when it is built.
 
 The block list plus transform is serializable as a small JSON document
 so any generated test pencil can be reproduced from its printed spec and
@@ -18,6 +23,7 @@ subcommand).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -39,6 +45,23 @@ __all__ = [
 ]
 
 
+def _integer(x):
+    """``x`` as an int; TypeError unless it is an integral number (a bool is not one)."""
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise TypeError(f"not an integer: {x!r}")
+
+
+def _store_integer(block, name, low, what):
+    """Store the field ``name`` of ``block`` as :func:`_integer` reads it; ValueError below low."""
+    value = _integer(getattr(block, name))
+    if value < low:
+        raise ValueError(f"{what} must be >= {low}")
+    object.__setattr__(block, name, value)
+
+
 @dataclass(frozen=True)
 class Jordan:
     """Jordan block J_size(eigenvalue) - lambda I."""
@@ -47,8 +70,7 @@ class Jordan:
     eigenvalue: complex
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("Jordan block size must be >= 1")
+        _store_integer(self, "size", 1, "Jordan block size")
 
     def matrices(self):
         A = np.eye(self.size, dtype=np.complex128) * complex(self.eigenvalue)
@@ -66,8 +88,7 @@ class Nilpotent:
     size: int
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("nilpotent block size must be >= 1")
+        _store_integer(self, "size", 1, "nilpotent block size")
 
     def matrices(self):
         J, I = Jordan(self.size, 0).matrices()
@@ -81,8 +102,7 @@ class RightSingular:
     index: int
 
     def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("minimal index must be >= 0")
+        _store_integer(self, "index", 0, "minimal index")
 
     def matrices(self):
         m = self.index
@@ -103,22 +123,32 @@ class LeftSingular:
     index: int
 
     def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("minimal index must be >= 0")
+        _store_integer(self, "index", 0, "minimal index")
 
     def matrices(self):
         A, B = RightSingular(self.index).matrices()
         return A.T, B.T
 
 
+_BLOCK_KINDS = {
+    "jordan": Jordan,
+    "nilpotent": Nilpotent,
+    "right_singular": RightSingular,
+    "left_singular": LeftSingular,
+}
+_KIND_OF = {cls: kind for kind, cls in _BLOCK_KINDS.items()}
+
+
 @dataclass(frozen=True)
 class KcfSpec:
     """A block list plus the equivalence transform hiding it.
 
-    transform is one of "none" (return the canonical form itself),
-    "unitary" (random unitary P, Q) or "general" (random P, Q with
-    2-norm condition number exactly ``cond_bound``, which must be a
-    finite number >= 1 for every transform).
+    Every block must be of one of the four block types exactly (a
+    subclass is not one); another entry raises TypeError.  transform is
+    one of "none" (return the canonical form itself), "unitary" (random
+    unitary P, Q) or "general" (random P, Q with 2-norm condition number
+    exactly ``cond_bound``, which must be a finite number >= 1 for every
+    transform).
     """
 
     blocks: tuple
@@ -129,6 +159,9 @@ class KcfSpec:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise ValueError("spec must contain at least one block")
+        for b in self.blocks:
+            if type(b) not in _KIND_OF:
+                raise TypeError(f"unknown block type {type(b).__name__}")
         if self.transform not in ("none", "unitary", "general"):
             raise ValueError(f"unknown transform {self.transform!r}")
         if not 1 <= self.cond_bound <= np.finfo(float).max:  # false for NaN
@@ -140,11 +173,14 @@ class KcfSpec:
 class GroundTruth:
     """Exact spectral data implied by a block list.
 
-    finite holds the finite eigenvalues with multiplicity; r is the size
-    of the regular part; k the number of singular block pairs; M and N
-    the sums of right and left minimal indices.  For a square pencil of
-    size n the perturbed-spectrum counts are r true, k prescribed,
-    M random-right and N random-left eigenvalues with r + k + M + N = n.
+    finite holds the finite eigenvalues with multiplicity, sorted by real
+    then imaginary part; n_infinite the number of infinite eigenvalues;
+    r the size of the regular part; k the number of singular block
+    pairs; M and N the sums of right and left minimal indices; nrank
+    the normal rank; rows and cols the shape of the pencil.  For a
+    square pencil of size n the perturbed-spectrum counts are r true,
+    k prescribed, M random-right and N random-left eigenvalues with
+    r + k + M + N = n.
     """
 
     finite: list
@@ -159,44 +195,29 @@ class GroundTruth:
 
 
 def oracle_eigenvalues(spec: KcfSpec) -> GroundTruth:
-    """Read the exact spectral data off the block list, no numerics involved."""
-    finite = []
-    n_inf = 0
-    r = M = N = 0
-    n_right = n_left = 0
-    rows = cols = 0
-    for b in spec.blocks:
-        A, _ = b.matrices()
-        rows += A.shape[0]
-        cols += A.shape[1]
-        if isinstance(b, Jordan):
-            finite.extend([complex(b.eigenvalue)] * b.size)
-            r += b.size
-        elif isinstance(b, Nilpotent):
-            n_inf += b.size
-            r += b.size
-        elif isinstance(b, RightSingular):
-            M += b.index
-            n_right += 1
-        elif isinstance(b, LeftSingular):
-            N += b.index
-            n_left += 1
-        else:
-            raise TypeError(f"unknown block type {type(b).__name__}")
-    k = max(n_right, n_left)
-    nrank = min(rows - n_left, cols - n_right)
+    """Derive the exact spectral data from the block fields, no numerics involved.
+
+    No matrix is built.  A Jordan block J_s(lam0) adds lam0 s times to
+    ``finite``, a nilpotent block of size s adds s to ``n_infinite``,
+    and r = len(finite) + n_infinite.  With k_R right and k_L left
+    singular blocks, k = max(k_R, k_L).  L_m is m x (m + 1) of rank m
+    and L_n^T is (n + 1) x n of rank n, so
+
+        nrank = r + M + N,  rows = nrank + k_L,  cols = nrank + k_R,
+
+    and nrank = min(rows - k_L, cols - k_R).
+    """
+    of = {cls: [b for b in spec.blocks if type(b) is cls] for cls in _KIND_OF}
+    finite = [complex(b.eigenvalue) for b in of[Jordan] for _ in range(b.size)]
     finite.sort(key=lambda z: (z.real, z.imag))
-    return GroundTruth(
-        finite=finite,
-        n_infinite=n_inf,
-        r=r,
-        k=k,
-        M=M,
-        N=N,
-        nrank=nrank,
-        rows=rows,
-        cols=cols,
-    )
+    n_infinite = sum(b.size for b in of[Nilpotent])
+    M = sum(b.index for b in of[RightSingular])
+    N = sum(b.index for b in of[LeftSingular])
+    k_right, k_left = len(of[RightSingular]), len(of[LeftSingular])
+    r = len(finite) + n_infinite
+    nrank = r + M + N
+    return GroundTruth(finite=finite, n_infinite=n_infinite, r=r, k=max(k_right, k_left),
+                       M=M, N=N, nrank=nrank, rows=nrank + k_left, cols=nrank + k_right)
 
 
 def build(spec: KcfSpec, rng):
@@ -233,23 +254,11 @@ def _transform_matrix(n, spec: KcfSpec, rng):
     return (random_orthonormal(n, n, rng) * d) @ random_orthonormal(n, n, rng).conj().T
 
 
-_BLOCK_KINDS = {
-    "jordan": Jordan,
-    "nilpotent": Nilpotent,
-    "right_singular": RightSingular,
-    "left_singular": LeftSingular,
-}
-_KIND_OF = {cls: kind for kind, cls in _BLOCK_KINDS.items()}
-
-
 def spec_to_json(spec: KcfSpec) -> dict:
     """Serialize a spec to a plain JSON-compatible dictionary."""
     blocks = []
     for b in spec.blocks:
-        kind = _KIND_OF.get(type(b))
-        if kind is None:
-            raise TypeError(f"unknown block type {type(b).__name__}")
-        doc = {"kind": kind, **asdict(b)}
+        doc = {"kind": _KIND_OF[type(b)], **asdict(b)}
         if "eigenvalue" in doc:
             z = complex(doc["eigenvalue"])
             doc["eigenvalue"] = [z.real, z.imag]
@@ -257,17 +266,16 @@ def spec_to_json(spec: KcfSpec) -> dict:
     return {"blocks": blocks, "transform": spec.transform, "cond_bound": spec.cond_bound}
 
 
-def _integer(x):
-    """``x`` as an int; TypeError unless it is an integral number (a bool is not one)."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    raise TypeError(f"not an integer: {x!r}")
+def _number(x):
+    """Whether ``x`` is a JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def spec_from_json(doc: dict) -> KcfSpec:
-    """Parse the dictionary produced by :func:`spec_to_json`; another shape raises ValueError."""
+    """Parse the dictionary produced by :func:`spec_to_json`; another shape raises ValueError.
+
+    A block's error names its index: ``block 1: Jordan block size must be >= 1``.
+    """
     if not isinstance(doc, dict) or not isinstance(doc.get("blocks"), list):
         raise ValueError("KCF spec document must contain a 'blocks' list")
     blocks = []
@@ -279,21 +287,23 @@ def spec_from_json(doc: dict) -> KcfSpec:
         if cls is None:
             raise ValueError(f"block {i}: unknown kind {kind!r}")
         try:
-            args = {f.name: _integer(rb[f.name]) for f in fields(cls) if f.name != "eigenvalue"}
+            args = {f.name: rb[f.name] for f in fields(cls) if f.name != "eigenvalue"}
         except KeyError as exc:
             raise ValueError(f"block {i}: {kind} needs an integer {exc.args[0]!r}") from None
-        except TypeError:
-            raise ValueError(f"block {i}: {kind} sizes and indices must be integers") from None
         if cls is Jordan:
             ev = rb.get("eigenvalue", [0.0, 0.0])
-            ev = [ev, 0.0] if isinstance(ev, (int, float)) else ev
-            if not (isinstance(ev, list) and len(ev) == 2
-                    and all(isinstance(x, (int, float)) for x in ev)):
+            ev = [ev, 0.0] if _number(ev) else ev
+            if not (isinstance(ev, list) and len(ev) == 2 and all(map(_number, ev))):
                 raise ValueError(f"block {i}: eigenvalue must be a number or an [re, im] pair")
             args["eigenvalue"] = complex(ev[0], ev[1])
-        blocks.append(cls(**args))
+        try:
+            blocks.append(cls(**args))
+        except TypeError:
+            raise ValueError(f"block {i}: {kind} sizes and indices must be integers") from None
+        except ValueError as exc:
+            raise ValueError(f"block {i}: {exc}") from None
     cond_bound = doc.get("cond_bound", KcfSpec.cond_bound)
-    if isinstance(cond_bound, bool) or not isinstance(cond_bound, (int, float)):
+    if not _number(cond_bound):
         raise ValueError(f"cond_bound must be a number, got {cond_bound!r}")
     return KcfSpec(blocks=tuple(blocks), transform=doc.get("transform", KcfSpec.transform),
                    cond_bound=cond_bound)

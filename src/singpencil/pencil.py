@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bz2
 import gzip
+import json
 import re
 from dataclasses import dataclass, field
 
@@ -288,6 +289,15 @@ def write_matrix(path, m):
     with _opener(str(path))(path, "wt") as f:
         f.write(f"%%MatrixMarket matrix array complex general\n{m.shape[0]} {m.shape[1]}\n")
         f.write("%r %r\n" * m.size % parts)
+
+
+def _read_json(path):
+    """The JSON document in the file ``path``; ValueError ``path:line:col: invalid JSON (...)``."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
 
 
 def read_pencil(path_a, path_b) -> Pencil:

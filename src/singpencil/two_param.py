@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .matrix_core import _greedy_match_distances, as_cmatrix, rank_with_tol
-from .pencil import Pencil, _derived, read_matrix, write_matrix
+from .pencil import Pencil, _derived, _read_json, read_matrix, write_matrix
 from .solver import DEFAULT_MATCH_TOL, SolveOptions, _match_tol, solve, with_defaults
 
 __all__ = [
@@ -540,11 +540,7 @@ def read_problem(manifest_path) -> TwoParamProblem:
     The manifest maps each of A1, B1, C1, A2, B2, C2 to a file path,
     resolved relative to the manifest's own directory.
     """
-    with open(manifest_path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    doc = _read_json(manifest_path)
     if not isinstance(doc, dict):
         raise ValueError(f"{manifest_path}: manifest must be a JSON object")
     missing = [k for k in _MANIFEST_KEYS if k not in doc]

@@ -1,5 +1,6 @@
 """Tests for the command line front end: formats, exit codes, determinism."""
 
+import dataclasses
 import io
 import json
 import math
@@ -17,8 +18,10 @@ from singpencil import (
     Pencil,
     SolveOptions,
     read_problem,
+    scale,
     solve_2ep,
     spec_from_json,
+    squarify,
     write_pencil,
     write_problem,
 )
@@ -71,6 +74,19 @@ class TestSolveCommand:
         assert code == 0 and err == ""
         rows = out.strip().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == ["prescribed"] * 3
+
+    def test_table_warns_of_a_persistent_collision(self, showcase_files, monkeypatch):
+        # every perturbation prescribes the true eigenvalue 1/3, and --retries 0 keeps it
+        import singpencil.solver as solver_mod
+
+        real = solver_mod.make_perturbation
+        gamma = ([(1 / 3) / scale(squarify(showcase_pencil())).back_factor], [1.0])
+        monkeypatch.setattr(solver_mod, "make_perturbation", lambda n, k, opts, rng: real(
+            n, k, dataclasses.replace(opts, gamma=gamma), rng))
+        code, out, err = run_cli(["solve", *showcase_files, "--retries", "0"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == (
+            "warning: prescribed/true eigenvalue collision persisted after retries")
 
     def test_table_output(self, showcase_files):
         a, b = showcase_files
@@ -455,6 +471,14 @@ class TestGenCommand:
         assert code == 2
         assert "spec.json:1:" in err
 
+    @pytest.mark.parametrize("cmd", ["gen", "twoparam"])
+    def test_invalid_json_names_line_and_column(self, tmp_path, cmd):
+        # gen specs and twoparam manifests share one reader and one message
+        path = tmp_path / "doc.json"
+        path.write_text("{broken")
+        assert run_cli([cmd, str(path)]) == (2, "", (
+            f"error: {path}:1:2: invalid JSON (Expecting property name enclosed in double quotes)\n"))
+
     @pytest.mark.parametrize("block,field", [({"kind": "jordan"}, "size"),
                                              ({"kind": "right_singular"}, "index")])
     def test_block_without_its_size_or_index_exits_2(self, tmp_path, block, field):
@@ -528,6 +552,9 @@ _MANIFEST = {k: f"{k}.mtx" for k in ("A1", "B1", "C1", "A2", "B2", "C2")}
         ("gen", {"blocks": [_JORDAN], "cond_bound": 1e400}),
         ("gen", {"blocks": [_JORDAN], "cond_bound": math.nan}),
         ("gen", {"blocks": [_JORDAN], "cond_bound": 0.5}),
+        ("gen", {"blocks": [{**_JORDAN, "eigenvalue": True}]}),
+        ("gen", {"blocks": [{**_JORDAN, "eigenvalue": [True, 0]}]}),
+        ("gen", {"blocks": [{**_JORDAN, "eigenvalue": [0.5, False]}]}),
     ],
 )
 def test_ill_shaped_json_exits_2(tmp_path, monkeypatch, cmd, doc):
@@ -555,6 +582,12 @@ class TestDoubleEigCommand:
         )
         assert code == 0
         assert out.strip().splitlines()[-1] == "2 double-eigenvalue locations"
+
+
+    def test_rectangular_pair_exits_2(self, tmp_path):
+        a, b = str(tmp_path / "A.mtx"), str(tmp_path / "B.mtx")
+        write_pencil(Pencil(A=np.ones((2, 3)), B=np.eye(2, 3)), a, b)
+        assert run_cli(["doubleeig", a, b]) == (2, "", "error: doubleeig requires square matrices\n")
 
 
 class TestIntersectCommand:

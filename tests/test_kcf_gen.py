@@ -1,5 +1,7 @@
 """Tests for the canonical-form test pencil generator and its oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,19 @@ class TestOracle:
         assert truth.M == 1 and truth.N == 0
         assert truth.k == 1
         assert truth.nrank == 3
+
+
+    def test_builds_no_matrix(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("the oracle built a block's matrices")
+
+        for cls in (Jordan, Nilpotent, RightSingular, LeftSingular):
+            monkeypatch.setattr(cls, "matrices", fail)
+        truth = oracle_eigenvalues(KcfSpec((Jordan(2, 1j), Jordan(1, -1.0), Nilpotent(3),
+                                            RightSingular(2), RightSingular(0), LeftSingular(1))))
+        assert truth.finite == [-1.0, 1j, 1j]
+        assert (truth.n_infinite, truth.r, truth.k, truth.M, truth.N) == (3, 6, 2, 2, 1)
+        assert (truth.nrank, truth.rows, truth.cols) == (9, 10, 11)
 
 
 class TestBuild:
@@ -120,6 +135,34 @@ class TestDualBlocks:
         np.testing.assert_array_equal(B, N)
 
 
+class TestBlockFields:
+    """Each block checks and normalizes its size or index where it is built."""
+
+    def test_numpy_integer_is_stored_as_an_int(self):
+        spec = KcfSpec((Jordan(np.int64(2), 1), RightSingular(np.int32(1)), LeftSingular(1.0)))
+        assert [type(getattr(b, f)) for b, f in zip(spec.blocks, ("size", "index", "index"))] \
+            == [int, int, int]
+        assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
+
+    @pytest.mark.parametrize("cls,args", [(Jordan, (2.5, 0)), (RightSingular, (1.5,)),
+                                          (Nilpotent, (True,)), (LeftSingular, ("1",)),
+                                          (Nilpotent, (np.True_,))],
+                             ids=["Jordan-2.5", "RightSingular-1.5", "Nilpotent-True",
+                                  "LeftSingular-str", "Nilpotent-np.True_"])
+    def test_non_integral_sizes_raise_type_error(self, cls, args):
+        with pytest.raises(TypeError, match="not an integer"):
+            cls(*args)
+
+    def test_non_blocks_raise_type_error(self):
+        class Subclass(Jordan):
+            pass
+
+        with pytest.raises(TypeError, match="^unknown block type str$"):
+            KcfSpec(("x",))
+        with pytest.raises(TypeError, match="^unknown block type Subclass$"):
+            KcfSpec((Jordan(1, 0.0), Subclass(1, 0.0)))
+
+
 class TestNormalRankProperty:
     def test_oracle_matches_probe_on_random_specs(self):
         for trial in range(100):
@@ -129,6 +172,8 @@ class TestNormalRankProperty:
             rep = normal_rank(p, np.random.default_rng(trial))
             assert rep.nrank == truth.nrank, f"trial {trial}: {spec}"
             assert rep.k == truth.k
+            # the oracle's rows and cols come from the block fields, not the matrices
+            assert p.shape == (truth.rows, truth.cols)
 
 
 class TestSolveRecovery:
@@ -175,6 +220,16 @@ class TestJsonRoundTrip:
             spec_from_json({"blocks": [{"kind": "whatever"}]})
         with pytest.raises(ValueError):
             spec_from_json({"blocks": []})
+
+    @pytest.mark.parametrize("block,message", [
+        ({"kind": "jordan", "size": 0}, "Jordan block size must be >= 1"),
+        ({"kind": "nilpotent", "size": -1.0}, "nilpotent block size must be >= 1"),
+        ({"kind": "left_singular", "index": -2}, "minimal index must be >= 0"),
+    ])
+    def test_range_errors_name_their_block(self, block, message):
+        doc = {"blocks": [{"kind": "jordan", "size": 1}, block]}
+        with pytest.raises(ValueError, match=f"^block 1: {message}$"):
+            spec_from_json(doc)
 
     @pytest.mark.parametrize("size", [2.7, True, "2", float("inf")])
     def test_sizes_must_be_integral_numbers(self, size):

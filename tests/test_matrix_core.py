@@ -122,6 +122,12 @@ class TestGeneralizedEig:
                 generalized_eig(np.diag([1.0, 2.0]), np.eye(2))
             assert exc.value.details == {"n": 2, "lapack_info": 2}
 
+    def test_indeterminate_pairs_raise_numerical_error(self):
+        # every eigenvalue of the zero pencil is 0 / 0
+        with pytest.raises(NumericalError, match="indeterminate eigenvalues") as exc:
+            generalized_eig(np.zeros((2, 2)), np.zeros((2, 2)))
+        assert exc.value.details == {"indices": [0, 1]}
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             generalized_eig(np.eye(2), np.eye(3))

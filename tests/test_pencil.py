@@ -388,6 +388,23 @@ class TestNumpyReader:
                 read_matrix(path)
 
     @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("array pattern general\n1 1\n", "unsupported type array pattern general"),
+            ("array real general\n2 x\n1\n2\n", "bad size line '2 x'"),
+            ("array real symmetric\n2 3\n1\n2\n3\n", "a symmetric matrix of shape 2 x 3"),
+            ("coordinate real general\n2 2 1\n3 1 1.0\n", "an index that is not an integer in range"),
+            ("coordinate real general\n2 2 1\n1.5 1 1.0\n", "an index that is not an integer in range"),
+        ],
+    )
+    def test_rejection_names_its_reason(self, tmp_path, text, reason):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix " + text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not a readable "
+                                             rf"Matrix Market file \({re.escape(reason)}\)$"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize(
         "banner,body",
         [
             ("array complex symmetric", "2 2\n1 0\n2 0\n4 0\n"),
