@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .pencil import Pencil
-from .two_param import TwoParamProblem, _double_eig_2ep
+from .two_param import TwoParamProblem
 
 __all__ = [
     "showcase_pencil",
@@ -189,7 +189,7 @@ def double_eig_problem(seed) -> TwoParamProblem:
 
     A and B are 6 x 6 standard normal matrices from
     ``numpy.random.default_rng(seed)``, and P, Q, R the 18 x 18 blocks of
-    the squared double-eigenvalue 2EP (``two_param._double_eig_2ep``),
+    the squared double-eigenvalue 2EP (:func:`_double_eig_2ep`),
     formed in real arithmetic.  Its operator determinants are 108 x 108,
     against the 72 x 72 of
     :func:`~singpencil.two_param.double_eig_linearization` at n = 6, which
@@ -200,3 +200,30 @@ def double_eig_problem(seed) -> TwoParamProblem:
     """
     rng = np.random.default_rng(seed)
     return _double_eig_2ep(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)))
+
+
+def _double_eig_2ep(A, B):
+    """The squared 2EP (A, B, -I; P, Q, R) of the double-eigenvalue problem, 3n x 3n.
+
+    The second equation asks for (A + lambda B - mu I)^2 y = 0 with the
+    3n x 3n block matrices
+
+        P = [[A^2, AB + BA, -2A], [0, I, 0], [0, 0, I]],
+        Q = [[0, B^2, -B], [-I, 0, 0], [0, 0, 0]],
+        R = [[0, -B, I], [0, 0, 0], [-I, 0, 0]],
+
+    acting on (y, lambda y, mu y), so its operator determinants are
+    3 n^2 x 3 n^2 (normal rank 3 n^2 - n).
+    :func:`~singpencil.two_param.double_eig` uses the smaller form of
+    :func:`~singpencil.two_param.double_eig_linearization`; this one is
+    the 2EP of :func:`double_eig_problem` and of the benchmark's
+    ``twoparam`` workload.  The blocks are formed in the dtype of A and
+    B, so real inputs give the bits of a real-arithmetic construction.
+    """
+    n = A.shape[0]
+    I = np.eye(n, dtype=A.dtype)
+    Z = np.zeros((n, n), dtype=A.dtype)
+    P = np.block([[A @ A, A @ B + B @ A, -2.0 * A], [Z, I, Z], [Z, Z, I]])
+    Q = np.block([[Z, B @ B, -B], [-I, Z, Z], [Z, Z, Z]])
+    R = np.block([[Z, -B, I], [Z, Z, Z], [-I, Z, Z]])
+    return TwoParamProblem(A1=A, B1=B, C1=-I, A2=P, B2=Q, C2=R)

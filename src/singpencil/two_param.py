@@ -332,7 +332,7 @@ def double_eig_linearization(A, B):
     Muhič & Plestenjak (LAA 2014) solve the problem exactly as a
     singular 2EP reduced to its regular part, as done here.  The squared
     condition M^2 y = 0, linearized on (y, lambda y, mu y), gives the
-    3n x 3n second equation of :func:`_double_eig_2ep` and a 3 n^2 x
+    3n x 3n second equation of :func:`~singpencil.gallery._double_eig_2ep` and a 3 n^2 x
     3 n^2 pencil; the chain z = (z1, z2) states the same condition with
     a 2n x 2n equation that is linear already, so the QZ works on
     (2/3)^3 of the flops, and the count of lambdas is the same.
@@ -346,33 +346,6 @@ def double_eig_linearization(A, B):
         A1=A, B1=B, C1=-I, A2=np.block([[A, -I], [Z, A]]), B2=np.block([[B, Z], [Z, B]]),
         C2=-np.eye(2 * len(A))))
     return deltas.D1, deltas.D0
-
-
-def _double_eig_2ep(A, B):
-    """The squared 2EP (A, B, -I; P, Q, R) of the double-eigenvalue problem, 3n x 3n.
-
-    The second equation asks for (A + lambda B - mu I)^2 y = 0 with the
-    3n x 3n block matrices
-
-        P = [[A^2, AB + BA, -2A], [0, I, 0], [0, 0, I]],
-        Q = [[0, B^2, -B], [-I, 0, 0], [0, 0, 0]],
-        R = [[0, -B, I], [0, 0, 0], [-I, 0, 0]],
-
-    acting on (y, lambda y, mu y), so its operator determinants are
-    3 n^2 x 3 n^2 (normal rank 3 n^2 - n).  :func:`double_eig` uses the
-    smaller form of :func:`double_eig_linearization`; this one is the
-    2EP of :func:`~singpencil.gallery.double_eig_problem` and of the
-    benchmark's ``twoparam`` workload.  The blocks are formed in the
-    dtype of A and B, so real inputs give the bits of a real-arithmetic
-    construction.
-    """
-    n = A.shape[0]
-    I = np.eye(n, dtype=A.dtype)
-    Z = np.zeros((n, n), dtype=A.dtype)
-    P = np.block([[A @ A, A @ B + B @ A, -2.0 * A], [Z, I, Z], [Z, Z, I]])
-    Q = np.block([[Z, B @ B, -B], [-I, Z, Z], [Z, Z, Z]])
-    R = np.block([[Z, -B, I], [Z, Z, Z], [-I, Z, Z]])
-    return TwoParamProblem(A1=A, B1=B, C1=-I, A2=P, B2=Q, C2=R)
 
 
 @dataclass

@@ -22,7 +22,12 @@ from singpencil import (
     write_problem,
 )
 from singpencil.cli import csv_text
-from singpencil.gallery import bivariate_cubic_system, double_eig_problem, evaluate_bivariate
+from singpencil.gallery import (
+    _double_eig_2ep,
+    bivariate_cubic_system,
+    double_eig_problem,
+    evaluate_bivariate,
+)
 from singpencil.matrix_core import greedy_match, rank_with_tol
 from singpencil.solver import DEFAULT_MATCH_TOL, EigenClass, solve, with_defaults
 
@@ -357,7 +362,7 @@ def test_chain_linearization_matches_the_squared_one():
     # solved and polished the same way: the lambdas match one to one
     for name, A, B, seed in _sweep_problems():
         A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
-        squared = operator_determinants(tp._double_eig_2ep(A, B))
+        squared = operator_determinants(_double_eig_2ep(A, B))
         lams = []
         for D1, D0 in (double_eig_linearization(A, B), (squared.D1, squared.D0)):
             found = solve(Pencil(A=D1, B=D0), SolveOptions(seed=seed)).finite_true_values
