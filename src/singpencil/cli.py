@@ -252,14 +252,12 @@ _INTERSECT_COLUMNS = (
 def _cmd_intersect(args, opts, out):
     p = read_pencil(args.matrix_a, args.matrix_b)
     result = solve_by_intersection(p, opts, match_tol=args.delta)
-    rows = [(a.value, a.is_infinite, b.value, b.is_infinite, d) for a, b, d in result.matches]
+    rows = [(a, cmath.isinf(a), b, cmath.isinf(b), d) for a, b, d in result.matches]
     footer = [("matched eigenvalues within tol {}: [{}]", result.tol, result.eigenvalues)]
     _emit(args.fmt, out, _INTERSECT_COLUMNS, rows, footer, lambda: {
         "tol": result.tol,
         "eigenvalues": result.eigenvalues,
-        "matches": [
-            {"e1": a.value, "e2": b.value, "dist": d} for a, b, d in result.matches
-        ],
+        "matches": [{"e1": a, "e2": b, "dist": d} for a, b, d in result.matches],
     })
     return 0
 

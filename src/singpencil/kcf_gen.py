@@ -23,6 +23,7 @@ subcommand).
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from dataclasses import asdict, dataclass, fields
 
@@ -71,6 +72,10 @@ class Jordan:
 
     def __post_init__(self):
         _store_integer(self, "size", 1, "Jordan block size")
+        if not isinstance(self.eigenvalue, numbers.Number) or isinstance(self.eigenvalue, bool):
+            raise TypeError(f"Jordan eigenvalue must be a number, got {self.eigenvalue!r}")
+        if not cmath.isfinite(self.eigenvalue):
+            raise ValueError(f"Jordan eigenvalue must be finite, got {self.eigenvalue!r}")
 
     def matrices(self):
         A = np.eye(self.size, dtype=np.complex128) * complex(self.eigenvalue)

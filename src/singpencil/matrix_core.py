@@ -6,16 +6,17 @@ validating entry point that enforces this representation together with the
 finiteness invariant; every public constructor funnels its matrix arguments
 through it.
 
-Eigenvalues of matrix pencils are kept in homogeneous form ``(alpha, beta)``
-with ``lambda = alpha / beta`` so that infinite eigenvalues (``beta = 0``)
-are first-class citizens.
+Eigenvalues of matrix pencils are kept as arrays, only in
+:class:`EigDecomposition`: homogeneous pairs ``(alpha, beta)`` with
+``lambda = alpha / beta``, so that infinite eigenvalues (``beta = 0``)
+are first-class citizens, and :meth:`EigDecomposition.values` turns them
+into complex numbers, ``inf`` where infinite.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +26,10 @@ __all__ = [
     "EPS",
     "NumericalError",
     "as_cmatrix",
-    "HomogeneousEigenvalue",
     "EigDecomposition",
     "generalized_eig",
     "rank_with_tol",
     "random_orthonormal",
-    "chordal_distance",
     "greedy_match",
 ]
 
@@ -81,76 +80,13 @@ def _checked(m, name):
     return m
 
 
-def _unit(a, b):
-    """The Python complex pair (a, b) divided by ``hypot(|a|, |b|)``."""
-    h = math.hypot(abs(a), abs(b))
-    if h == 0.0:
-        raise ValueError("homogeneous eigenvalue (0, 0) is indeterminate")
-    return a / h, b / h
-
-
-def _value(a, b):
-    """The value a / b of a unit pair, ``inf`` when ``|b| <= EPS * |a|``."""
-    return complex(math.inf, 0.0) if abs(b) <= EPS * abs(a) else a / b
-
-
-@dataclass(frozen=True)
-class HomogeneousEigenvalue:
-    """Eigenvalue of a pencil in homogeneous coordinates.
-
-    Stored normalized so that ``|alpha|**2 + |beta|**2 == 1``; the pair
-    (0, 0) is rejected.  ``lambda = alpha / beta`` and the eigenvalue is
-    reported infinite when ``|beta| <= EPS * |alpha|``.
-    """
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        a, b = _unit(complex(self.alpha), complex(self.beta))
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-
-    @property
-    def is_infinite(self):
-        return abs(self.beta) <= EPS * abs(self.alpha)
-
-    @property
-    def value(self):
-        """The eigenvalue as a complex number, ``inf`` when infinite."""
-        return _value(self.alpha, self.beta)
-
-    def rescaled(self, num, den):
-        """Map the eigenvalue to ``(num/den) * lambda`` in homogeneous form."""
-        return HomogeneousEigenvalue(num * self.alpha, den * self.beta)
-
-
-def chordal_distance(e1, e2):
-    """Chordal distance between two eigenvalues on the Riemann sphere.
-
-    Accepts :class:`HomogeneousEigenvalue` instances or plain complex
-    numbers (``inf`` allowed).  Finite values z are embedded as (z, 1).
-    The distance is ``|a1 b2 - a2 b1|`` for unit-normalized pairs, which
-    is bounded by 1 and treats the infinite eigenvalue like any other
-    point of the sphere.
-    """
-    p1, p2 = (_as_homog(e) for e in (e1, e2))
-    return abs(p1.alpha * p2.beta - p2.alpha * p1.beta)
-
-
-def greedy_match(xs, ys, metric):
-    """Greedy nearest matching of two lists under ``metric``.
+def greedy_match(xs, ys, d):
+    """Greedy nearest matching of two lists by the distances ``d[i, j]``, which it overwrites.
 
     Repeatedly takes the globally closest unmatched pair (ties broken by
     index order) and returns ``(x, y, d)`` triples sorted by ascending
     distance ``d``; the output length is ``min(len(xs), len(ys))``.
     """
-    d = np.array([[metric(a, b) for b in ys] for a in xs], dtype=float)
-    return _greedy_match_distances(xs, ys, d.reshape(len(xs), len(ys)))
-
-
-def _greedy_match_distances(xs, ys, d):
-    """:func:`greedy_match` of ``xs`` and ``ys`` by distances ``d[i, j]``, which it overwrites."""
     out = []
     for _ in range(min(d.shape)):
         i, j = np.unravel_index(np.argmin(d), d.shape)
@@ -159,15 +95,6 @@ def _greedy_match_distances(xs, ys, d):
         d[:, j] = np.inf
     out.sort(key=lambda t: t[2])
     return out
-
-
-def _as_homog(e):
-    if isinstance(e, HomogeneousEigenvalue):
-        return e
-    z = complex(e)
-    if math.isinf(z.real) or math.isinf(z.imag):
-        return HomogeneousEigenvalue(1.0, 0.0)
-    return HomogeneousEigenvalue(z, 1.0)
 
 
 @dataclass
@@ -193,27 +120,22 @@ class EigDecomposition:
     def n(self):
         return self.alpha.shape[0]
 
-    def eigenvalue(self, i):
-        return HomogeneousEigenvalue(self.alpha[i], self.beta[i])
+    def unit_pairs(self, scale=(1.0, 1.0)):
+        """The pairs ``(scale[0] alpha, scale[1] beta)``, each divided by its 2-norm."""
+        a, b = scale[0] * self.alpha, scale[1] * self.beta
+        h = np.hypot(np.abs(a), np.abs(b))
+        return a / h, b / h
 
-    def eigenvalues(self):
-        return [self.eigenvalue(i) for i in range(self.n)]
+    def values(self, scale=(1.0, 1.0)):
+        """The eigenvalues a / b of the pairs ``(a, b) = (scale[0] alpha, scale[1] beta)``.
 
-    def values(self, scale=None):
-        """Every eigenvalue as a Python complex, without building the objects.
-
-        Equal bit for bit to ``e.value`` for ``e`` in :meth:`eigenvalues`,
-        or with ``scale = (num, den)`` to ``e.rescaled(num, den).value``:
-        the same scalar arithmetic, whose last bits numpy's vectorized
-        complex division and ``hypot`` do not always reproduce.
+        A complex128 array, ``inf`` where ``|b| <= EPS * |a|``; the test
+        and the quotient do not depend on the length of the pair, so no
+        pair is normalized.
         """
-        out = []
-        for a, b in zip(self.alpha.tolist(), self.beta.tolist()):
-            a, b = _unit(a, b)
-            if scale is not None:
-                a, b = _unit(scale[0] * a, scale[1] * b)
-            out.append(_value(a, b))
-        return out
+        a, b = scale[0] * self.alpha, scale[1] * self.beta
+        infinite = np.abs(b) <= EPS * np.abs(a)
+        return np.divide(a, b, out=np.full(a.shape, np.inf + 0j), where=~infinite)
 
 
 _ZGGEV3_NAMES = ("scipy_zggev3_64_", "zggev3_64_", "scipy_zggev3_", "zggev3_")

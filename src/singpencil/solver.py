@@ -32,9 +32,7 @@ import numpy as np
 from .matrix_core import (
     EPS,
     EigDecomposition,
-    HomogeneousEigenvalue,
     as_cmatrix,
-    chordal_distance,
     generalized_eig,
     greedy_match,
     random_orthonormal,
@@ -171,13 +169,14 @@ class PerturbationSpec:
 class EigenRecord:
     """One eigenvalue of the perturbed pencil with its diagnostics.
 
-    ``lam`` is back-scaled to the original pencil; the diagnostics
-    ``s_abs = |y^H B~ x|``, ``vx_norm = ||V^H x||`` and
-    ``uy_norm = ||U^H y||`` refer to the scaled perturbed problem that
-    was actually solved.  ``zeta = max(vx_norm, uy_norm)``.
+    ``value`` is the eigenvalue of the original pencil, ``inf`` where
+    infinite; the diagnostics ``s_abs = |y^H B~ x|``,
+    ``vx_norm = ||V^H x||`` and ``uy_norm = ||U^H y||`` refer to the
+    scaled perturbed problem that was actually solved.
+    ``zeta = max(vx_norm, uy_norm)``.
     """
 
-    lam: HomogeneousEigenvalue
+    value: complex
     x: np.ndarray
     y: np.ndarray
     s_abs: float
@@ -190,12 +189,8 @@ class EigenRecord:
         self.zeta = max(self.vx_norm, self.uy_norm)
 
     @property
-    def value(self):
-        return self.lam.value
-
-    @property
     def is_infinite(self):
-        return self.lam.is_infinite
+        return math.isinf(self.value.real)
 
 
 @dataclass
@@ -257,9 +252,8 @@ class SolveResult:
         """One :class:`EigenRecord` per eigenpair, in record order."""
         e, rows = self.eig, self.diagnostics.T.tolist()
         return [
-            EigenRecord(e.eigenvalue(i).rescaled(*self.back_scale), e.right[:, i], e.left[:, i],
-                        *rows[i], label=_CLASSES[c])
-            for i, c in enumerate(self.classes.tolist())
+            EigenRecord(v, e.right[:, i], e.left[:, i], *rows[i], label=_CLASSES[c])
+            for i, (v, c) in enumerate(zip(self.values.tolist(), self.classes.tolist()))
         ]
 
     @functools.cached_property
@@ -361,15 +355,12 @@ def _has_collision(values, cls, spec, delta1):
     (or very close) collision instead contaminates the eigenvectors of
     both copies, so no finite-true eigenvalue survives near gamma; that
     case shows up as more eigenvalues clustering at gamma than the
-    multiplicity of gamma among the prescribed values.  ``hypot`` of the
-    parts matches scalar complex ``abs`` bit for bit; ``np.abs`` does not.
+    multiplicity of gamma among the prescribed values.
     """
     tol = 10 * delta1
-    values = np.array(values, dtype=np.complex128)
     gammas = spec.gammas
     for g in gammas[~np.isinf(gammas)]:
-        d = values - g
-        near = np.hypot(d.real, d.imag) < tol
+        near = np.abs(values - g) < tol
         if np.any(near & (cls == _FINITE)) or np.sum(near) > np.sum(np.abs(gammas - g) < tol):
             return True
     return False
@@ -472,7 +463,7 @@ def solve(p, opts: SolveOptions | None = None, rng=None):
     results = []
     for i, gaps in enumerate(_gap_reports(diag, cls)):
         e, back = decs[i], (ps[i].scale_alpha, ps[i].scale_beta)
-        values = np.array(e.values(back), dtype=np.complex128)
+        values = e.values(back)
         order = np.lexsort((values.imag, values.real, cls[i]))
         results.append(SolveResult(
             eig=EigDecomposition(e.alpha[order], e.beta[order],
@@ -494,9 +485,10 @@ class IntersectionResult:
     """Outcome of the two-perturbation intersection baseline.
 
     ``matches`` holds every greedily matched pair of eigenvalues from
-    the two independently perturbed solves together with its chordal
-    distance; ``eigenvalues`` extracts the midpoints of the finite
-    matches below ``tol``.  The finite/infinite discrimination of this
+    the two independently perturbed solves, as complex numbers (``inf``
+    where infinite), together with its chordal distance;
+    ``eigenvalues`` extracts the midpoints of the finite matches below
+    ``tol``.  The finite/infinite discrimination of this
     historical method is known to be unreliable, which is exactly why
     the eigenvector-based classification of :func:`solve` supersedes it.
     """
@@ -519,11 +511,14 @@ def solve_by_intersection(
     match_tol = _match_tol(match_tol, "match_tol")
     opts, (rng,), (ps,), (report,) = _prepare([p], opts, [rng])
     decs = [_perturbed_eig(ps, report.k, opts, rng)[1] for _ in range(2)]  # both from rng, in turn
-    spectra = [[e.rescaled(ps.scale_alpha, ps.scale_beta) for e in d.eigenvalues()] for d in decs]
-    matches = greedy_match(*spectra, chordal_distance)
+    back = (ps.scale_alpha, ps.scale_beta)
+    (a1, b1), (a2, b2) = (dec.unit_pairs(back) for dec in decs)
+    # chordal distance |a1 b2 - a2 b1| of the unit pairs, every pair of the two spectra at once
+    chordal = np.abs(np.multiply.outer(a1, b2) - np.multiply.outer(b1, a2))
+    matches = greedy_match(*(dec.values(back).tolist() for dec in decs), chordal)
     eigenvalues = [
-        (a.value + b.value) / 2.0
+        (a + b) / 2.0
         for a, b, d in matches
-        if d < match_tol and not a.is_infinite and not b.is_infinite
+        if d < match_tol and not math.isinf(a.real) and not math.isinf(b.real)
     ]
     return IntersectionResult(eigenvalues=eigenvalues, matches=matches, tol=float(match_tol))

@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .matrix_core import _greedy_match_distances, as_cmatrix, rank_with_tol
+from .matrix_core import as_cmatrix, greedy_match, rank_with_tol
 from .pencil import Pencil, _derived, _read_json, read_matrix, write_matrix
 from .solver import DEFAULT_MATCH_TOL, SolveOptions, _match_tol, solve, with_defaults
 
@@ -148,7 +148,7 @@ def pair_mu_candidates(mus1, mus2):
     Returns ``(mu1, mu2, discrepancy)`` triples sorted by ascending
     discrepancy, as :func:`~singpencil.matrix_core.greedy_match` does.
     """
-    return _greedy_match_distances(*_mu_distances(mus1, mus2))
+    return greedy_match(*_mu_distances(mus1, mus2))
 
 
 def _mu_distances(mus1, mus2):
@@ -201,7 +201,7 @@ def _conjugate_partners(values, tol, inputs=()):
     lower, upper = np.flatnonzero(off & (z.imag < 0)), np.flatnonzero(off & (z.imag > 0))
     d = np.abs(np.subtract.outer(z[lower], z[upper].conj()))
     d[d > bound[lower, None]] = np.inf
-    matched = _greedy_match_distances(lower.tolist(), upper.tolist(), d)
+    matched = greedy_match(lower.tolist(), upper.tolist(), d)
     return {lo: up for lo, up, dist in matched if dist < math.inf}
 
 

@@ -33,7 +33,7 @@ from singpencil.gallery import (
 )
 from singpencil.kcf_gen import build
 
-from helpers import greedy_chordal_match, random_singular_spec
+from helpers import chordal, greedy_match_by, random_singular_spec
 
 
 def criterion(num, desc):
@@ -223,12 +223,10 @@ def test_criterion_7_property_suite():
             non_hi = [r for r in res.records if not r.label.is_true]
             non_lo = [r for r in res_lo.records if not r.label.is_true]
             assert len(non_hi) == len(non_lo)
-            matched = greedy_chordal_match([r.lam for r in non_hi], [r.lam for r in non_lo])
-            s_lo_by_lam = {id(r.lam): r.s_abs for r in non_lo}
-            hi_by_lam = {id(r.lam): r.s_abs for r in non_hi}
-            for lam_hi, lam_lo, d in matched:
+            matched = greedy_match_by(non_hi, non_lo, lambda r, t: chordal(r.value, t.value))
+            for r_hi, r_lo, d in matched:
                 assert d < 1e-6
-                ratio = hi_by_lam[id(lam_hi)] / s_lo_by_lam[id(lam_lo)]
+                ratio = r_hi.s_abs / r_lo.s_abs
                 assert 5.0 <= ratio <= 20.0, f"s ratio {ratio} in {spec}"
     return (
         f"{n_specs} specs; worst recover={worst_recover:.1e}, "

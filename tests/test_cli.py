@@ -238,7 +238,7 @@ class TestSolveCommand:
         lazy = {name for names in singpencil._LAZY.values() for name in names}
         modules = {"matrix_core", "pencil", "solver", *singpencil._LAZY}
         assert set(singpencil.__all__) == {n for m in eager for n in m.__all__} | lazy | modules
-        assert len(singpencil.__all__) == 57
+        assert len(singpencil.__all__) == 55
         for module in eager:
             for name in module.__all__:
                 assert getattr(singpencil, name) is getattr(module, name), name
@@ -488,6 +488,16 @@ class TestGenCommand:
         assert (code, out) == (2, "")
         assert err == f"error: block 1: {block['kind']} needs an integer '{field}'\n"
 
+
+    def test_non_finite_eigenvalue_names_its_block(self, tmp_path):
+        # json reads NaN as a float; the block that holds it is named, not the matrix A
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"blocks": [{"kind": "nilpotent", "size": 1}, '
+                             '{"kind": "jordan", "size": 1, "eigenvalue": [NaN, 0]}]}')
+        code, out, err = run_cli(["gen", str(spec_path), "-o", str(tmp_path / "out")])
+        assert (code, out) == (2, "")
+        assert err == "error: block 1: Jordan eigenvalue must be finite, got (nan+0j)\n"
+        assert not (tmp_path / "out").exists()
 
 class TestTwoParamCommand:
     def test_cubic_system_csv(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the canonical-form test pencil generator and its oracle."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -152,6 +153,15 @@ class TestBlockFields:
     def test_non_integral_sizes_raise_type_error(self, cls, args):
         with pytest.raises(TypeError, match="not an integer"):
             cls(*args)
+
+    @pytest.mark.parametrize("value,error", [(None, TypeError), ("1", TypeError), (True, TypeError),
+                                             (math.nan, ValueError), (math.inf, ValueError),
+                                             (-math.inf, ValueError),
+                                             (complex(0.0, math.nan), ValueError)],
+                             ids=["None", "str", "bool", "nan", "inf", "-inf", "nan-imag"])
+    def test_jordan_eigenvalue_must_be_a_finite_number(self, value, error):
+        with pytest.raises(error, match="^Jordan eigenvalue must be"):
+            Jordan(1, value)
 
     def test_non_blocks_raise_type_error(self):
         class Subclass(Jordan):

@@ -3,6 +3,7 @@
 import _ctypes
 import ctypes
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -13,17 +14,22 @@ from scipy.optimize import linear_sum_assignment
 import singpencil.matrix_core as mc
 from singpencil import (
     EPS,
-    HomogeneousEigenvalue,
+    EigDecomposition,
     NumericalError,
     as_cmatrix,
-    chordal_distance,
     generalized_eig,
     greedy_match,
     random_orthonormal,
     rank_with_tol,
 )
 
-from helpers import assert_multiset_close, greedy_chordal_match, random_complex, run_python
+from helpers import (
+    assert_multiset_close,
+    chordal,
+    greedy_chordal_match,
+    random_complex,
+    run_python,
+)
 
 
 class TestAsCMatrix:
@@ -45,38 +51,62 @@ class TestAsCMatrix:
             as_cmatrix([1, 2, 3])
 
 
-class TestHomogeneousEigenvalue:
-    def test_normalized(self):
-        e = HomogeneousEigenvalue(3.0, 4.0)
-        assert abs(abs(e.alpha) ** 2 + abs(e.beta) ** 2 - 1.0) < 10 * EPS
-        assert abs(e.value - 0.75) < 1e-15
+def _pairs(alpha, beta):
+    """An ``EigDecomposition`` of the homogeneous pairs alone, without eigenvectors."""
+    none = np.zeros((0, 0), np.complex128)
+    return EigDecomposition(np.array(alpha, np.complex128), np.array(beta, np.complex128), none, none)
 
-    def test_zero_pair_rejected(self):
-        with pytest.raises(ValueError):
-            HomogeneousEigenvalue(0.0, 0.0)
+
+class TestHomogeneousEigenvalue:
+    """The homogeneous pairs of an ``EigDecomposition`` and their values."""
+
+    def test_normalized(self):
+        e = _pairs([3.0, 1.0], [4.0, 0.0])
+        a, b = e.unit_pairs()
+        np.testing.assert_allclose(np.abs(a) ** 2 + np.abs(b) ** 2, 1.0, rtol=10 * EPS)
+        values = e.values()
+        assert values.dtype == np.complex128 and values.shape == (2,)
+        assert abs(values[0] - 0.75) < 1e-15
+        # scaled before the normalization: (2 * 3, 4) = (6, 4) over sqrt(52)
+        a, b = e.unit_pairs((2.0, 1.0))
+        np.testing.assert_allclose(a, [6 / np.sqrt(52), 1.0], rtol=1e-15)
+        np.testing.assert_allclose(b, [4 / np.sqrt(52), 0.0], rtol=1e-15)
 
     def test_infinite_flag(self):
-        e = HomogeneousEigenvalue(1.0, 0.0)
-        assert e.is_infinite
-        assert np.isinf(e.value.real)
-        assert not HomogeneousEigenvalue(0.0, 1.0).is_infinite
+        # |beta| <= EPS |alpha| is infinite, and the first beta above the bound is not
+        above = np.nextafter(EPS, 1.0)
+        values = _pairs([1.0, 1.0, 1.0, 0.0], [0.0, EPS, above, 1.0]).values()
+        assert values[:2].tolist() == [complex(np.inf, 0.0)] * 2
+        assert np.isfinite(values[2:]).all()
+        assert values[2] == 1.0 / above and values[3] == 0.0
 
     def test_rescaled(self):
-        e = HomogeneousEigenvalue(1.0, 2.0)
-        assert abs(e.rescaled(6.0, 3.0).value - 1.0) < 1e-15
+        e = _pairs([1.0, 1.0], [2.0, EPS])
+        values = e.values((6.0, 3.0))
+        assert abs(values[0] - 1.0) < 1e-15
+        # the bound applies to the scaled pair: (6, 3 EPS) is infinite, (1, 2 EPS) finite
+        assert np.isinf(values[1].real)
+        assert np.isfinite(e.values((1.0, 2.0))[1])
 
-    def test_chordal_distance(self):
-        inf = HomogeneousEigenvalue(1.0, 0.0)
-        assert chordal_distance(inf, complex(np.inf)) == 0.0
-        assert chordal_distance(1.0, 1.0) == 0.0
-        d = chordal_distance(0.0, complex(np.inf))
-        assert abs(d - 1.0) < 1e-15
+    def test_values_match_the_scalar_quotient_of_unit_pairs(self):
+        # the reference loop: each scaled pair divided by its length, then a / b in
+        # Python complex arithmetic; numpy's division rounds differently in the last bits
+        rng = np.random.default_rng(3)
+        alpha, beta = random_complex(rng, (20,)), random_complex(rng, (20,))
+        beta[0] = 0.0
+        for scale in ((1.0, 1.0), (1e-3, 7.0)):
+            want = []
+            for a, b in zip((scale[0] * alpha).tolist(), (scale[1] * beta).tolist()):
+                h = math.hypot(abs(a), abs(b))
+                a, b = a / h, b / h
+                want.append(complex(math.inf, 0.0) if abs(b) <= EPS * abs(a) else a / b)
+            np.testing.assert_allclose(_pairs(alpha, beta).values(scale), want, rtol=4 * EPS)
 
 
 class TestGeneralizedEig:
     def test_diagonal_case(self):
         dec = generalized_eig(np.diag([1.0, 2.0]), np.eye(2))
-        vals = sorted(e.value.real for e in dec.eigenvalues())
+        vals = sorted(dec.values().real)
         np.testing.assert_allclose(vals, [1.0, 2.0], atol=1e-14)
         # eigenvectors are the standard basis up to phase
         for i in range(2):
@@ -85,10 +115,9 @@ class TestGeneralizedEig:
 
     def test_singular_b_regular_pencil(self):
         dec = generalized_eig(np.eye(2), np.diag([1.0, 0.0]))
-        flags = sorted(e.is_infinite for e in dec.eigenvalues())
-        assert flags == [False, True]
-        finite = [e.value for e in dec.eigenvalues() if not e.is_infinite]
-        np.testing.assert_allclose(finite, [1.0], atol=1e-14)
+        values = dec.values()
+        assert sorted(np.isinf(values).tolist()) == [False, True]
+        np.testing.assert_allclose(values[np.isfinite(values)], [1.0], atol=1e-14)
 
     def test_empty_pencil(self):
         dec = generalized_eig(np.zeros((0, 0)), np.zeros((0, 0)))
@@ -158,14 +187,10 @@ class TestGeneralizedEig:
             B = random_complex(rng, (n, n))
             P = random_complex(rng, (n, n))
             Q = random_complex(rng, (n, n))
-            e1 = generalized_eig(A, B).eigenvalues()
-            e2 = generalized_eig(P @ A @ Q, P @ B @ Q).eigenvalues()
-            finite1 = sorted(
-                (e.value for e in e1 if not e.is_infinite), key=lambda z: (z.real, z.imag)
-            )
-            finite2 = sorted(
-                (e.value for e in e2 if not e.is_infinite), key=lambda z: (z.real, z.imag)
-            )
+            e1 = generalized_eig(A, B).values()
+            e2 = generalized_eig(P @ A @ Q, P @ B @ Q).values()
+            finite1 = sorted(e1[np.isfinite(e1)].tolist(), key=lambda z: (z.real, z.imag))
+            finite2 = sorted(e2[np.isfinite(e2)].tolist(), key=lambda z: (z.real, z.imag))
             assert len(finite1) == len(finite2)
             for a, b, _ in greedy_chordal_match(finite1, finite2):
                 assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
@@ -394,16 +419,17 @@ class TestGreedyMatch:
             xs = [complex(z) for z in random_complex(rng, (m,))] + [complex(np.inf)]
             ys = [complex(z) for z in random_complex(rng, (n,))]
             # an independent reference: take the closest unmatched pair, first in index order
-            d = np.array([[chordal_distance(a, b) for b in ys] for a in xs])
+            d = np.array([[chordal(a, b) for b in ys] for a in xs])
+            got = greedy_match(xs, ys, d.copy())
             ref = []
             for _ in range(min(len(xs), len(ys))):
                 i, j = np.unravel_index(np.argmin(d), d.shape)
                 ref.append((xs[i], ys[j], float(d[i, j])))
                 d[i, :] = d[:, j] = np.inf
-            assert greedy_match(xs, ys, chordal_distance) == sorted(ref, key=lambda t: t[2])
+            assert got == sorted(ref, key=lambda t: t[2])
 
     def test_ties_break_by_index(self):
-        out = greedy_match(["a", "b"], ["c", "d", "e"], lambda a, b: 0.0)
+        out = greedy_match(["a", "b"], ["c", "d", "e"], np.zeros((2, 3)))
         assert out == [("a", "c", 0.0), ("b", "d", 0.0)]
 
 

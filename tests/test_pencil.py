@@ -73,18 +73,11 @@ class TestScale:
         for _ in range(5):
             A = random_complex(rng, (6, 6))
             B = random_complex(rng, (6, 6))
-            base = sorted(
-                (e.value for e in generalized_eig(A, B).eigenvalues() if not e.is_infinite),
-                key=lambda z: (z.real, z.imag),
-            )
             ps = scale(Pencil(A=A, B=B))
-            mapped = sorted(
-                (
-                    e.rescaled(ps.scale_alpha, ps.scale_beta).value
-                    for e in generalized_eig(ps.A, ps.B).eigenvalues()
-                    if not e.is_infinite
-                ),
-                key=lambda z: (z.real, z.imag),
+            base, mapped = (
+                sorted(v[np.isfinite(v)].tolist(), key=lambda z: (z.real, z.imag))
+                for v in (generalized_eig(A, B).values(),
+                          generalized_eig(ps.A, ps.B).values((ps.scale_alpha, ps.scale_beta)))
             )
             for a, b in zip(base, mapped):
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(a))

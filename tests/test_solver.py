@@ -10,8 +10,8 @@ from singpencil import (
     EPS,
     EigenClass,
     EigenRecord,
+    EigDecomposition,
     GapReport,
-    HomogeneousEigenvalue,
     Pencil,
     PerturbationSpec,
     SolveOptions,
@@ -32,7 +32,13 @@ from singpencil.gallery import (
 from singpencil.kcf_gen import Jordan, KcfSpec, LeftSingular, Nilpotent, RightSingular, build
 from singpencil.solver import DEFAULT_DELTA2, _class_index
 
-from helpers import assert_multiset_close, greedy_chordal_match, random_complex, result_fields
+from helpers import (
+    assert_multiset_close,
+    chordal,
+    greedy_chordal_match,
+    random_complex,
+    result_fields,
+)
 
 
 def class_counts(result):
@@ -106,7 +112,7 @@ class TestPerturb:
         q = perturb(p, spec)
         np.testing.assert_allclose(q.A, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(q.B, np.diag([1.0, 2.0]), atol=1e-15)
-        vals = sorted(e.value.real for e in generalized_eig(q.A, q.B).eigenvalues())
+        vals = sorted(generalized_eig(q.A, q.B).values().real)
         np.testing.assert_allclose(vals, [0.5, 1.0], atol=1e-14)
 
     def test_rank_of_update_is_k(self):
@@ -131,7 +137,7 @@ class TestPerturb:
 
 def _record(s_abs, vx, uy):
     return EigenRecord(
-        lam=HomogeneousEigenvalue(1.0, 1.0),
+        value=1.0 + 0j,
         x=np.zeros(2),
         y=np.zeros(2),
         s_abs=s_abs,
@@ -193,11 +199,9 @@ class TestSolveShowcase:
         spec = make_perturbation(7, rep.k, SolveOptions(), rng)
         dec = generalized_eig(*(lambda q: (q.A, q.B))(perturb(ps, spec)))
         assert dec.n == 7
-        back = [
-            e.rescaled(ps.scale_alpha, ps.scale_beta) for e in dec.eigenvalues()
-        ]
-        assert sum(e.is_infinite for e in back) == 1
-        finite = [e.value for e in back if not e.is_infinite]
+        back = dec.values((ps.scale_alpha, ps.scale_beta))
+        assert np.isinf(back).sum() == 1
+        finite = back[np.isfinite(back)]
         for target in (1 / 3, 1 / 2):
             assert min(abs(v - target) for v in finite) < 1e-6
 
@@ -228,8 +232,8 @@ class TestSolveBasics:
         assert res.spec_used is None
         assert res.nrank_report.k == 0
         assert len(res.finite_true) == 5
-        base = generalized_eig(p.A, p.B).eigenvalues()
-        for a, b, d in greedy_chordal_match([e for e in base], [r.lam for r in res.records]):
+        base = generalized_eig(p.A, p.B).values().tolist()
+        for a, b, d in greedy_chordal_match(base, [r.value for r in res.records]):
             assert d <= 1e-10
 
     def test_rectangular_input_squarified(self):
@@ -410,8 +414,7 @@ class TestTauProperties:
         nontrue1 = [r for r in res1.records if not r.label.is_true]
         nontrue2 = [r for r in res2.records if not r.label.is_true]
         assert len(nontrue1) == len(nontrue2) > 0
-        pairs = greedy_chordal_match([r.lam for r in nontrue1], [r.lam for r in nontrue2])
-        by_lam2 = {id(r.lam): r for r in nontrue2}
+        pairs = greedy_chordal_match([r.value for r in nontrue1], [r.value for r in nontrue2])
         # prescribed and random eigenvalues are tau-independent, so the greedy
         # chordal matching pairs the same eigenvalue across the two runs
         for (lam1, lam2, d) in pairs:
@@ -581,7 +584,7 @@ class TestInputRepresentations:
         assert repr(got.nrank_report) == repr(want.nrank_report)
 
         def key(r):
-            diag = (r.lam, r.label, r.s_abs, r.vx_norm, r.uy_norm)
+            diag = (r.value, r.label, r.s_abs, r.vx_norm, r.uy_norm)
             return repr(diag), r.x.tobytes(), r.y.tobytes()
 
         assert [key(r) for r in got.records] == [key(r) for r in want.records]
@@ -716,7 +719,8 @@ class TestIntersectionBaseline:
         rng = np.random.default_rng(6)
         p = Pencil(A=random_complex(rng, (5, 5)), B=random_complex(rng, (5, 5)))
         inter = solve_by_intersection(p, SolveOptions(seed=6))
-        base = [e.value for e in generalized_eig(p.A, p.B).eigenvalues() if not e.is_infinite]
+        base = generalized_eig(p.A, p.B).values()
+        base = base[np.isfinite(base)].tolist()
         assert len(inter.eigenvalues) == len(base)
         for a, b, _ in greedy_chordal_match(inter.eigenvalues, base):
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
@@ -725,6 +729,39 @@ class TestIntersectionBaseline:
         inter = solve_by_intersection(diagonal_demo_pencil(), SolveOptions(seed=9))
         certain = sorted(v.real for v in inter.eigenvalues)
         np.testing.assert_allclose(certain, [0.5, 2 / 3, 0.75], atol=1e-8)
+
+
+class TestIntersectionDistance:
+    """The chordal distances ``solve_by_intersection`` matches by, on chosen spectra."""
+
+    @staticmethod
+    def _intersect(monkeypatch, *spectra):
+        import singpencil.solver as solver_mod
+
+        # a regular 1 x 1 pencil is solved unperturbed: each QZ returns the next spectrum
+        decs = iter(EigDecomposition(np.asarray(a, complex), np.asarray(b, complex), None, None)
+                    for a, b in spectra)
+        monkeypatch.setattr(solver_mod, "generalized_eig", lambda A, B: next(decs))
+        return solve_by_intersection(Pencil(A=[[1.0]], B=[[1.0]]), SolveOptions(seed=0))
+
+    def test_two_infinite_values_are_at_distance_zero(self, monkeypatch):
+        inter = self._intersect(monkeypatch, ([1.0], [0.0]), ([-2.0], [0.0]))
+        assert inter.matches == [(complex(math.inf, 0.0), complex(math.inf, 0.0), 0.0)]
+        assert inter.eigenvalues == []
+
+    def test_zero_and_infinity_are_at_distance_one(self, monkeypatch):
+        inter = self._intersect(monkeypatch, ([0.0], [1.0]), ([1.0], [0.0]))
+        assert inter.matches == [(0j, complex(math.inf, 0.0), 1.0)]
+
+    def test_closed_form_on_random_pairs(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        spectra = [(random_complex(rng, (6,)), random_complex(rng, (6,))) for _ in range(2)]
+        spectra[1][1][0] = 0.0  # one infinite value
+        inter = self._intersect(monkeypatch, *spectra)
+        assert len(inter.matches) == 6
+        assert sum(math.isinf(a.real) or math.isinf(b.real) for a, b, _ in inter.matches) == 1
+        for a, b, d in inter.matches:
+            assert abs(d - chordal(a, b)) <= 1e-14
 
 
 def _kcf_stack(seed, m, regular_at=()):

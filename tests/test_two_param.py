@@ -28,10 +28,10 @@ from singpencil.gallery import (
     double_eig_problem,
     evaluate_bivariate,
 )
-from singpencil.matrix_core import greedy_match, rank_with_tol
+from singpencil.matrix_core import rank_with_tol
 from singpencil.solver import DEFAULT_MATCH_TOL, EigenClass, solve, with_defaults
 
-from helpers import assert_multiset_close, random_complex
+from helpers import assert_multiset_close, greedy_match_by, random_complex
 
 
 class TestOperatorDeterminants:
@@ -127,8 +127,8 @@ class TestPairMuCandidates:
 
     def test_equals_greedy_match_on_python_abs_bit_for_bit(self):
         for xs, ys in self._candidate_lists():
-            want = greedy_match([complex(x) for x in xs], [complex(y) for y in ys],
-                                lambda a, b: abs(a - b))
+            want = greedy_match_by([complex(x) for x in xs], [complex(y) for y in ys],
+                                   lambda a, b: abs(a - b))
             assert repr(pair_mu_candidates(xs, ys)) == repr(want)
 
     def test_unique_lambda_pick_is_the_first_matched_pair(self):
@@ -369,7 +369,7 @@ def test_chain_linearization_matches_the_squared_one():
             lams.append(tp._polish(A, B, found, True)[0])
         n = A.shape[0]
         assert len(lams[0]) == len(lams[1]) == n * (n - 1), name
-        matched = greedy_match(*lams, lambda a, b: abs(a - b) / abs(b))
+        matched = greedy_match_by(*lams, lambda a, b: abs(a - b) / abs(b))
         assert max(d for _, _, d in matched) <= 1e-12, name
 
 

@@ -154,10 +154,10 @@ def _cli(argv, tmp):
 
 def _solve_text(res):
     lines = [
-        repr((r.lam, r.s_abs, r.vx_norm, r.uy_norm, r.zeta, r.label, _arrays(r.x, r.y)))
+        repr((r.value, r.s_abs, r.vx_norm, r.uy_norm, r.zeta, r.label, _arrays(r.x, r.y)))
         for r in res.records
     ]
-    lines.append(repr([(r.lam, r.label) for r in res.finite_true]))
+    lines.append(repr([(r.value, r.label) for r in res.finite_true]))
     lines.append(repr(res.nrank_report))
     lines.append(repr(res.gap_report))
     lines.append(repr(res.collision_warning))
