@@ -331,7 +331,8 @@ def _build_parser():
     sp.add_argument("manifest")
     sp.add_argument("--delta", type=float, default=None, help="mu matching tolerance")
     sp.add_argument("--unique-lambda", action="store_true",
-                    help="accept the closest mu pair per lambda unconditionally")
+                    help="for a lambda whose mu the core eigenvectors leave undecided, "
+                         "accept the closest mu pair unconditionally")
     sp = command("doubleeig", _cmd_doubleeig, [pencil, solver],
                  "lambdas where A + lambda B has a double eigenvalue")
     sp.add_argument("--no-refine", dest="refine", action="store_false",

@@ -97,6 +97,20 @@ def greedy_match(xs, ys, d):
     return out
 
 
+def _lambda_order(lams):
+    """Indices that sort the complex values ``lams`` on a grid of their real parts.
+
+    By real part on a grid of 1e-10 of the largest finite ``|lambda|``
+    (at least 1), then by imaginary part, non-finite values last, ties in
+    input order.  The grid keeps roundoff in the real parts from deciding
+    the order, so that last-bit changes in a spectrum leave it unchanged.
+    """
+    z = np.asarray(lams, dtype=np.complex128)
+    finite = np.isfinite(z)
+    grid = 1e-10 * max(1.0, float(np.max(np.abs(z[finite]), initial=0.0)))
+    return np.lexsort((z.imag, np.round(z.real / grid), ~finite)).tolist()
+
+
 @dataclass
 class EigDecomposition:
     """Full eigendecomposition of a regular pencil (A, B).

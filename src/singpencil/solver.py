@@ -32,6 +32,7 @@ import numpy as np
 from .matrix_core import (
     EPS,
     EigDecomposition,
+    _lambda_order,
     as_cmatrix,
     generalized_eig,
     greedy_match,
@@ -486,11 +487,14 @@ class IntersectionResult:
 
     ``matches`` holds every greedily matched pair of eigenvalues from
     the two independently perturbed solves, as complex numbers (``inf``
-    where infinite), together with its chordal distance;
-    ``eigenvalues`` extracts the midpoints of the finite matches below
-    ``tol``.  The finite/infinite discrimination of this
-    historical method is known to be unreliable, which is exactly why
-    the eigenvector-based classification of :func:`solve` supersedes it.
+    where infinite), together with its chordal distance, in the order of
+    the first value by :func:`~singpencil.matrix_core._lambda_order`
+    (the distances of accepted matches are roundoff, so they would not
+    give a stable order); ``eigenvalues`` extracts the midpoints of the
+    finite matches below ``tol``, in the same order.  The finite/infinite
+    discrimination of this historical method is known to be unreliable,
+    which is exactly why the eigenvector-based classification of
+    :func:`solve` supersedes it.
     """
 
     eigenvalues: list
@@ -515,7 +519,8 @@ def solve_by_intersection(
     (a1, b1), (a2, b2) = (dec.unit_pairs(back) for dec in decs)
     # chordal distance |a1 b2 - a2 b1| of the unit pairs, every pair of the two spectra at once
     chordal = np.abs(np.multiply.outer(a1, b2) - np.multiply.outer(b1, a2))
-    matches = greedy_match(*(dec.values(back).tolist() for dec in decs), chordal)
+    matched = greedy_match(*(dec.values(back).tolist() for dec in decs), chordal)
+    matches = [matched[i] for i in _lambda_order([a for a, _, _ in matched])]
     eigenvalues = [
         (a + b) / 2.0
         for a, b, d in matches

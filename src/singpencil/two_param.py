@@ -15,11 +15,14 @@ operator determinants
 turn the 2EP into the coupled pencils Delta1 z = lambda Delta0 z and
 Delta2 z = mu Delta0 z on decomposable tensors z = x1 (x) x2.  For the
 problems of interest here both pencils are singular, so the lambda
-components come out of the rank-completing-perturbation solver, and for
-each lambda the matching mu is found by intersecting the mu-spectra of
-the two one-parameter pencils (A_i + lambda B_i) + mu C_i.  When every
-matrix is real the solutions come in conjugate pairs, and only one
-member of each pair is searched; the other takes its conjugate.
+components come out of the rank-completing-perturbation solver.  For
+each lambda the mu candidates are the eigenvalues of the one-parameter
+pencil (A_1 + lambda B_1) + mu C_1; the eigenvectors x, y of that
+lambda in the (Delta1, Delta0) solve pick one of them when y^H Delta2 x
+= mu y^H Delta0 x holds for it alone, and otherwise the candidates are
+matched with those of the second equation.  When every matrix is real
+the solutions come in conjugate pairs, and only one member of each pair
+is searched; the other takes its conjugate.
 
 Two applications are layered on top: finding all lambda where A + lambda B
 has a double eigenvalue (via a linear 2EP whose second equation holds a
@@ -29,6 +32,7 @@ polynomials given in determinantal form.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -36,9 +40,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .matrix_core import as_cmatrix, greedy_match, rank_with_tol
+from .matrix_core import _lambda_order, as_cmatrix, greedy_match, rank_with_tol
 from .pencil import Pencil, _derived, _read_json, read_matrix, write_matrix
-from .solver import DEFAULT_MATCH_TOL, SolveOptions, _match_tol, solve, with_defaults
+from .solver import _FINITE, DEFAULT_MATCH_TOL, SolveOptions, _match_tol, solve, with_defaults
 
 __all__ = [
     "TwoParamProblem",
@@ -121,9 +125,12 @@ class Eigenpair2EP:
     """One accepted eigenvalue pair with its acceptance diagnostics.
 
     mu_discrepancy is the distance |mu^(1) - mu^(2)| between the two
-    independently computed mu candidates that were averaged into mu;
-    residual1/residual2 are the smallest singular values of the two
-    evaluated matrices at (lam, mu).
+    independently computed mu candidates that were averaged into mu.  For
+    a lambda whose mu the core eigenvectors decided (see
+    :func:`solve_2ep`) it is the largest distance between the equation-1
+    candidates averaged into mu, the copies of a multiple mu, and 0.0 for
+    a single one.  residual1/residual2 are the smallest singular values
+    of the two evaluated matrices at (lam, mu).
     """
 
     lam: complex
@@ -205,6 +212,49 @@ def _conjugate_partners(values, tol, inputs=()):
     return {lo: up for lo, up, dist in matched if dist < math.inf}
 
 
+# The bounds of _scored_mus.  On double_eig_problem seeds 1-20 the best scores were
+# <= 1.4e-5 and the rivals >= 7.2e4 times worse; on the bivariate cubic the best
+# scores are 0.83-1.0 with rivals within 1.2x, so the cubic falls back to the match.
+_SCORE_BOUND = 1e-3
+_SCORE_MARGIN = 1e3
+_MU_COPY_TOL = 1e-4
+
+
+def _scored_mus(core, deltas, lams, mus1, tol):
+    """Per lambda, (mu, discrepancy) where the core eigenvectors decide mu, else None.
+
+    A lambda takes part when it is the only finite true value of the
+    core solve ``core`` within ``tol`` max(1, |lambda|) of itself.  Its
+    record's eigenvectors x, y give a = y^H Delta2 x and b = y^H Delta0 x
+    (one stacked product for all lambdas), and each of its equation-1
+    candidates the score |a - mu b| / (|a| + |mu b|), which vanishes at
+    the mu of the regular part.  When the lambda is decided, mu is the
+    mean of the candidates within _MU_COPY_TOL max(1, |best|) of the
+    best one, and the discrepancy their largest pairwise distance.
+    """
+    values = np.asarray(core.finite_true_values, dtype=np.complex128)
+    z = np.asarray(lams, dtype=np.complex128)
+    near = np.abs(np.subtract.outer(z, values)) <= tol * np.maximum(1.0, np.abs(z))[:, None]
+    decided = [None] * len(lams)
+    take = [t for t, m1s in enumerate(mus1) if m1s and near[t].sum() == 1]
+    if not take:
+        return decided
+    cols = np.flatnonzero(core.classes == _FINITE)[near[take].argmax(axis=1)]
+    X, Y = core.eig.right[:, cols], core.eig.left[:, cols]
+    a, b = np.einsum("ij,kij->kj", Y.conj(), np.stack([deltas.D2, deltas.D0]) @ X)
+    for t, at, bt in zip(take, a.tolist(), b.tolist()):
+        mus = np.array(mus1[t], dtype=np.complex128)
+        with np.errstate(invalid="ignore"):
+            score = np.abs(at - mus * bt) / (abs(at) + np.abs(mus * bt))
+        best = int(np.argmin(score))
+        copy = np.abs(mus - mus[best]) <= _MU_COPY_TOL * max(1.0, abs(mus[best]))
+        if score[best] <= _SCORE_BOUND and np.all(score[~copy] >= _SCORE_MARGIN * score[best]):
+            copies = [mus1[t][j] for j in np.flatnonzero(copy)]
+            spread = max((abs(u - v) for u, v in itertools.combinations(copies, 2)), default=0.0)
+            decided[t] = (sum(copies) / len(copies), spread)
+    return decided
+
+
 def _mu_candidates(p: TwoParamProblem, i, lams, opts, streams):
     """Per lambda, the finite mu with (A_i + lambda B_i + mu C_i) x = 0, or None when mu is free.
 
@@ -234,18 +284,32 @@ def solve_2ep(
     """Finite regular eigenvalues of a (possibly singular) 2EP.
 
     The lambda components are the finite true eigenvalues of the pencil
-    (Delta1, Delta0).  For each distinct lambda the mu candidates of the
-    two fixed-lambda pencils are matched greedily; a pair is accepted
-    when its discrepancy is below ``delta`` (default sqrt(EPS)) and
-    contributes the midpoint.  With ``unique_lambda`` the closest pair
-    is accepted unconditionally (appropriate when each eigenvalue is
-    known to have a distinct lambda component).  A NaN or negative
-    ``delta`` raises ``ValueError``.
+    (Delta1, Delta0).  For each distinct lambda the mu candidates of
+    equation 1 are scored with the eigenvectors x, y of lambda's record
+    in that solve: with a = y^H Delta2 x and b = y^H Delta0 x,
+    score(mu) = |a - mu b| / (|a| + |mu b|), which vanishes at the mu of
+    the regular part (Muhic & Plestenjak, ELA 2009).  A lambda is
+    decided when it is the only finite true value within ``delta``
+    max(1, |lambda|) of itself, its best score is at most 1e-3, and every
+    candidate more than 1e-4 max(1, |mu|) from the best one scores at
+    least 1e3 times worse.  A decided lambda gets exactly one pair, in
+    both modes: the mean of the candidates within that distance of the
+    best one (the copies of a multiple mu).
+
+    For every other lambda the candidates of the two fixed-lambda
+    pencils are matched greedily; a pair is accepted when its
+    discrepancy is below ``delta`` (default sqrt(EPS)) and contributes
+    the midpoint.  With ``unique_lambda`` the closest pair is accepted
+    unconditionally (appropriate when each eigenvalue is known to have a
+    distinct lambda component).  A NaN or negative ``delta`` raises
+    ``ValueError``.
 
     Each accepted pair carries the smallest singular values of the two
-    evaluated matrices as residuals; callers should treat pairs with
-    large residuals as suspect rather than silently trusting the
-    discrepancy test.
+    evaluated matrices as residuals.  They certify that (lambda, mu)
+    nearly solves each equation, not that mu belongs to lambda: on a
+    singular 2EP a whole curve of pairs solves both equations (every
+    eigenvalue of A + lambda B in :func:`double_eig_linearization`'s
+    2EP), and there only the score singles out the regular mu.
 
     When all six matrices are real, (lambda, mu) solves the 2EP exactly
     when its conjugate does, so the lambdas are split by
@@ -259,12 +323,17 @@ def solve_2ep(
     The per-lambda searches run on independent RNG streams spawned from
     ``rng``, one per lambda, so results do not depend on evaluation
     order.  Each representative's stream serves equation 1, retries
-    included, then equation 2; a partner's stream is not used.
+    included, then, if the score left it undecided, equation 2; a
+    decided lambda's stream serves equation 1 only, and a partner's
+    stream is not used.
 
-    Cost: one solve of the n1 n2 x n1 n2 pencil (Delta1, Delta0), then
-    two stacked solves over the representative lambdas, of the n1 x n1
-    and the n2 x n2 mu pencils (one QZ per lambda each), and one
-    stacked SVD per equation for the residuals of their accepted pairs.
+    Cost: one solve of the n1 n2 x n1 n2 pencil (Delta1, Delta0), one
+    stacked solve of the n1 x n1 mu pencils of the representative
+    lambdas (one QZ each), one stacked product for their scores, a
+    stacked solve of the n2 x n2 mu pencils of the undecided ones only
+    (none when all are decided), and one stacked SVD per equation for
+    the residuals of the accepted pairs.  On ``double_eig_problem(1)``
+    that is 1 + 18 QZ calls.
     """
     delta = _match_tol(delta, "delta")
     opts, rng = with_defaults(opts, rng)
@@ -276,9 +345,18 @@ def solve_2ep(
     reps = [r for r in range(len(lams)) if r not in partners]
     rep_lams = [lams[r] for r in reps]
     mus1 = _mu_candidates(p, 1, rep_lams, opts, [streams[r] for r in reps])
-    mus2 = _mu_candidates(p, 2, rep_lams, opts, [streams[r] for r in reps])
+    decided = _scored_mus(lam_result, deltas, rep_lams, mus1, delta)
+    undecided = [t for t, d in enumerate(decided) if d is None]
+    mus2 = {}
+    if undecided:  # no equation-2 solve at all when the scores decide every lambda
+        mus2 = dict(zip(undecided, _mu_candidates(
+            p, 2, [rep_lams[t] for t in undecided], opts, [streams[reps[t]] for t in undecided])))
     accepted = []
-    for r, lam, m1s, m2s in zip(reps, rep_lams, mus1, mus2):
+    for t, (r, lam, m1s) in enumerate(zip(reps, rep_lams, mus1)):
+        if decided[t] is not None:
+            accepted.append((r, lam, *decided[t]))
+            continue
+        m2s = mus2[t]
         if m1s is None and m2s is None:
             continue
         # a mu-free equation accepts every mu of the other one: match that list with itself
@@ -353,11 +431,9 @@ class DoubleEigResult:
     """Double-eigenvalue locations with their verification gaps.
 
     ``lambdas`` are Python complex numbers in the order of
-    :func:`_lambda_order`: by real part on a grid of 1e-10 of the largest
-    finite ``|lambda|`` (at least 1), then by imaginary part, non-finite
-    last.  The grid keeps roundoff in the real parts from deciding the
-    order, so the two members of a conjugate pair of a real pencil come
-    as (-im, +im) whichever way the last bits fall.
+    :func:`~singpencil.matrix_core._lambda_order`, so the two members of a
+    conjugate pair of a real pencil come as (-im, +im) whichever way the
+    last bits fall.
     ``gaps[i]`` is the minimal eigenvalue gap of A + lambdas[i] B
     relative to the spectral scale of that matrix; a value near zero
     certifies the double eigenvalue, a value of order one flags a
@@ -417,14 +493,6 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
         solve_result=result,
         count_warning=len(order) > A.shape[0] * (A.shape[0] - 1),
     )
-
-
-def _lambda_order(lams):
-    """Indices that sort ``lams`` as :class:`DoubleEigResult` lists them."""
-    z = np.asarray(lams, dtype=np.complex128)
-    finite = np.isfinite(z)
-    grid = 1e-10 * max(1.0, float(np.max(np.abs(z[finite]), initial=0.0)))
-    return np.lexsort((z.imag, np.round(z.real / grid), ~finite)).tolist()
 
 
 def _closest_pair(w):

@@ -100,7 +100,7 @@ def _oracle(A, B, candidates, refine):
         gaps.append(_relative_gap(A, B, lam))
     for lo, up in tp._conjugate_partners(candidates, DEFAULT_MATCH_TOL, (A, B)).items():
         lambdas[lo], gaps[lo] = complex(lambdas[up]).conjugate(), gaps[up]
-    order = tp._lambda_order(lambdas)
+    order = mc._lambda_order(lambdas)
     return [lambdas[i] for i in order], [gaps[i] for i in order]
 
 

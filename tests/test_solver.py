@@ -763,6 +763,24 @@ class TestIntersectionDistance:
         for a, b, d in inter.matches:
             assert abs(d - chordal(a, b)) <= 1e-14
 
+    def test_rows_keep_their_order_under_last_bit_noise(self, monkeypatch):
+        # the matched distances are roundoff, so they must not order the rows: noisy
+        # copies of one spectrum (conjugate pairs, a value on the real axis below one
+        # of them and an infinite value) list their matches in one order
+        rng = np.random.default_rng(3)
+        z = random_complex(rng, (5,))
+        z = np.concatenate([z, z.conj(), [z[0].real, 1.0]])
+        beta = np.append(np.ones(len(z) - 1), 0.0)
+        orders = set()
+        for _ in range(20):
+            noisy = [(z * (1 + 4 * EPS * rng.standard_normal(len(z))), beta) for _ in range(2)]
+            firsts = np.array([a for a, _, _ in self._intersect(monkeypatch, *noisy).matches])
+            finite = np.where(np.isinf(firsts.real), 0.0, firsts)
+            orders.add(tuple(np.where(np.isinf(firsts.real), len(z) - 1,
+                                      np.argmin(np.abs(finite[:, None] - z[:-1]), axis=1))))
+        assert orders == {tuple(sorted(range(len(z)), key=lambda i: (
+            i == len(z) - 1, round(z[i].real, 8), z[i].imag)))}
+
 
 def _kcf_stack(seed, m, regular_at=()):
     """m KCF pencils of one shape (7 x 7): two finite eigenvalues, N2, L1 and L1^T (k = 1).

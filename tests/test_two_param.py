@@ -436,37 +436,39 @@ def _per_lambda_solve_2ep(p, opts, rng, unique_lambda):
     """:func:`solve_2ep` written out with one ``solve`` per lambda and equation.
 
     The reference for the stacked mu solves: each lambda's stream serves
-    equation 1, then equation 2, and every residual comes from its own SVD.
-    A conjugate partner of a real problem uses no stream and takes its
-    representative's pairs with lambda and mu conjugated.
+    equation 1; a lambda whose core record scores one equation-1 candidate
+    (with its copies) far better than the rest takes their mean, and any
+    other lambda's stream then serves equation 2.  Every score and residual
+    comes from its own product or SVD.  A conjugate partner of a real
+    problem uses no stream and takes its representative's pairs with
+    lambda and mu conjugated.
     """
     opts, rng = with_defaults(opts, rng)
     delta = DEFAULT_MATCH_TOL
     d = operator_determinants(p)
-    lams = tp._cluster_values(solve(Pencil(A=d.D1, B=d.D0), opts, rng).finite_true_values, delta)
+    core = solve(Pencil(A=d.D1, B=d.D0), opts, rng)
+    lams = tp._cluster_values(core.finite_true_values, delta)
     partners = tp._conjugate_partners(lams, delta, (p.A1, p.B1, p.C1, p.A2, p.B2, p.C2))
     own = {}
     for r, (lam, stream) in enumerate(zip(lams, rng.spawn(len(lams)))):
         if r in partners:
             continue
         own[r] = []
-        mus = []
-        for a, b, c in ((p.A1, p.B1, p.C1), (p.A2, p.B2, p.C2)):
-            fixed = a + lam * b
-            if np.linalg.norm(c, 1) == 0.0:
-                mus.append(None if rank_with_tol(fixed) < fixed.shape[0] else [])
-            else:
-                mus.append(solve(Pencil(A=fixed, B=-c), opts, stream).finite_true_values)
-        mus1, mus2 = mus
-        if mus1 is None and mus2 is None:
-            continue
-        matched = pair_mu_candidates(mus2 if mus1 is None else mus1, mus1 if mus2 is None else mus2)
-        if unique_lambda:
-            matched = matched[:1]
-        for m1, m2, disc in matched:
-            if not unique_lambda and disc >= delta:
+        mus1 = _mu_list(p, 1, lam, opts, stream)
+        scored = _scored_mu(core, d, lam, mus1, delta)
+        if scored is not None:
+            matched = [scored]
+        else:
+            mus2 = _mu_list(p, 2, lam, opts, stream)
+            if mus1 is None and mus2 is None:
                 continue
-            mu = (m1 + m2) / 2.0
+            matched = pair_mu_candidates(mus2 if mus1 is None else mus1,
+                                         mus1 if mus2 is None else mus2)
+            if unique_lambda:
+                matched = matched[:1]
+            matched = [((m1 + m2) / 2.0, disc) for m1, m2, disc in matched
+                       if unique_lambda or disc < delta]
+        for mu, disc in matched:
             r1, r2 = (float(np.linalg.svd(p.evaluate(i, lam, mu), compute_uv=False)[-1])
                       for i in (1, 2))
             own[r].append(tp.Eigenpair2EP(lam, mu, disc, r1, r2))
@@ -475,6 +477,33 @@ def _per_lambda_solve_2ep(p, opts, rng, unique_lambda):
                               e.residual1, e.residual2) for up in partners.values() for e in own[up]]
     pairs.sort(key=lambda e: (e.lam.real, e.lam.imag, e.mu.real, e.mu.imag))
     return pairs
+
+
+def _mu_list(p, i, lam, opts, stream):
+    """The finite mu of equation i at ``lam``, or None when equation i is free of mu."""
+    a, b, c = p.equation(i)
+    fixed = a + lam * b
+    if np.linalg.norm(c, 1) == 0.0:
+        return None if rank_with_tol(fixed) < fixed.shape[0] else []
+    return solve(Pencil(A=fixed, B=-c), opts, stream).finite_true_values
+
+
+def _scored_mu(core, d, lam, mus1, delta):
+    """(mu, discrepancy) of ``lam`` when its core record's score decides it, else None."""
+    near = [rec for rec in core.finite_true if abs(rec.value - lam) <= delta * max(1.0, abs(lam))]
+    if not mus1 or len(near) != 1:
+        return None
+    x, y = near[0].x, near[0].y
+    a, b = y.conj() @ (d.D2 @ x), y.conj() @ (d.D0 @ x)
+    scores = [abs(a - mu * b) / (abs(a) + abs(mu * b)) for mu in mus1]
+    best = min(range(len(mus1)), key=scores.__getitem__)
+    tol = 1e-4 * max(1.0, abs(mus1[best]))
+    copies = [mu for mu in mus1 if abs(mu - mus1[best]) <= tol]
+    rivals = [s for mu, s in zip(mus1, scores) if abs(mu - mus1[best]) > tol]
+    if not (scores[best] <= 1e-3 and all(s >= 1e3 * scores[best] for s in rivals)):
+        return None
+    spread = max((abs(u - v) for u, v in itertools.combinations(copies, 2)), default=0.0)
+    return sum(copies) / len(copies), spread
 
 
 def _padded_cubic():
@@ -486,6 +515,14 @@ def _padded_cubic():
     p = bivariate_cubic_system()[0]
     pad = lambda m: np.pad(m, ((0, 1), (0, 1)))  # noqa: E731
     return TwoParamProblem(pad(p.A1), pad(p.B1), pad(p.C1), p.A2, p.B2, p.C2)
+
+
+def _counting_solve(calls):
+    """``solve`` that appends 1 for a pencil, and the stack size for a list, to ``calls``."""
+    def counting(q, opts=None, rng=None):
+        calls.append(1 if isinstance(q, Pencil) else len(q))
+        return solve(q, opts, rng)
+    return counting
 
 
 class TestStackedMuSolves:
@@ -523,9 +560,10 @@ class TestStackedMuSolves:
 
     def test_each_matrix_is_checked_once(self, monkeypatch):
         # matrix_core._checked runs twice per QZ call, twice per pencil built outside
-        # solve (the core pencil and the base of each equation's mu pencils) and twice
+        # solve (the core pencil and the base of the equation-1 mu pencils) and twice
         # per perturbation; the mu pencils derived from a base are not checked again.
-        # The problem is real: 18 of its 30 lambdas are representatives, 2 x 18 + 1 QZ
+        # The problem is real: 18 of its 30 lambdas are representatives, and the core
+        # eigenvectors decide every mu, so equation 2 is not solved: 18 + 1 QZ
         import singpencil.matrix_core as mc
         import singpencil.solver as solver_module
 
@@ -543,8 +581,8 @@ class TestStackedMuSolves:
         monkeypatch.setattr(solver_module, "make_perturbation",
                             counting("perturbations", solver_module.make_perturbation))
         solve_2ep(p, opts=SolveOptions(seed=1), rng=np.random.default_rng(1), unique_lambda=True)
-        assert counts == {"checked": 82, "qz": 37, "perturbations": 1}
-        assert counts["checked"] == 2 * counts["qz"] + 2 * 3 + 2 * counts["perturbations"]
+        assert counts == {"checked": 44, "qz": 19, "perturbations": 1}
+        assert counts["checked"] == 2 * counts["qz"] + 2 * 2 + 2 * counts["perturbations"]
 
     def test_overflowing_mu_pencil_stops_in_scale(self):
         p = bivariate_cubic_system()[0]
@@ -554,18 +592,14 @@ class TestStackedMuSolves:
             tp._mu_candidates(p, 1, [1e308 + 0j], SolveOptions(seed=0), streams)
 
     def test_two_stacked_mu_solves_per_call(self, monkeypatch):
-        # one solve for lambda, then one per equation over the representative
-        # lambdas: one per real lambda and per conjugate pair, 18 of the 30
+        # one solve for lambda, then one for equation 1 over the representative
+        # lambdas (one per real lambda and per conjugate pair, 18 of the 30); the
+        # core eigenvectors decide every mu, so equation 2's stack is not solved
         calls = []
-
-        def counting(p, opts=None, rng=None):
-            calls.append(1 if isinstance(p, Pencil) else len(p))
-            return solve(p, opts, rng)
-
-        monkeypatch.setattr(tp, "solve", counting)
+        monkeypatch.setattr(tp, "solve", _counting_solve(calls))
         pairs = solve_2ep(double_eig_problem(1), opts=SolveOptions(seed=1), unique_lambda=True)
         reps = len({(e.lam.real, abs(e.lam.imag)) for e in pairs})
-        assert calls == [1, reps, reps] and reps == 18 and len(pairs) == 30
+        assert calls == [1, reps] and reps == 18 and len(pairs) == 30
 
 
 def _complex_double_eig_problem(seed):
@@ -639,20 +673,46 @@ class TestConjugatePartners:
 
     def test_complex_problem_is_not_paired(self, monkeypatch):
         # equation 1 times 1j keeps the solutions of the real problem, but no lambda
-        # may mirror another: every one gets its own mu solves, as in the loop
+        # may mirror another: every one gets its own equation-1 mu solve, as in the
+        # loop, and the core eigenvectors decide every mu
         p = _complex_double_eig_problem(1)
         opts = SolveOptions(seed=1)
         want = _per_lambda_solve_2ep(p, opts, np.random.default_rng(1), True)
         calls = []
-
-        def counting(q, opts=None, rng=None):
-            calls.append(1 if isinstance(q, Pencil) else len(q))
-            return solve(q, opts, rng)
-
-        monkeypatch.setattr(tp, "solve", counting)
+        monkeypatch.setattr(tp, "solve", _counting_solve(calls))
         got = solve_2ep(p, opts=opts, rng=np.random.default_rng(1), unique_lambda=True)
         assert repr(got) == repr(want)
-        assert calls == [1, 30, 30] and len(got) == 30
+        assert calls == [1, 30] and len(got) == 30
         real = solve_2ep(double_eig_problem(1), opts=opts, rng=np.random.default_rng(1),
                          unique_lambda=True)
         assert_multiset_close([e.lam for e in got], [e.lam for e in real], rtol=1e-6, atol=1e-6)
+
+
+class TestScoredMu:
+    """The core eigenvectors pick mu where the two equations cannot tell the candidates apart."""
+
+    @pytest.mark.parametrize("unique", [False, True])
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 13])
+    def test_mu_is_the_double_eigenvalue(self, seed, complex_input, unique):
+        # every eigenvalue of A + lambda B solves both equations at a double-eigenvalue
+        # lambda; only the double one (the midpoint of the closest pair) is its mu
+        real = double_eig_problem(seed)
+        p = _complex_double_eig_problem(seed) if complex_input else real
+        pairs = solve_2ep(p, opts=SolveOptions(seed=seed), unique_lambda=unique)
+        assert len(pairs) == 30
+        for e in pairs:
+            w = np.linalg.eigvals(real.A1 + e.lam * real.B1)
+            i, j = tp._closest_pair(w)
+            mid = (w[i] + w[j]) / 2
+            assert abs(e.mu - mid) <= 1e-8 * max(1.0, abs(mid))
+
+    @pytest.mark.parametrize("make", [lambda: bivariate_cubic_system()[0], _padded_cubic])
+    def test_equation_2_is_solved_where_the_score_cannot_decide(self, monkeypatch, make):
+        # on the cubic every best score is of order one, so each representative's
+        # equation-2 mu pencil is solved and matched, as without the score
+        calls = []
+        monkeypatch.setattr(tp, "solve", _counting_solve(calls))
+        pairs = solve_2ep(make(), opts=SolveOptions(seed=0))
+        reps = len({(e.lam.real, abs(e.lam.imag)) for e in pairs})
+        assert calls == [1, reps, reps] and reps == 5 and len(pairs) == 9

@@ -16,9 +16,11 @@ warning.  Library cases digest the exact ``repr`` of
 reports and perturbations, forced-collision retries,
 ``solve_by_intersection``, ``double_eig`` with and without refine and
 ``solve_2ep`` (on the bivariate cubic and on the benchmark's
-double-eigenvalue 2EP, whose mu pencils are 6 x 6 and 18 x 18, also
-with equation 1 times 1j, a complex problem whose lambdas are not
-paired with their conjugates).
+double-eigenvalue 2EP, whose mu pencils are 6 x 6 and 18 x 18, in both
+``unique_lambda`` modes, also with equation 1 times 1j, a complex
+problem whose lambdas are not paired with their conjugates).  The
+``twoparam`` CLI cases run on the written cubic and, once, on the
+written double-eigenvalue 2EP of seed 1.
 
 The package is imported from the ``src`` directory next to this file, so
 running the script of two checkouts and diffing the output compares
@@ -176,6 +178,7 @@ def cli_cases(tmp):
         files["de_" + name] = tuple(os.path.join(tmp, f"de_{name}_{m}.mtx") for m in "AB")
         write_pencil(p, *files["de_" + name])
     manifest = write_problem(bivariate_cubic_system()[0], os.path.join(tmp, "cubic"))
+    manifest_2ep = write_problem(double_eig_problem(1), os.path.join(tmp, "double_eig_2ep"))
     spec_path = os.path.join(tmp, "spec.json")
     with open(spec_path, "w") as f:
         json.dump(spec_to_json(KcfSpec((Jordan(1, 0.5), Nilpotent(2), RightSingular(1),
@@ -205,6 +208,8 @@ def cli_cases(tmp):
                 yield (f"twoparam/cubic/{seed}/{fmt}/{'_'.join(flags) or 'default'}",
                        ("twoparam", manifest, "--format", fmt) + s + flags)
         yield f"gen/{seed}", ("gen", spec_path, "-o", os.path.join(tmp, f"gen{seed}")) + s
+    yield ("twoparam/double_eig_2ep/1/table/default",
+           ("twoparam", manifest_2ep, "--format", "table", "--seed", "1"))
     # more lambdas than n(n-1) = 6: the table ends with the count warning
     overflow = tuple(os.path.join(tmp, f"overflow_{m}.mtx") for m in "AB")
     write_pencil(Pencil(A=np.diag([1e150, 1.0, 2.0]), B=np.diag([1.0, 1e-150, 1.0])), *overflow)
@@ -238,6 +243,9 @@ def library_cases():
     for seed in DOUBLE_EIG_2EP_SEEDS:
         yield f"lib/solve_2ep/double_eig_2ep/{seed}", lambda seed=seed: repr(solve_2ep(
             double_eig_problem(seed), opts=SolveOptions(seed=seed), unique_lambda=True))
+    for seed in DOUBLE_EIG_2EP_SEEDS:
+        yield f"lib/solve_2ep/double_eig_2ep/{seed}/unique0", lambda seed=seed: repr(solve_2ep(
+            double_eig_problem(seed), opts=SolveOptions(seed=seed)))
     for seed in COMPLEX_2EP_SEEDS:
         yield f"lib/solve_2ep/double_eig_2ep_complex/{seed}", lambda seed=seed: repr(solve_2ep(
             _times_1j_in_equation_1(double_eig_problem(seed)), opts=SolveOptions(seed=seed),
