@@ -526,7 +526,7 @@ def _counting_solve(calls):
 
 
 class TestStackedMuSolves:
-    """The two stacked mu solves give the pairs of a per-lambda loop, bit for bit."""
+    """The stacked mu solves and the scores give the pairs of a per-lambda loop, bit for bit."""
 
     @pytest.mark.parametrize(
         "name,make,unique,seeds",
