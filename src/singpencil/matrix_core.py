@@ -147,9 +147,13 @@ class EigDecomposition:
         and the quotient do not depend on the length of the pair, so no
         pair is normalized.
         """
-        a, b = scale[0] * self.alpha, scale[1] * self.beta
-        infinite = np.abs(b) <= EPS * np.abs(a)
-        return np.divide(a, b, out=np.full(a.shape, np.inf + 0j), where=~infinite)
+        return _quotients(scale[0] * self.alpha, scale[1] * self.beta)
+
+
+def _quotients(a, b):
+    """The values a / b of homogeneous pairs, elementwise; ``inf`` where ``|b| <= EPS * |a|``."""
+    infinite = np.abs(b) <= EPS * np.abs(a)
+    return np.divide(a, b, out=np.full(a.shape, np.inf + 0j), where=~infinite)
 
 
 _ZGGEV3_NAMES = ("scipy_zggev3_64_", "zggev3_64_", "scipy_zggev3_", "zggev3_")
@@ -237,9 +241,10 @@ def generalized_eig(A, B):
     no scipy module is imported; where numpy's LAPACK exports no
     ``zggev3``, the unblocked single-shift ``zggev`` through
     ``scipy.linalg.lapack`` (:func:`_zggev`).  Each matrix is converted
-    and checked once, into the Fortran-order copy LAPACK overwrites, and
-    the workspace size is cached per order (:func:`_workspace`), so a
-    call makes one LAPACK call.
+    and checked once, into the Fortran-order copy LAPACK overwrites, the
+    workspace size is cached per order (:func:`_workspace`), and every
+    output goes to one buffer whose address is read once, so a call
+    makes one LAPACK call.
 
     Parameters
     ----------
@@ -288,8 +293,10 @@ def generalized_eig(A, B):
     else:
         integer = zggev3.argtypes[2]._type_
         dim, info = integer(n), integer(0)
-        # raw addresses: numpy's ndpointer checks on every call cost more than a small QZ
-        alpha, beta, vl, vr, work, rwork = (out.ctypes.data + 16 * i for i in offsets)
+        # raw addresses: numpy's ndpointer checks on every call cost more than a small QZ,
+        # and each ndarray.ctypes access builds an object
+        base = out.ctypes.data
+        alpha, beta, vl, vr, work, rwork = (base + 16 * i for i in offsets)
         zggev3(b"V", b"V", dim, a.ctypes.data, dim, b.ctypes.data, dim, alpha, beta,
                vl, dim, vr, dim, work, integer(lwork), rwork, info, 1, 1)
         info = info.value

@@ -164,21 +164,31 @@ def squarify(p: Pencil) -> Pencil:
 def normal_rank(p, rng, tol="auto"):
     """Estimate nrank(A, B) = max_zeta rank(A - zeta B) by random probes.
 
-    Probe points are drawn uniformly from the unit circle (the pencil is
-    scaled to unit norms first, so that radius is well conditioned), and
-    the maximum rank over two draws is taken.  A single probe can
-    in principle land on an eigenvalue and under-report; two independent
-    probes make that a non-event in practice while the report keeps the
-    values for auditing.  Whether a pencil is scaled is read from its
-    record: one whose factors ``scale_alpha`` and ``scale_beta`` are both
-    1.0 is scaled first, any other (one :func:`scale` returned) is probed
-    as it is.  An empty (0 x 0) pencil and a negative ``tol`` are
+    Each probe point comes from one draw u = ``rng.uniform()``, and the
+    maximum rank over two probes is taken (the pencil is scaled to unit
+    norms first, so that points of modulus at most one are well
+    conditioned).  A complex pencil is probed on the unit circle,
+    zeta = exp(2 pi i u).  A pencil whose A and B have zero imaginary
+    parts is probed at the real point zeta = 2u - 1 in [-1, 1], where
+    A - zeta B is real and takes a float64 SVD at about half the cost.
+    Both kinds use the same draws, so every later draw from ``rng`` is
+    the same.  A single probe can land close to an eigenvalue and
+    under-report, and the segment crosses every real eigenvalue in
+    [-1, 1]: on the ill-conditioned ``staircase_sensitive_pencil`` of the
+    gallery 4 of 20000 real probes fell below the cut, and none of 20000
+    on the circle.  The maximum over two independent probes makes that a
+    non-event in practice, while the report keeps the values (floats for
+    a real pencil) for auditing.  Whether a pencil is scaled is read from
+    its record: one whose factors ``scale_alpha`` and ``scale_beta`` are
+    both 1.0 is scaled first, any other (one :func:`scale` returned) is
+    probed as it is.  An empty (0 x 0) pencil and a negative ``tol`` are
     rejected with ``ValueError``.
 
     A list of same-shaped pencils with a list of as many generators gives
     the list of reports, each equal to that of its pencil alone: every
-    pencil draws its probes from its own generator, and one SVD call
-    covers every probe of every pencil.
+    pencil draws its probes from its own generator, one float64 SVD call
+    covers every probe of the real pencils and one complex SVD call
+    those of the others, at most two calls for the stack.
     """
     if isinstance(p, Pencil):
         return normal_rank([p], [rng], tol)[0]
@@ -190,15 +200,23 @@ def normal_rank(p, rng, tol="auto"):
     if max(shape) == 0:
         raise ValueError("empty pencil")
     A, B = _stacks([scale(q) if q.scale_alpha == q.scale_beta == 1.0 else q for q in p])
-    zetas = np.array([[complex(np.exp(2j * np.pi * r.uniform())) for _ in range(2)] for r in rng])
-    probes = zetas[:, :, None, None] * B[:, None]
-    s = np.linalg.svd(np.subtract(A[:, None], probes, out=probes), compute_uv=False)
+    u = np.array([r.uniform(size=2) for r in rng])  # the draws of two uniform() calls
+    real = ~(A.imag.any(axis=(1, 2)) | B.imag.any(axis=(1, 2)))
+    zetas = np.where(real[:, None], 2.0 * u - 1.0, np.exp(2j * np.pi * u))
+    s = np.empty((len(p), 2, min(shape)))
+    for group, part in ((real, np.real), (~real, np.asarray)):  # one float64, one complex SVD
+        if group.any():
+            rows = slice(None) if group.all() else group  # a whole stack as it is, uncopied
+            probes = part(zetas[rows])[:, :, None, None] * part(B[rows])[:, None]
+            s[rows] = np.linalg.svd(np.subtract(part(A[rows])[:, None], probes, out=probes),
+                                    compute_uv=False)
     cut = _rank_tolerance(s, shape, tol)  # (m, 2) np.float64 under "auto", else one float
     nranks = (s > np.asarray(cut)[..., None]).sum(axis=-1).max(axis=-1).tolist()
     used = cut.max(axis=-1) if tol == "auto" else [cut] * len(p)
     return [  # tol_used = max(0.0, *cuts): the float 0.0 unless a cut is positive
-        NormalRankReport(nrank=r, k=max(shape) - r, zeta_samples=z, tol_used=t if t > 0.0 else 0.0)
-        for r, z, t in zip(nranks, zetas.tolist(), used)
+        NormalRankReport(nrank=r, k=max(shape) - r, zeta_samples=(z.real if re else z).tolist(),
+                         tol_used=t if t > 0.0 else 0.0)
+        for r, z, re, t in zip(nranks, zetas, real.tolist(), used)
     ]
 
 

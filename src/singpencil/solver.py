@@ -33,6 +33,7 @@ from .matrix_core import (
     EPS,
     EigDecomposition,
     _lambda_order,
+    _quotients,
     as_cmatrix,
     generalized_eig,
     greedy_match,
@@ -360,11 +361,10 @@ def _has_collision(values, cls, spec, delta1):
     """
     tol = 10 * delta1
     gammas = spec.gammas
-    for g in gammas[~np.isinf(gammas)]:
-        near = np.abs(values - g) < tol
-        if np.any(near & (cls == _FINITE)) or np.sum(near) > np.sum(np.abs(gammas - g) < tol):
-            return True
-    return False
+    finite = gammas[~np.isinf(gammas), None]  # one row per finite gamma
+    near = np.abs(values - finite) < tol
+    copies = (np.abs(gammas - finite) < tol).sum(axis=1)
+    return bool(np.any(near & (cls == _FINITE)) or np.any(near.sum(axis=1) > copies))
 
 
 def _extremes(values, mask, pick, initial):
@@ -461,24 +461,28 @@ def solve(p, opts: SolveOptions | None = None, rng=None):
                 if ks[i] and _has_collision(decs[i].values(), cls[i], specs[i], opts.delta1)]
         if not todo:
             break
-    results = []
-    for i, gaps in enumerate(_gap_reports(diag, cls)):
-        e, back = decs[i], (ps[i].scale_alpha, ps[i].scale_beta)
-        values = e.values(back)
-        order = np.lexsort((values.imag, values.real, cls[i]))
-        results.append(SolveResult(
-            eig=EigDecomposition(e.alpha[order], e.beta[order],
-                                 e.right[:, order], e.left[:, order]),
-            back_scale=back,
-            values=values[order],
-            diagnostics=diag[i][:, order],
-            classes=cls[i][order],
+    # back-scale and sort every pencil's spectrum at once, by class, then value
+    back = [(q.scale_alpha, q.scale_beta) for q in ps]
+    scales = np.array(back)[:, :, None]
+    alpha, beta = np.array([e.alpha for e in decs]), np.array([e.beta for e in decs])
+    values = _quotients(scales[:, 0] * alpha, scales[:, 1] * beta)
+    order = np.lexsort((values.imag, values.real, cls))  # row by row
+    alpha, beta, values, cls = (np.take_along_axis(x, order, 1) for x in (alpha, beta, values, cls))
+    diag = np.take_along_axis(diag, order[:, None], 2)
+    return [
+        SolveResult(
+            eig=EigDecomposition(alpha[i], beta[i], e.right[:, order[i]], e.left[:, order[i]]),
+            back_scale=back[i],
+            values=values[i],
+            diagnostics=diag[i],
+            classes=cls[i],
             nrank_report=reports[i],
             spec_used=specs[i],
             gap_report=gaps,
             collision_warning=i in todo,
-        ))
-    return results
+        )
+        for i, (e, gaps) in enumerate(zip(decs, _gap_reports(diag, cls)))
+    ]
 
 
 @dataclass
@@ -488,9 +492,10 @@ class IntersectionResult:
     ``matches`` holds every greedily matched pair of eigenvalues from
     the two independently perturbed solves, as complex numbers (``inf``
     where infinite), together with its chordal distance, in the order of
-    the first value by :func:`~singpencil.matrix_core._lambda_order`
-    (the distances of accepted matches are roundoff, so they would not
-    give a stable order); ``eigenvalues`` extracts the midpoints of the
+    the first value by :func:`~singpencil.matrix_core._lambda_order`,
+    rows of equal rank there (every infinite first value) by the second
+    value (the distances of accepted matches are roundoff, so they would
+    not give a stable order); ``eigenvalues`` extracts the midpoints of the
     finite matches below ``tol``, in the same order.  The finite/infinite
     discrimination of this historical method is known to be unreliable,
     which is exactly why the eigenvector-based classification of
@@ -519,8 +524,9 @@ def solve_by_intersection(
     (a1, b1), (a2, b2) = (dec.unit_pairs(back) for dec in decs)
     # chordal distance |a1 b2 - a2 b1| of the unit pairs, every pair of the two spectra at once
     chordal = np.abs(np.multiply.outer(a1, b2) - np.multiply.outer(b1, a2))
-    matched = greedy_match(*(dec.values(back).tolist() for dec in decs), chordal)
-    matches = [matched[i] for i in _lambda_order([a for a, _, _ in matched])]
+    matches = greedy_match(*(dec.values(back).tolist() for dec in decs), chordal)
+    for column in (1, 0):  # by the first value, ties (every infinite one) by the second
+        matches = [matches[i] for i in _lambda_order([row[column] for row in matches])]
     eigenvalues = [
         (a + b) / 2.0
         for a, b, d in matches

@@ -36,7 +36,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -96,19 +96,16 @@ class TwoParamProblem:
 _MANIFEST_KEYS = tuple(f.name for f in fields(TwoParamProblem))
 
 
-def _residuals(p: TwoParamProblem, pairs):
-    """Smallest singular value of each evaluated matrix at every (lambda, mu) pair.
+def _residuals(p: TwoParamProblem, lams, mus):
+    """Smallest singular value of each evaluated matrix at every pair (lams[t], mus[t]).
 
     That is the norm of the best residual over unit vectors, how far the
-    pair is from solving each equation; one SVD call per equation.
+    pair is from solving each equation; one SVD call per equation, on the
+    stack of every pair's :meth:`TwoParamProblem.evaluate` matrix.
     """
-    if not pairs:
-        return []
-    smallest = [
-        np.linalg.svd(np.stack([p.evaluate(i, lam, mu) for lam, mu in pairs]), compute_uv=False)
-        for i in (1, 2)
-    ]
-    return list(zip(*(s[:, -1].tolist() for s in smallest)))
+    lam, mu = lams[:, None, None], mus[:, None, None]
+    return [np.linalg.svd(a + lam * b + mu * c, compute_uv=False)[:, -1]
+            for a, b, c in (p.equation(1), p.equation(2))]
 
 
 @dataclass
@@ -141,11 +138,26 @@ class Eigenpair2EP:
 
 
 def operator_determinants(p: TwoParamProblem) -> DeltaTriple:
-    """The Kronecker-product operator determinants of the 2EP."""
+    """The Kronecker-product operator determinants of the 2EP.
+
+    Each Kronecker product X (x) Y is the broadcast outer product
+    X[i, j] Y[k, l] that ``np.kron`` forms, so the bits are those of
+    ``np.kron``.  Each determinant is formed in its own array and every
+    subtracted product in one more: four large arrays in place of the
+    nine of six ``np.kron`` calls and three differences.
+    """
+    n1, n2 = p.A1.shape[0], p.A2.shape[0]
+    term = np.empty((n1, n2, n1, n2), np.complex128)
+
+    def det(X1, Y2, Y1, X2):  # X1 (x) Y2 - Y1 (x) X2
+        D = np.multiply(X1[:, None, :, None], Y2[None, :, None, :])
+        np.subtract(D, np.multiply(Y1[:, None, :, None], X2[None, :, None, :], out=term), out=D)
+        return D.reshape(n1 * n2, n1 * n2)
+
     return DeltaTriple(
-        D0=np.kron(p.B1, p.C2) - np.kron(p.C1, p.B2),
-        D1=np.kron(p.C1, p.A2) - np.kron(p.A1, p.C2),
-        D2=np.kron(p.A1, p.B2) - np.kron(p.B1, p.A2),
+        D0=det(p.B1, p.C2, p.C1, p.B2),
+        D1=det(p.C1, p.A2, p.A1, p.C2),
+        D2=det(p.A1, p.B2, p.B1, p.A2),
     )
 
 
@@ -158,15 +170,20 @@ def pair_mu_candidates(mus1, mus2):
     return greedy_match(*_mu_distances(mus1, mus2))
 
 
+def _abs(z):
+    """``|z|`` with the bits of Python's complex ``abs`` (``np.abs`` may differ in the last bit)."""
+    return np.hypot(z.real, z.imag)
+
+
 def _mu_distances(mus1, mus2):
     """Both lists as Python complex numbers, and their distances ``|mu1 - mu2|`` as an array.
 
-    ``np.hypot`` of the parts of each difference gives the bits of
-    Python's complex ``abs``, for the whole outer array at once.
+    :func:`_abs` gives the bits of Python's complex ``abs``, for the whole
+    outer array at once.
     """
     xs, ys = [complex(m) for m in mus1], [complex(m) for m in mus2]
     d = np.subtract.outer(np.array(xs, dtype=np.complex128), np.array(ys, dtype=np.complex128))
-    return xs, ys, np.hypot(d.real, d.imag)
+    return xs, ys, _abs(d)
 
 
 def _closest_mu_pair(mus1, mus2):
@@ -179,12 +196,22 @@ def _closest_mu_pair(mus1, mus2):
 
 
 def _cluster_values(values, tol):
-    """Collapse numerically repeated values, keeping one representative each."""
-    reps = []
-    for v in sorted(values, key=lambda z: (z.real, z.imag)):
-        if not any(abs(v - r) <= tol * max(1.0, abs(r)) for r in reps):
-            reps.append(v)
-    return reps
+    """Collapse numerically repeated values, keeping one representative each.
+
+    In the order of the real, then the imaginary parts, a value is kept
+    unless it lies within tol max(1, |r|) of a representative r kept
+    before it.  One array of distances covers every pair; only the rows
+    with a close earlier value are walked in order.
+    """
+    z = np.asarray(values, dtype=np.complex128)
+    order = np.lexsort((z.imag, z.real))
+    z = z[order]
+    close = _abs(np.subtract.outer(z, z)) <= tol * np.maximum(1.0, _abs(z))
+    close &= np.tri(len(z), k=-1, dtype=bool)  # row v, column r: r sorts before v
+    keep = np.ones(len(z), dtype=bool)
+    for i in np.flatnonzero(close.any(axis=1)).tolist():
+        keep[i] = not (close[i] & keep).any()
+    return [values[i] for i in order[keep].tolist()]
 
 
 def _conjugate_partners(values, tol, inputs=()):
@@ -226,11 +253,12 @@ def _scored_mus(core, deltas, lams, mus1, tol):
     A lambda takes part when it is the only finite true value of the
     core solve ``core`` within ``tol`` max(1, |lambda|) of itself.  Its
     record's eigenvectors x, y give a = y^H Delta2 x and b = y^H Delta0 x
-    (one stacked product for all lambdas), and each of its equation-1
+    (one product per Delta for all lambdas), and each of its equation-1
     candidates the score |a - mu b| / (|a| + |mu b|), which vanishes at
     the mu of the regular part.  When the lambda is decided, mu is the
     mean of the candidates within _MU_COPY_TOL max(1, |best|) of the
-    best one, and the discrepancy their largest pairwise distance.
+    best one, and the discrepancy their largest pairwise distance.  The
+    candidates of all lambdas are scored as the rows of one array.
     """
     values = np.asarray(core.finite_true_values, dtype=np.complex128)
     z = np.asarray(lams, dtype=np.complex128)
@@ -241,17 +269,25 @@ def _scored_mus(core, deltas, lams, mus1, tol):
         return decided
     cols = np.flatnonzero(core.classes == _FINITE)[near[take].argmax(axis=1)]
     X, Y = core.eig.right[:, cols], core.eig.left[:, cols]
-    a, b = np.einsum("ij,kij->kj", Y.conj(), np.stack([deltas.D2, deltas.D0]) @ X)
-    for t, at, bt in zip(take, a.tolist(), b.tolist()):
-        mus = np.array(mus1[t], dtype=np.complex128)
-        with np.errstate(invalid="ignore"):
-            score = np.abs(at - mus * bt) / (abs(at) + np.abs(mus * bt))
-        best = int(np.argmin(score))
-        copy = np.abs(mus - mus[best]) <= _MU_COPY_TOL * max(1.0, abs(mus[best]))
-        if score[best] <= _SCORE_BOUND and np.all(score[~copy] >= _SCORE_MARGIN * score[best]):
-            copies = [mus1[t][j] for j in np.flatnonzero(copy)]
-            spread = max((abs(u - v) for u, v in itertools.combinations(copies, 2)), default=0.0)
-            decided[t] = (sum(copies) / len(copies), spread)
+    a, b = np.einsum("ij,kij->kj", Y.conj(), np.stack([deltas.D2 @ X, deltas.D0 @ X]))[:, :, None]
+    # every lambda's candidates as one row, padded with NaN, whose scores are set to inf
+    width = max(len(mus1[t]) for t in take)
+    mus = np.full((len(take), width), np.nan, dtype=np.complex128)
+    for row, t in enumerate(take):
+        mus[row, :len(mus1[t])] = mus1[t]
+    pad = np.isnan(mus)
+    with np.errstate(invalid="ignore"):
+        score = np.abs(a - mus * b) / (_abs(a) + np.abs(mus * b))
+    score[pad] = np.inf
+    rows = np.arange(len(take))
+    best = np.argmin(score, axis=1)  # a NaN score is picked first, as for a lone row
+    top, low = mus[rows, best][:, None], score[rows, best][:, None]
+    copy = np.abs(mus - top) <= _MU_COPY_TOL * np.maximum(1.0, _abs(top))
+    won = (low[:, 0] <= _SCORE_BOUND) & ((score >= _SCORE_MARGIN * low) | copy | pad).all(axis=1)
+    for row in np.flatnonzero(won).tolist():
+        copies = [mus1[take[row]][j] for j in np.flatnonzero(copy[row]).tolist()]
+        spread = max((abs(u - v) for u, v in itertools.combinations(copies, 2)), default=0.0)
+        decided[take[row]] = (sum(copies) / len(copies), spread)
     return decided
 
 
@@ -267,7 +303,7 @@ def _mu_candidates(p: TwoParamProblem, i, lams, opts, streams):
     every mu works (None), elsewhere no mu works (an empty list).
     """
     a, b, c = p.equation(i)
-    fixed = [a + lam * b for lam in lams]
+    fixed = a + np.array(lams, dtype=np.complex128)[:, None, None] * b  # one matrix per lambda
     if np.linalg.norm(c, 1) == 0.0:
         return [None if rank_with_tol(f) < f.shape[0] else [] for f in fixed]
     base = Pencil(A=a, B=-c)
@@ -329,7 +365,7 @@ def solve_2ep(
 
     Cost: one solve of the n1 n2 x n1 n2 pencil (Delta1, Delta0), one
     stacked solve of the n1 x n1 mu pencils of the representative
-    lambdas (one QZ each), one stacked product for their scores, a
+    lambdas (one QZ each), one product per Delta for their scores, a
     stacked solve of the n2 x n2 mu pencils of the undecided ones only
     (none when all are decided), and one stacked SVD per equation for
     the residuals of the accepted pairs.  On ``double_eig_problem(1)``
@@ -364,16 +400,16 @@ def solve_2ep(
         matched = _closest_mu_pair(*lists) if unique_lambda else pair_mu_candidates(*lists)
         accepted += [(r, lam, (m1 + m2) / 2.0, disc) for m1, m2, disc in matched
                      if unique_lambda or not disc >= delta]
-    residuals = _residuals(p, [(lam, mu) for _, lam, mu, _ in accepted])
-    pairs = [
-        Eigenpair2EP(lam=lam, mu=mu, mu_discrepancy=disc, residual1=r1, residual2=r2)
-        for (_, lam, mu, disc), (r1, r2) in zip(accepted, residuals)
-    ]
-    mirrored = set(partners.values())
-    pairs += [replace(e, lam=e.lam.conjugate(), mu=e.mu.conjugate())
-              for (r, *_), e in zip(accepted, pairs) if r in mirrored]
-    pairs.sort(key=lambda e: (e.lam.real, e.lam.imag, e.mu.real, e.mu.imag))
-    return pairs
+    if not accepted:
+        return []
+    rows, *columns = (np.array(column) for column in zip(*accepted))  # lam, mu, discrepancy
+    columns += _residuals(p, *columns[:2])
+    # each partner of a representative takes its pairs with lambda and mu conjugated
+    mirror = np.isin(rows, list(partners.values()))
+    columns = [np.concatenate([c, c[mirror].conj()]) for c in columns]
+    lam, mu = columns[:2]
+    order = np.lexsort((mu.imag, mu.real, lam.imag, lam.real))
+    return [Eigenpair2EP(*row) for row in zip(*(c[order].tolist() for c in columns))]
 
 
 def double_eig_linearization(A, B):

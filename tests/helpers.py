@@ -9,8 +9,10 @@ import sys
 import numpy as np
 
 import singpencil
-from singpencil import greedy_match
+from singpencil import NormalRankReport, greedy_match, scale
 from singpencil.kcf_gen import Jordan, KcfSpec, LeftSingular, Nilpotent, RightSingular
+from singpencil.matrix_core import _rank_tolerance
+from singpencil.pencil import _stacks
 
 
 def random_complex(rng, shape):
@@ -66,6 +68,30 @@ def result_fields(res):
         "gap_report": repr(res.gap_report),
         "collision_warning": res.collision_warning,
     }
+
+
+def unit_circle_normal_rank(p, rng, tol="auto"):
+    """``normal_rank`` with every pencil probed on the unit circle, real ones included.
+
+    The rule before real pencils were probed on [-1, 1]: the same draw u
+    per probe gives zeta = exp(2 pi i u), and one complex SVD call covers
+    the stack.  A reference that shows the probe points decide nothing
+    but the rank.
+    """
+    if isinstance(p, singpencil.Pencil):
+        return unit_circle_normal_rank([p], [rng], tol)[0]
+    shape = p[0].shape
+    A, B = _stacks([scale(q) if q.scale_alpha == q.scale_beta == 1.0 else q for q in p])
+    zetas = np.array([[complex(np.exp(2j * np.pi * r.uniform())) for _ in range(2)] for r in rng])
+    probes = zetas[:, :, None, None] * B[:, None]
+    s = np.linalg.svd(np.subtract(A[:, None], probes, out=probes), compute_uv=False)
+    cut = _rank_tolerance(s, shape, tol)
+    nranks = (s > np.asarray(cut)[..., None]).sum(axis=-1).max(axis=-1).tolist()
+    used = cut.max(axis=-1) if tol == "auto" else [cut] * len(p)
+    return [
+        NormalRankReport(nrank=r, k=max(shape) - r, zeta_samples=z, tol_used=t if t > 0.0 else 0.0)
+        for r, z, t in zip(nranks, zetas.tolist(), used)
+    ]
 
 
 def chordal(z, w):

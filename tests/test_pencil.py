@@ -1,6 +1,7 @@
 """Tests for scaling, squarification, normal rank and Matrix Market I/O."""
 
 import bz2
+import dataclasses
 import gzip
 import re
 
@@ -14,8 +15,10 @@ from singpencil import (
     NormalRankReport,
     Pencil,
     SolveOptions,
+    double_eig_linearization,
     generalized_eig,
     normal_rank,
+    operator_determinants,
     scale,
     solve,
     squarify,
@@ -23,6 +26,7 @@ from singpencil import (
 from singpencil.gallery import (
     control_benchmark_pencil,
     diagonal_demo_pencil,
+    double_eig_problem,
     showcase_pencil,
     staircase_sensitive_pencil,
 )
@@ -109,6 +113,11 @@ def _nearly_unit_pencil():
     return p
 
 
+def _times_1j(p):
+    """``p`` with both matrices times 1j: a complex pencil of the same rank and scale record."""
+    return dataclasses.replace(p, A=1j * p.A, B=1j * p.B)
+
+
 class TestNormalRank:
     def test_diagonal_demo(self):
         rep = normal_rank(diagonal_demo_pencil(), np.random.default_rng(0))
@@ -140,8 +149,10 @@ class TestNormalRank:
             assert (rep.nrank, rep.k) == (6, 1)
 
     def test_probe_count_respected(self):
-        # two probes, recorded; the count is no longer a parameter
-        rep = normal_rank(diagonal_demo_pencil(), np.random.default_rng(1))
+        # two probes, recorded; the count is no longer a parameter.  A complex pencil
+        # is probed on the unit circle, a real one (see TestRealProbes) on [-1, 1]
+        p = diagonal_demo_pencil()
+        rep = normal_rank(Pencil(A=1j * p.A, B=1j * p.B), np.random.default_rng(1))
         assert len(rep.zeta_samples) == 2 and rep.zeta_samples[0] != rep.zeta_samples[1]
         assert all(abs(abs(z) - 1.0) < 1e-15 for z in rep.zeta_samples)
         with pytest.raises(TypeError):
@@ -474,7 +485,10 @@ class TestStackedPencilStages:
         # the bookkeeping written as a loop over the probes, on the singular values
         # the stacked call computed; the digest prints tol_used's repr, so its type
         # counts: np.float64 under "auto", float for a number, 0.0 when no cut is positive
+        # every stack real or every one complex, so that one SVD call covers it
         stacks = [self._pencils(), [Pencil(A=np.zeros((3, 5)), B=np.ones((3, 5)))],
+                  [_times_1j(p) for p in self._pencils()[:3]],
+                  [Pencil(A=np.zeros((3, 5)), B=1j * np.ones((3, 5)))],
                   [Pencil(A=np.zeros((3, 0)), B=np.zeros((3, 0)))]]
         svd, captured = np.linalg.svd, []
 
@@ -488,7 +502,10 @@ class TestStackedPencilStages:
             want = []
             for seed, sv, p in zip(range(len(pencils)), captured.pop(), pencils):
                 rng = np.random.default_rng(seed)
-                zetas = [complex(np.exp(2j * np.pi * rng.uniform())) for _ in range(2)]
+                if p.A.imag.any() or p.B.imag.any():
+                    zetas = [complex(np.exp(2j * np.pi * rng.uniform())) for _ in range(2)]
+                else:  # a real pencil: the same draws, mapped to [-1, 1]
+                    zetas = [2.0 * rng.uniform() - 1.0 for _ in range(2)]
                 n = max(p.shape)
                 ts = [(n * EPS * (x[0] if x.size else 0.0)) if tol == "auto" else float(tol) for x in sv]
                 best = max(int(np.sum(x > t)) for x, t in zip(sv, ts))
@@ -505,3 +522,69 @@ class TestStackedPencilStages:
     def test_stack_needs_equal_shapes(self):
         with pytest.raises(ValueError, match="equal shape"):
             scale([Pencil(A=np.eye(2), B=np.eye(2)), Pencil(A=np.eye(3), B=np.eye(3))])
+
+
+def _real_pencils():
+    """Real pencils by name: the gallery's, double_eig linearizations and 2EP Delta pencils."""
+    pencils = {f.__name__: f() for f in (showcase_pencil, diagonal_demo_pencil,
+                                         control_benchmark_pencil, staircase_sensitive_pencil)}
+    for n in range(3, 9):
+        rng = np.random.default_rng(n)
+        D1, D0 = double_eig_linearization(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+        pencils[f"double_eig_linearization_{n}"] = Pencil(A=D1, B=D0)
+    for seed in range(1, 6):
+        d = operator_determinants(double_eig_problem(seed))
+        pencils[f"double_eig_problem_{seed}"] = Pencil(A=d.D1, B=d.D0)
+    return pencils
+
+
+class TestRealProbes:
+    """A real pencil is probed at real points 2u - 1 in one float64 SVD call."""
+
+    @pytest.mark.parametrize("name", list(_real_pencils()))
+    def test_same_rank_as_the_complex_pencil_times_1j(self, name):
+        p = _real_pencils()[name]
+        assert not (p.A.imag.any() or p.B.imag.any())
+        for seed in range(3):
+            real = normal_rank(p, np.random.default_rng(seed))
+            cplx = normal_rank(_times_1j(p), np.random.default_rng(seed))
+            assert (real.nrank, real.k) == (cplx.nrank, cplx.k)
+
+    def test_real_probes_lie_in_the_unit_interval(self):
+        p = showcase_pencil()
+        for seed in range(50):
+            rng, draws = np.random.default_rng(seed), np.random.default_rng(seed).uniform(size=3)
+            zetas = normal_rank(p, rng).zeta_samples
+            assert all(type(z) is float and -1.0 <= z <= 1.0 for z in zetas)
+            assert zetas == (2.0 * draws[:2] - 1.0).tolist()  # a complex pencil's draws
+            assert rng.uniform() == draws[2]  # and every later draw is unchanged
+
+    @staticmethod
+    def _svd_inputs(monkeypatch):
+        svd, dtypes = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: dtypes.append(a.dtype) or svd(a, **kw))
+        return dtypes
+
+    def test_one_svd_call_per_kind_of_stack(self, monkeypatch):
+        dtypes = self._svd_inputs(monkeypatch)
+        real = [showcase_pencil(), scale(showcase_pencil()), Pencil(A=np.eye(7), B=np.zeros((7, 7)))]
+        rngs = lambda: [np.random.default_rng(s) for s in range(3)]  # noqa: E731
+        normal_rank(real, rngs())
+        assert dtypes == [np.float64]
+        dtypes.clear()
+        normal_rank([_times_1j(p) for p in real], rngs())
+        assert dtypes == [np.complex128]
+        dtypes.clear()
+        normal_rank([real[0], _times_1j(real[1]), real[2]], rngs())
+        assert sorted(map(str, dtypes)) == ["complex128", "float64"]
+
+    def test_mixed_stack_gives_each_member_its_lone_report(self):
+        rng = np.random.default_rng(6)
+        members = [showcase_pencil(), _times_1j(showcase_pencil()), scale(showcase_pencil()),
+                   Pencil(A=random_complex(rng, (7, 7)), B=random_complex(rng, (7, 7))),
+                   Pencil(A=np.zeros((7, 7)), B=np.zeros((7, 7)))]
+        for tol in ("auto", 1e-10):
+            got = normal_rank(members, [np.random.default_rng(s) for s in range(len(members))], tol)
+            want = [normal_rank(p, np.random.default_rng(s), tol) for s, p in enumerate(members)]
+            assert repr(got) == repr(want)
+            assert [isinstance(r.zeta_samples[0], float) for r in got] == [True, False, True, False, True]

@@ -766,20 +766,27 @@ class TestIntersectionDistance:
     def test_rows_keep_their_order_under_last_bit_noise(self, monkeypatch):
         # the matched distances are roundoff, so they must not order the rows: noisy
         # copies of one spectrum (conjugate pairs, a value on the real axis below one
-        # of them and an infinite value) list their matches in one order
+        # of them and an infinite value) list their matches in one order; so do two
+        # more infinite first values, matched to the second values -w and w at
+        # distances 1 / hypot(1, |w|) that differ in the last bits, by the second value
         rng = np.random.default_rng(3)
         z = random_complex(rng, (5,))
         z = np.concatenate([z, z.conj(), [z[0].real, 1.0]])
         beta = np.append(np.ones(len(z) - 1), 0.0)
-        orders = set()
+        w = 7.05e7
+        spectra = [(np.append(z, [1.0, 1.0]), np.append(beta, [0.0, 0.0])),
+                   (np.append(z, [w, -w]), np.append(beta, [1.0, 1.0]))]
+        seconds = np.append(z[:-1], [np.inf, w, -w])  # row i's second value
+        orders, closer = set(), set()
         for _ in range(20):
-            noisy = [(z * (1 + 4 * EPS * rng.standard_normal(len(z))), beta) for _ in range(2)]
-            firsts = np.array([a for a, _, _ in self._intersect(monkeypatch, *noisy).matches])
-            finite = np.where(np.isinf(firsts.real), 0.0, firsts)
-            orders.add(tuple(np.where(np.isinf(firsts.real), len(z) - 1,
-                                      np.argmin(np.abs(finite[:, None] - z[:-1]), axis=1))))
-        assert orders == {tuple(sorted(range(len(z)), key=lambda i: (
-            i == len(z) - 1, round(z[i].real, 8), z[i].imag)))}
+            noisy = [(a * (1 + 4 * EPS * rng.standard_normal(len(a))), b) for a, b in spectra]
+            matches = self._intersect(monkeypatch, *noisy).matches
+            orders.add(tuple(len(z) - 1 if math.isinf(b.real) else int(np.argmin(np.abs(b - seconds)))
+                             for _, b, _ in matches))
+            closer.add(matches[-3][2] < matches[-2][2])
+        finite = sorted(range(len(z) - 1), key=lambda i: (round(z[i].real, 8), z[i].imag))
+        assert orders == {tuple(finite) + (len(z) + 1, len(z), len(z) - 1)}
+        assert closer == {True, False}  # ordered by distance, the rows of -w and w would swap
 
 
 def _kcf_stack(seed, m, regular_at=()):

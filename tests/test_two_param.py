@@ -31,7 +31,13 @@ from singpencil.gallery import (
 from singpencil.matrix_core import rank_with_tol
 from singpencil.solver import DEFAULT_MATCH_TOL, EigenClass, solve, with_defaults
 
-from helpers import assert_multiset_close, greedy_match_by, random_complex
+from helpers import (
+    assert_multiset_close,
+    greedy_match_by,
+    random_complex,
+    result_fields,
+    unit_circle_normal_rank,
+)
 
 
 class TestOperatorDeterminants:
@@ -65,6 +71,47 @@ class TestOperatorDeterminants:
         rep = normal_rank(Pencil(A=d.D1, B=d.D0), np.random.default_rng(0))
         assert rep.nrank < 25
         assert rep.nrank == 21  # four trivial singular pairs
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: double_eig_problem(1),
+        lambda: bivariate_cubic_system()[0],
+        lambda: _padded_cubic(),
+        lambda: TwoParamProblem(*(random_complex(np.random.default_rng(i), (2, 2) if i < 3 else (3, 3))
+                                  for i in range(6))),
+    ], ids=["double_eig_problem", "cubic", "padded_cubic", "complex_2x3"])
+    def test_bits_equal_np_kron(self, make):
+        p = make()
+        d = operator_determinants(p)
+        want = (np.kron(p.B1, p.C2) - np.kron(p.C1, p.B2), np.kron(p.C1, p.A2) - np.kron(p.A1, p.C2),
+                np.kron(p.A1, p.B2) - np.kron(p.B1, p.A2))
+        for got, ref in zip((d.D0, d.D1, d.D2), want):
+            assert got.shape == ref.shape and got.flags.c_contiguous and got.tobytes() == ref.tobytes()
+
+
+class TestClusterValues:
+    @staticmethod
+    def _loop(values, tol):
+        """The rule written as a loop: keep v unless a kept r lies within tol max(1, |r|)."""
+        reps = []
+        for v in sorted(values, key=lambda z: (z.real, z.imag)):
+            if not any(abs(v - r) <= tol * max(1.0, abs(r)) for r in reps):
+                reps.append(v)
+        return reps
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        base = random_complex(rng, (12,)) * 10.0 ** rng.integers(-3, 4, 12)
+        # copies within and just beyond the tolerance, a chain of close values, ties
+        values = np.concatenate([base, base[:6] * (1 + 1e-9 * random_complex(rng, (6,))),
+                                 base[:4] + 3e-8, base[0] + 7e-9 * np.arange(5), base[:3]])
+        values = rng.permutation(values).tolist()
+        for tol in (1e-8, 1e-12, 0.0):
+            assert repr(tp._cluster_values(values, tol)) == repr(self._loop(values, tol))
+
+    def test_empty(self):
+        assert tp._cluster_values([], 1e-8) == []
 
 
 class TestCubicFixture:
@@ -716,3 +763,66 @@ class TestScoredMu:
         pairs = solve_2ep(make(), opts=SolveOptions(seed=0))
         reps = len({(e.lam.real, abs(e.lam.imag)) for e in pairs})
         assert calls == [1, reps, reps] and reps == 5 and len(pairs) == 9
+
+
+class TestProbePointsDecideOnlyTheRank:
+    """Real pencils are probed on [-1, 1]; the unit circle of before gives the same results.
+
+    ``solver.normal_rank`` is patched to :func:`unit_circle_normal_rank`;
+    both runs draw the same numbers, so every value, class, lambda, mu,
+    discrepancy, residual and gap agrees bit for bit.
+    """
+
+    @staticmethod
+    def _both(monkeypatch, run):
+        import singpencil.solver as solver_mod
+
+        now = run()
+        with monkeypatch.context() as m:
+            m.setattr(solver_mod, "normal_rank", unit_circle_normal_rank)
+            before = run()
+        return now, before
+
+    @staticmethod
+    def _fields(res):
+        fields = result_fields(res)
+        report = fields.pop("nrank_report")  # its probe points are the change
+        return fields, (res.nrank_report.nrank, res.nrank_report.k), report
+
+    @pytest.mark.parametrize("name", ["showcase", "diagonal", "control", "staircase", "linearization_5",
+                                      "double_eig_problem_1"])
+    def test_solve(self, monkeypatch, name):
+        from singpencil.gallery import (
+            control_benchmark_pencil,
+            diagonal_demo_pencil,
+            showcase_pencil,
+            staircase_sensitive_pencil,
+        )
+
+        rng = np.random.default_rng(5)
+        d = operator_determinants(double_eig_problem(1))
+        p = {"showcase": showcase_pencil, "diagonal": diagonal_demo_pencil,
+             "control": control_benchmark_pencil, "staircase": staircase_sensitive_pencil,
+             "linearization_5": lambda: Pencil(*double_eig_linearization(
+                 rng.standard_normal((5, 5)), rng.standard_normal((5, 5)))),
+             "double_eig_problem_1": lambda: Pencil(A=d.D1, B=d.D0)}[name]()
+        for seed in range(3):
+            now, before = self._both(monkeypatch, lambda: solve(p, SolveOptions(seed=seed)))
+            (got, rank, report), (want, want_rank, old_report) = self._fields(now), self._fields(before)
+            assert got == want and rank == want_rank
+            assert report != old_report  # real probes against unit-circle ones
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_double_eig(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        A, B = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
+        now, before = self._both(monkeypatch, lambda: double_eig(A, B, SolveOptions(seed=seed)))
+        assert repr((now.lambdas, now.gaps)) == repr((before.lambdas, before.gaps))
+        assert self._fields(now.solve_result)[:2] == self._fields(before.solve_result)[:2]
+
+    @pytest.mark.parametrize("seed", [1, 2, 13])
+    def test_solve_2ep(self, monkeypatch, seed):
+        p = double_eig_problem(seed)
+        now, before = self._both(monkeypatch, lambda: solve_2ep(
+            p, opts=SolveOptions(seed=seed), rng=np.random.default_rng(seed), unique_lambda=True))
+        assert repr(now) == repr(before) and now
