@@ -242,9 +242,14 @@ def generalized_eig(A, B):
     ``zggev3``, the unblocked single-shift ``zggev`` through
     ``scipy.linalg.lapack`` (:func:`_zggev`).  Each matrix is converted
     and checked once, into the Fortran-order copy LAPACK overwrites, the
-    workspace size is cached per order (:func:`_workspace`), and every
-    output goes to one buffer whose address is read once, so a call
-    makes one LAPACK call.
+    workspace size is cached per order (:func:`_workspace`), and a call
+    makes one LAPACK call.  The copies and the workspace (``work`` and
+    ``rwork``, in an array of their own) are freed right after it, so
+    none is alive when the normalization allocates.  LAPACK writes both
+    eigenvector sets into one Fortran-order n x 2n array, left then
+    right, which is normalized in place: the result's ``left`` and
+    ``right`` are Fortran-contiguous views of it, with no second copy
+    and no workspace kept alive behind them.
 
     Parameters
     ----------
@@ -256,6 +261,7 @@ def generalized_eig(A, B):
     Returns
     -------
     EigDecomposition
+        ``left`` and ``right`` are the two halves of one n x 2n array.
 
     Raises
     ------
@@ -281,25 +287,22 @@ def generalized_eig(A, B):
         return EigDecomposition(alpha=vec, beta=vec, right=mat, left=mat)
     zggev3 = _zggev3()
     lwork = (_zggev_workspace if zggev3 is None else zggev3.workspace)(n)
-    # one buffer: alpha and beta, the left then the right eigenvectors as one
-    # Fortran-order n x 2n matrix, the workspace, and the 8n reals of rwork
-    offsets = (0, n, 2 * n, n * (n + 2), 2 * n * (n + 1), 2 * n * (n + 1) + lwork)
-    out = np.empty(offsets[-1] + 4 * n, np.complex128)
-    pairs = out[:2 * n].reshape(2, n)
-    vectors = out[2 * n:offsets[4]].reshape((n, 2 * n), order="F")
+    # the left then the right eigenvectors: one Fortran-order n x 2n matrix
+    vectors = np.empty((n, 2 * n), np.complex128, order="F")
+    pairs = np.empty((2, n), np.complex128)
     if zggev3 is None:
-        alpha, beta, vl, vr, _, info = _zggev()(a, b, lwork=lwork, overwrite_a=1, overwrite_b=1)
-        pairs[:], vectors[:, :n], vectors[:, n:] = (alpha, beta), vl, vr
+        pairs[0], pairs[1], vectors[:, :n], vectors[:, n:], _, info = _zggev()(
+            a, b, lwork=lwork, overwrite_a=1, overwrite_b=1)
     else:
         integer = zggev3.argtypes[2]._type_
         dim, info = integer(n), integer(0)
-        # raw addresses: numpy's ndpointer checks on every call cost more than a small QZ,
-        # and each ndarray.ctypes access builds an object
-        base = out.ctypes.data
-        alpha, beta, vl, vr, work, rwork = (base + 16 * i for i in offsets)
-        zggev3(b"V", b"V", dim, a.ctypes.data, dim, b.ctypes.data, dim, alpha, beta,
-               vl, dim, vr, dim, work, integer(lwork), rwork, info, 1, 1)
+        work = np.empty(lwork + 4 * n, np.complex128)  # the workspace, then the 8n reals of rwork
+        # raw addresses: numpy's ndpointer checks on every call cost more than a small QZ
+        w, ab, v = work.ctypes.data, pairs.ctypes.data, vectors.ctypes.data
+        zggev3(b"V", b"V", dim, a.ctypes.data, dim, b.ctypes.data, dim, ab, ab + 16 * n,
+               v, dim, v + 16 * n * n, dim, w, integer(lwork), w + 16 * lwork, info, 1, 1)
         info = info.value
+        del work
     del a, b  # overwritten by LAPACK: freed before the normalization allocates
     if info != 0:
         raise NumericalError(
@@ -312,9 +315,10 @@ def generalized_eig(A, B):
             "indeterminate eigenvalues returned; pencil is numerically singular",
             details={"indices": np.nonzero(scale == 0.0)[0].tolist()},
         )
-    pairs = pairs / scale
-    left, right = (v / np.linalg.norm(v, axis=0) for v in (vectors[:, :n], vectors[:, n:]))
-    return EigDecomposition(pairs[0], pairs[1], right=right, left=left)
+    pairs /= scale
+    for v in (vectors[:, :n], vectors[:, n:]):  # a half at a time: temporaries of n^2 entries
+        v /= np.linalg.norm(v, axis=0)
+    return EigDecomposition(pairs[0], pairs[1], right=vectors[:, n:], left=vectors[:, :n])
 
 
 def _rank_tolerance(s, shape, tol="auto"):

@@ -126,7 +126,10 @@ def _scale(ps):
     A, B = _stacks(ps)
     norms = np.array([np.linalg.norm(M, 1, axis=(-2, -1)) for M in (A, B)])  # shape (2, m)
     norms[norms == 0.0] = 1.0
-    A, B = A / norms[0, :, None, None], B / norms[1, :, None, None]
+    # the float64 parts times 1 / norm: the bits of the complex quotient (a + b*0) / norm,
+    # which multiplies by 1 / norm too, except that no -0.0 turns into +0.0
+    A, B = ((M.view(np.float64) * (1.0 / r)[:, None, None]).view(np.complex128)
+            for M, r in zip((A, B), norms))
     for M, name in ((A, "A"), (B, "B")):  # a subnormal norm's reciprocal overflows
         if not np.isfinite(M).all():
             raise ValueError(f"{name} contains non-finite entries")

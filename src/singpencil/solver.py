@@ -39,7 +39,7 @@ from .matrix_core import (
     greedy_match,
     random_orthonormal,
 )
-from .pencil import NormalRankReport, Pencil, _derived, _stack, normal_rank, scale, squarify
+from .pencil import NormalRankReport, Pencil, _derived, _scale, _stack, normal_rank, scale, squarify
 
 __all__ = [
     "EigenClass",
@@ -299,22 +299,30 @@ def perturb(p: Pencil, spec: PerturbationSpec) -> Pencil:
     n = p.shape[0]
     if spec.U.shape[0] != n:
         raise ValueError(f"perturbation built for dimension {spec.U.shape[0]}, pencil has {n}")
-    E = (spec.U * spec.dA) @ spec.V.conj().T
-    F = (spec.U * spec.dB) @ spec.V.conj().T
-    return _derived(p, A=p.A + spec.tau * E, B=p.B + spec.tau * F)
+    # one update at a time, so one n x n temporary is alive beside the sums
+    A = p.A + spec.tau * ((spec.U * spec.dA) @ spec.V.conj().T)
+    return _derived(p, A=A, B=p.B + spec.tau * ((spec.U * spec.dB) @ spec.V.conj().T))
 
 
-def _perturbed_eig(p: Pencil, k, opts: SolveOptions, rng):
-    """One perturb-and-QZ step on the square pencil ``p`` of rank defect k.
+def _perturbed_eig(ps, i, source, k, opts: SolveOptions, rng):
+    """One perturb-and-QZ step on the square scaled pencil ``ps[i]`` of rank defect k.
 
     Returns the perturbation drawn from ``rng`` (None when k = 0, where
-    ``p`` is solved as it is), the :func:`generalized_eig` decomposition
-    of the perturbed pencil and its B~.  :func:`make_perturbation`,
-    :func:`perturb` and :func:`generalized_eig` are looked up in this
-    module when the step runs, where a tracer may have wrapped them.
+    the pencil is solved as it is), the :func:`generalized_eig`
+    decomposition of the perturbed pencil and its B~.  The step sets
+    ``ps[i]`` to None once :func:`perturb` has built the perturbed
+    pencil, so that the QZ runs without the scaled copy; a later step on
+    ``ps[i]`` (a collision retry, the baseline's second draw) scales the
+    input ``source`` again, which gives the bits of the first scaling.
+    :func:`make_perturbation`, :func:`perturb` and
+    :func:`generalized_eig` are looked up in this module when the step
+    runs, where a tracer may have wrapped them.
     """
+    p = ps[i] if ps[i] is not None else _scale([squarify(source)])[0]
+    ps[i] = None
     spec = make_perturbation(p.shape[0], k, opts, rng) if k else None
     pt = perturb(p, spec) if k else p
+    del p
     return spec, generalized_eig(pt.A, pt.B), pt.B
 
 
@@ -441,6 +449,7 @@ def solve(p, opts: SolveOptions | None = None, rng=None):
     opts, rngs, ps, reports = _prepare(pencils, opts, rngs)
     m, n = len(ps), ps[0].shape[0]
     ks = [r.k for r in reports]
+    back = [(q.scale_alpha, q.scale_beta) for q in ps]  # before each step drops its ps[i]
     specs, decs, Bts = [None] * m, [None] * m, [None] * m
     empty = np.zeros((n, 0), dtype=np.complex128)
     UV = [(empty, empty)] * m
@@ -448,7 +457,7 @@ def solve(p, opts: SolveOptions | None = None, rng=None):
     todo = list(range(m))
     for _ in range(opts.max_retries + 1):
         for i in todo:
-            specs[i], decs[i], Bts[i] = _perturbed_eig(ps[i], ks[i], opts, rngs[i])
+            specs[i], decs[i], Bts[i] = _perturbed_eig(ps, i, pencils[i], ks[i], opts, rngs[i])
             if ks[i]:
                 UV[i] = (specs[i].U, specs[i].V)
         for k in sorted({ks[i] for i in todo}):  # an equal k gives U and V one width
@@ -462,7 +471,6 @@ def solve(p, opts: SolveOptions | None = None, rng=None):
         if not todo:
             break
     # back-scale and sort every pencil's spectrum at once, by class, then value
-    back = [(q.scale_alpha, q.scale_beta) for q in ps]
     scales = np.array(back)[:, :, None]
     alpha, beta = np.array([e.alpha for e in decs]), np.array([e.beta for e in decs])
     values = _quotients(scales[:, 0] * alpha, scales[:, 1] * beta)
@@ -518,9 +526,9 @@ def solve_by_intersection(
     Pairs closer than ``match_tol`` (default sqrt(EPS)) are accepted.
     """
     match_tol = _match_tol(match_tol, "match_tol")
-    opts, (rng,), (ps,), (report,) = _prepare([p], opts, [rng])
-    decs = [_perturbed_eig(ps, report.k, opts, rng)[1] for _ in range(2)]  # both from rng, in turn
-    back = (ps.scale_alpha, ps.scale_beta)
+    opts, (rng,), ps, (report,) = _prepare([p], opts, [rng])
+    back = (ps[0].scale_alpha, ps[0].scale_beta)
+    decs = [_perturbed_eig(ps, 0, p, report.k, opts, rng)[1] for _ in range(2)]  # from rng, in turn
     (a1, b1), (a2, b2) = (dec.unit_pairs(back) for dec in decs)
     # chordal distance |a1 b2 - a2 b1| of the unit pairs, every pair of the two spectra at once
     chordal = np.abs(np.multiply.outer(a1, b2) - np.multiply.outer(b1, a2))

@@ -146,19 +146,24 @@ def operator_determinants(p: TwoParamProblem) -> DeltaTriple:
     subtracted product in one more: four large arrays in place of the
     nine of six ``np.kron`` calls and three differences.
     """
-    n1, n2 = p.A1.shape[0], p.A2.shape[0]
-    term = np.empty((n1, n2, n1, n2), np.complex128)
+    return DeltaTriple(*_kron_differences(
+        (p.B1, p.C2, p.C1, p.B2), (p.C1, p.A2, p.A1, p.C2), (p.A1, p.B2, p.B1, p.A2)))
 
-    def det(X1, Y2, Y1, X2):  # X1 (x) Y2 - Y1 (x) X2
+
+def _kron_differences(*factors):
+    """X1 (x) Y2 - Y1 (x) X2 for each (X1, Y2, Y1, X2) of ``factors``, as a list.
+
+    Formed as :func:`operator_determinants` describes; X1 and Y1 are
+    n1 x n1, Y2 and X2 n2 x n2.
+    """
+    n1, n2 = factors[0][0].shape[0], factors[0][1].shape[0]
+    term = np.empty((n1, n2, n1, n2), np.complex128)
+    out = []
+    for X1, Y2, Y1, X2 in factors:
         D = np.multiply(X1[:, None, :, None], Y2[None, :, None, :])
         np.subtract(D, np.multiply(Y1[:, None, :, None], X2[None, :, None, :], out=term), out=D)
-        return D.reshape(n1 * n2, n1 * n2)
-
-    return DeltaTriple(
-        D0=det(p.B1, p.C2, p.C1, p.B2),
-        D1=det(p.C1, p.A2, p.A1, p.C2),
-        D2=det(p.A1, p.B2, p.B1, p.A2),
-    )
+        out.append(D.reshape(n1 * n2, n1 * n2))
+    return out
 
 
 def pair_mu_candidates(mus1, mus2):
@@ -424,8 +429,9 @@ def double_eig_linearization(A, B):
         (A + lambda B - mu I) x = 0,
         ([[A, -I], [0, A]] + lambda diag(B, B) - mu I_2n) z = 0.
 
-    The returned pair (D1, D0) consists of its operator determinants; it
-    is of size 2 n^2 x 2 n^2 and generically has normal rank 2 n^2 - n.
+    The returned pair (D1, D0) consists of its operator determinants
+    (Delta2, which no caller uses, is not formed); it is of size
+    2 n^2 x 2 n^2 and generically has normal rank 2 n^2 - n.
     The 2EP is singular, because the second matrix is singular wherever
     the first one is (its determinant is det(M)^2): every (lambda, mu) on
     the curve det M = 0 solves both equations.  Along the curve the
@@ -456,10 +462,9 @@ def double_eig_linearization(A, B):
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise ValueError("A and B must be square and of equal size")
     I, Z = np.eye(len(A), dtype=A.dtype), np.zeros_like(A)
-    deltas = operator_determinants(TwoParamProblem(
-        A1=A, B1=B, C1=-I, A2=np.block([[A, -I], [Z, A]]), B2=np.block([[B, Z], [Z, B]]),
-        C2=-np.eye(2 * len(A))))
-    return deltas.D1, deltas.D0
+    C1, A2, B2 = -I, np.block([[A, -I], [Z, A]]), np.block([[B, Z], [Z, B]])
+    C2 = as_cmatrix(-np.eye(2 * len(A)))  # -1 + 0j, not the -1 - 0j of -I_2n in complex
+    return tuple(_kron_differences((C1, A2, A, C2), (B, C2, C1, B2)))  # Delta1, Delta0
 
 
 @dataclass

@@ -31,7 +31,7 @@ from singpencil.gallery import (
     staircase_sensitive_pencil,
 )
 from singpencil.matrix_core import as_cmatrix
-from singpencil.pencil import read_matrix, read_pencil, write_matrix, write_pencil
+from singpencil.pencil import _scale, read_matrix, read_pencil, write_matrix, write_pencil
 
 from helpers import random_complex
 
@@ -85,6 +85,39 @@ class TestScale:
             )
             for a, b in zip(base, mapped):
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_gives_the_complex_quotient_except_the_sign_of_a_zero(self, m):
+        # real and imaginary parts of +-0.0 and of either sign: scale multiplies the
+        # float64 parts by 1 / norm, the quotient computes (a + b*0) / norm, so the
+        # values agree, the bits agree on every nonzero part, and a -0.0 stays -0.0
+        rng = np.random.default_rng(57)
+        parts = rng.choice([-0.0, 0.0, -1.5, 0.25, -3.0, 7.0], size=(m, 2, 6, 6, 2))
+        parts *= rng.uniform(0.5, 2.0, parts.shape)
+        pencils = [Pencil(A=a.view(np.complex128)[..., 0], B=b.view(np.complex128)[..., 0])
+                   for a, b in parts]
+        for p, got in zip(pencils, scale(pencils)):
+            for M, S in ((p.A, got.A), (p.B, got.B)):
+                want = M / np.linalg.norm(M, 1)
+                np.testing.assert_array_equal(S, want)
+                x, y, source = S.view(np.float64), want.view(np.float64), M.view(np.float64)
+                assert x[source != 0].tobytes() == y[source != 0].tobytes()
+                assert (np.signbit(x) == np.signbit(source)).all()
+        assert any((M.view(np.float64) == 0).any() for p in pencils for M in (p.A, p.B))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 6), (6, 5)])
+    def test_a_member_scaled_alone_has_the_bits_of_its_stack(self, m, shape):
+        # a collision retry scales its pencil again on its own: _scale of the one
+        # squarified pencil must give the bits and factors of its member of the stack
+        rng = np.random.default_rng(m * 10 + shape[1])
+        pencils = [Pencil(A=1e3 * random_complex(rng, shape), B=rng.standard_normal(shape))
+                   for _ in range(m - 1)] + [Pencil(A=np.zeros(shape), B=random_complex(rng, shape))]
+        stack = scale([squarify(p) for p in pencils])
+        for p, want in zip(pencils, stack):
+            got = _scale([squarify(p)])[0]
+            assert got.A.tobytes() == want.A.tobytes() and got.B.tobytes() == want.B.tobytes()
+            assert (got.scale_alpha, got.scale_beta) == (want.scale_alpha, want.scale_beta)
 
 
 class TestSquarify:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import singpencil.matrix_core as mc
 from singpencil import (
     EPS,
     EigenClass,
@@ -872,3 +873,52 @@ class TestIntersectionTolerance:
     def test_match_tol_must_be_nonnegative(self, value):
         with pytest.raises(ValueError, match="match_tol"):
             solve_by_intersection(showcase_pencil(), SolveOptions(seed=0), match_tol=value)
+
+
+def _kcf_lone(seed, n_jordan, k):
+    """Seeded KCF pencil of order n_jordan + 7k: J1 blocks, k each of N2, L2 and L2^T."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-2.0, 2.0, (n_jordan, 2))
+    blocks = [Jordan(1, complex(a, b)) for a, b in z]
+    blocks += [Nilpotent(2)] * k + [RightSingular(2)] * k + [LeftSingular(2)] * k
+    return build(KcfSpec(tuple(blocks), transform="unitary"), rng)[0]
+
+
+class TestMemoryBudget:
+    """One ``solve`` holds at most 7 n^2 complex entries beside the QZ workspace.
+
+    At the QZ call it holds the perturbed pencil, LAPACK's two Fortran
+    copies and both eigenvector sets (about 6.2 n^2 with the small
+    arrays); the scaled copy is gone by then, ``perturb`` forms one
+    update at a time, and no workspace or second eigenvector copy
+    outlives the LAPACK call.
+    """
+
+    @pytest.mark.parametrize("n_jordan, k", [(100, 4), (170, 17)], ids=["n128", "n289"])
+    def test_traced_peak_of_one_solve(self, n_jordan, k):
+        import tracemalloc
+
+        zggev3 = mc._zggev3()
+        if zggev3 is None:
+            pytest.skip("this LAPACK exports no zggev3")
+        p = _kcf_lone(1, n_jordan, k)
+        n = p.shape[0]
+        lwork = zggev3.workspace(n)  # the cached query allocates nothing in the solve
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = solve(p, SolveOptions(seed=0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert res.nrank_report.k == k and not res.collision_warning
+        assert peak <= 16 * (7 * n * n + lwork)
+
+    def test_eigenvectors_keep_no_workspace_alive(self):
+        rng = np.random.default_rng(5)
+        n = 40
+        dec = generalized_eig(random_complex(rng, (n, n)), random_complex(rng, (n, n)))
+        base = dec.right.base
+        assert base is not None and dec.left.base is base and base.size == 2 * n * n
+        assert dec.right.flags.f_contiguous and dec.left.flags.f_contiguous
+        assert np.shares_memory(dec.left, base) and np.shares_memory(dec.right, base)

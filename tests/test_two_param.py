@@ -301,6 +301,41 @@ class TestDoubleEig:
         rep = normal_rank(Pencil(A=D1, B=D0), np.random.default_rng(0))
         assert rep.nrank == 6  # 2 n^2 - n
 
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_linearization_is_two_of_the_operator_determinants(self, n, real):
+        rng = np.random.default_rng(300 + n)
+        A, B = (rng.standard_normal((n, n)) if real else random_complex(rng, (n, n)) for _ in "AB")
+        A, B = A.astype(complex), B.astype(complex)  # as the linearization converts them
+        I, Z = np.eye(n, dtype=complex), np.zeros((n, n), complex)
+        deltas = operator_determinants(TwoParamProblem(
+            A1=A, B1=B, C1=-I, A2=np.block([[A, -I], [Z, A]]), B2=np.block([[B, Z], [Z, B]]),
+            C2=-np.eye(2 * n)))
+        D1, D0 = double_eig_linearization(A, B)
+        assert D1.tobytes() == deltas.D1.tobytes() and D0.tobytes() == deltas.D0.tobytes()
+
+    def test_linearization_does_not_form_delta2(self):
+        # the traced peak of the linearization stays one (2 n^2)^2 array below that
+        # of operator_determinants of its 2EP, which forms Delta2 as well
+        import tracemalloc
+
+        def peak(f, *args):
+            tracemalloc.start()
+            try:
+                f(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rng = np.random.default_rng(8)
+        A, B = random_complex(rng, (8, 8)), random_complex(rng, (8, 8))
+        I, Z = np.eye(8, dtype=complex), np.zeros((8, 8), complex)
+        problem = TwoParamProblem(
+            A1=A, B1=B, C1=-I, A2=np.block([[A, -I], [Z, A]]), B2=np.block([[B, Z], [Z, B]]),
+            C2=-np.eye(16))
+        array = 16 * (2 * 8 * 8) ** 2
+        assert peak(double_eig_linearization, A, B) < peak(operator_determinants, problem) - 0.9 * array
+
     def test_scalar_case_has_no_solutions(self):
         D1, D0 = double_eig_linearization([[2.0]], [[1.0]])
         assert D1.shape == (2, 2)
