@@ -302,7 +302,7 @@ def generalized_eig(A, B):
         zggev3(b"V", b"V", dim, a.ctypes.data, dim, b.ctypes.data, dim, ab, ab + 16 * n,
                v, dim, v + 16 * n * n, dim, w, integer(lwork), w + 16 * lwork, info, 1, 1)
         info = info.value
-        del work
+        del work  # like a and b below, freed before the normalization allocates
     del a, b  # overwritten by LAPACK: freed before the normalization allocates
     if info != 0:
         raise NumericalError(
