@@ -289,8 +289,11 @@ def _discriminant_roots(A, B):
 
 class TestDoubleEig:
     def test_closest_pair_keeps_the_first_of_a_tie(self):
-        assert tp._closest_pair(np.array([0, 1, 2, 4], dtype=complex)) == (0, 1)
-        assert tp._closest_pair(np.array([5, 0, 3, 2.5], dtype=complex)) == (2, 3)
+        # each spectrum of a stack on its own, and the stack of both in one pass
+        ties = np.array([[0, 1, 2, 4], [5, 0, 3, 2.5]], dtype=complex)
+        for rows, want in (([0], ([0], [1])), ([1], ([2], [3])), ([0, 1], ([0, 2], [1, 3]))):
+            i, j = tp._closest_pairs(ties[rows])
+            assert (i.tolist(), j.tolist()) == want
 
     def test_linearization_shapes_and_rank(self):
         rng = np.random.default_rng(11)
@@ -785,7 +788,7 @@ class TestScoredMu:
         assert len(pairs) == 30
         for e in pairs:
             w = np.linalg.eigvals(real.A1 + e.lam * real.B1)
-            i, j = tp._closest_pair(w)
+            (i,), (j,) = tp._closest_pairs(w[None])
             mid = (w[i] + w[j]) / 2
             assert abs(e.mu - mid) <= 1e-8 * max(1.0, abs(mid))
 

@@ -27,6 +27,12 @@ record always says which code it measured, ``src_sha256`` holds, per
 side, a sha256 over the sorted relative paths and bytes of the
 checkout's ``src/**/*.py`` files (``__pycache__`` skipped); two
 checkouts with equal source get equal digests.
+
+Cached bytecode (``src/**/__pycache__/*.pyc``) spares a run the
+compilation of the package, which shows in ``setup_s`` and in every
+fresh process of the ``cli`` workload.  So the comparison stops before
+any run when exactly one checkout holds such a file, and names it;
+``bytecode`` records, per side, how many there were at the start.
 """
 
 from __future__ import annotations
@@ -75,6 +81,12 @@ def src_sha256(checkout):
         digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
         digest.update(data)
     return digest.hexdigest()
+
+
+def bytecode(checkout):
+    """The ``src/**/__pycache__/*.pyc`` files of ``checkout``, as sorted relative paths."""
+    root = Path(checkout)
+    return sorted(p.relative_to(root).as_posix() for p in root.glob("src/**/__pycache__/*.pyc"))
 
 
 def read_log(path):
@@ -138,6 +150,12 @@ def main(argv=None):
     checkouts = {"parent": args.parent, "change": args.change}
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+    cached = {side: bytecode(checkouts[side]) for side in SIDES}
+    lone = [side for side in SIDES if cached[side]]
+    if len(lone) == 1:
+        side = lone[0]
+        raise SystemExit(f"{os.path.join(checkouts[side], cached[side][0])}: the {side} checkout"
+                         " holds cached bytecode and the other does not; remove it or give both")
 
     runs = read_log(args.log)
     for seed in seeds:
@@ -155,6 +173,7 @@ def main(argv=None):
         "order": "odd seeds run the parent first, even seeds the change first",
         "commits": {side: git_head(checkouts[side]) for side in SIDES},
         "src_sha256": {side: src_sha256(checkouts[side]) for side in SIDES},
+        "bytecode": {side: len(cached[side]) for side in SIDES},
         "host": {"nproc": os.cpu_count(), "python": platform.python_version()},
         "failed": {
             side: {
