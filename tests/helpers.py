@@ -19,6 +19,12 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _python(code, env):
+    """The argv and environment of a fresh interpreter that runs ``code`` on this singpencil."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(singpencil.__file__)))
+    return [sys.executable, "-c", code], dict(os.environ, **(env or {}), PYTHONPATH=src)
+
+
 def run_python(code, cwd, timeout=60, env=None):
     """Run ``code`` in a fresh interpreter that imports this singpencil.
 
@@ -26,15 +32,14 @@ def run_python(code, cwd, timeout=60, env=None):
     failed test instead of a stuck or killed test run, and gets the
     environment variables in ``env`` on top of this one's.
     """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(singpencil.__file__)))
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=cwd,
-        env=dict(os.environ, **(env or {}), PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
+    argv, env = _python(code, env)
+    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def start_python(code, cwd, env=None):
+    """``run_python``'s child, started with piped stdout and stderr and not waited for."""
+    argv, env = _python(code, env)
+    return subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
 def result_fields(res):

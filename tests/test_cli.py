@@ -32,7 +32,7 @@ from singpencil.gallery import (
     showcase_pencil,
 )
 
-from helpers import run_python
+from helpers import run_python, start_python
 
 
 def run_cli(argv):
@@ -405,8 +405,13 @@ class TestHelp:
         assert err.startswith("usage: singpencil nrank ") and "error:" in err
         assert capsys.readouterr() == ("", "")
 
-    @pytest.mark.parametrize("argv", [["solve", "-h"], ["nrank", "--bogus"], []])
-    def test_entry_streams_match_main(self, tmp_path, argv):
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "-h"], ["nrank", "--bogus"], [], ["solve", "{a}", "{b}", "--format", "csv"]],
+    )
+    def test_entry_streams_match_main(self, showcase_files, tmp_path, argv):
+        a, b = showcase_files
+        argv = [arg.format(a=a, b=b) for arg in argv]
         proc = run_python(
             f"import sys; sys.argv[1:] = {argv!r}\n"
             "from singpencil.cli import entry\n"
@@ -430,6 +435,53 @@ class TestHelp:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == run_cli(["nrank", a, b])[1] == "nrank=3 k=3\n"
+
+
+class TestEntry:
+    def test_entry_freezes_the_import_time_objects(self, tmp_path):
+        proc = run_python(
+            "import gc, singpencil.cli\n"
+            "singpencil.cli.main = lambda: print(gc.get_freeze_count())\n"
+            "singpencil.cli.entry()\n",
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 10_000  # numpy's and the package's objects
+
+    def test_main_never_freezes(self, diag_files, tmp_path):
+        a, b = diag_files
+        proc = run_python(
+            "import gc, io\n"
+            "from singpencil.cli import main\n"
+            f"assert main(['solve', {a!r}, {b!r}], out=io.StringIO()) == 0\n"
+            "print(gc.get_freeze_count())\n",
+            cwd=tmp_path,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_pipe_exits_1_quietly(self, showcase_files, tmp_path, unbuffered):
+        a, b = showcase_files
+        proc = start_python(
+            f"import sys; sys.argv[1:] = ['solve', {a!r}, {b!r}]\n"
+            "from singpencil.cli import entry\n"
+            "entry()\n",
+            cwd=tmp_path,
+            env={"PYTHONUNBUFFERED": unbuffered},
+        )
+        proc.stdout.close()  # the reader is gone before the first write
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    def test_main_returns_1_on_a_closed_pipe(self, showcase_files, method):
+        def broken(*_):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        out, err = io.StringIO(), io.StringIO()
+        setattr(out, method, broken)
+        assert main(["solve", *showcase_files], out=out, err=err) == 1
+        assert err.getvalue() == ""
 
 
 class TestGenCommand:
