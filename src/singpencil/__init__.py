@@ -11,59 +11,32 @@ of two bivariate polynomials in determinantal form.
 
 import importlib as _importlib
 
-# each eager module's __all__ is the one list of its public names
+# each module's __all__ is the one list of its public names
 from .matrix_core import *  # noqa: F403
 from .pencil import *  # noqa: F403
 from .solver import *  # noqa: F403
 
-# The generator, the 2EP layer and the gallery load on first use (PEP 562),
-# so a command that needs none of them does not pay for their import.
-_LAZY = {
-    "kcf_gen": (
-        "GroundTruth",
-        "Jordan",
-        "KcfSpec",
-        "LeftSingular",
-        "Nilpotent",
-        "RightSingular",
-        "build",
-        "oracle_eigenvalues",
-        "spec_from_json",
-        "spec_to_json",
-    ),
-    "two_param": (
-        "DeltaTriple",
-        "DoubleEigResult",
-        "Eigenpair2EP",
-        "TwoParamProblem",
-        "double_eig",
-        "double_eig_linearization",
-        "operator_determinants",
-        "pair_mu_candidates",
-        "read_problem",
-        "solve_2ep",
-        "write_problem",
-    ),
-    "gallery": (),
-}
-_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+__version__ = "0.1.0"
+_EAGER = {name for name in globals() if not name.startswith("_")}  # with their three modules
+# The generator, the 2EP layer and the gallery load on first use (PEP 562), so a
+# command that needs none of them does not pay for their import.
+_LAZY = ("kcf_gen", "two_param", "gallery")
 
 
 def __getattr__(name):
-    module = _LAZY_OWNER.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = _importlib.import_module(f"{__name__}.{module}")
-    if name != module:
-        value = getattr(value, name)
-    globals()[name] = value
-    return value
+    """A lazy module, or a name of ``__all__`` (which loads kcf_gen and two_param, not gallery).
+
+    A dunder other than ``__all__``, as tools probe for, loads nothing.
+    """
+    if name in _LAZY:
+        return _importlib.import_module(f"{__name__}.{name}")
+    if not name.startswith("__") or name == "__all__":
+        lazy = {n: getattr(m, n) for m in map(__getattr__, _LAZY[:2]) for n in m.__all__}
+        globals().update(lazy, __all__=sorted(_EAGER | set(lazy) | set(_LAZY)))
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY_OWNER))
-
-
-__version__ = "0.1.0"
-# the public names and submodules, the lazy ones included
-__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_LAZY_OWNER))
+    return sorted(set(globals()) | set(__getattr__("__all__")))

@@ -49,7 +49,7 @@ import sys
 import numpy as np
 
 from .matrix_core import NumericalError
-from .pencil import _read_json, normal_rank, read_pencil, write_pencil
+from .pencil import _read_json, _write_json, normal_rank, read_pencil, write_pencil
 from .solver import SolveOptions, solve, solve_by_intersection
 
 __all__ = ["main", "entry"]
@@ -166,6 +166,11 @@ def _cmd_nrank(args, opts, out):
     return 0
 
 
+# ground_truth.json's keys for the GroundTruth fields it renames
+_TRUTH_KEYS = {"r": "regular_size", "M": "sum_right_indices", "N": "sum_left_indices",
+               "finite": "finite_eigenvalues"}
+
+
 def _cmd_gen(args, opts, out):
     from .kcf_gen import build, spec_from_json, spec_to_json
 
@@ -175,23 +180,11 @@ def _cmd_gen(args, opts, out):
     path_a = os.path.join(args.output_dir, "A.mtx")
     path_b = os.path.join(args.output_dir, "B.mtx")
     write_pencil(pencil, path_a, path_b)
-    truth_doc = {
-        "spec": spec_to_json(spec),
-        "seed": opts.seed,
-        "rows": truth.rows,
-        "cols": truth.cols,
-        "nrank": truth.nrank,
-        "k": truth.k,
-        "regular_size": truth.r,
-        "n_infinite": truth.n_infinite,
-        "sum_right_indices": truth.M,
-        "sum_left_indices": truth.N,
-        "finite_eigenvalues": [[z.real, z.imag] for z in truth.finite],
-    }
+    doc = {_TRUTH_KEYS.get(k, k): v for k, v in dataclasses.asdict(truth).items()}
+    doc.update(finite_eigenvalues=[[z.real, z.imag] for z in truth.finite],
+               spec=spec_to_json(spec), seed=opts.seed)
     path_t = os.path.join(args.output_dir, "ground_truth.json")
-    with open(path_t, "w") as f:
-        json.dump(truth_doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(path_t, doc)
     out.write(f"wrote {path_a} {path_b} {path_t}\n")
     return 0
 
@@ -239,6 +232,7 @@ def _cmd_doubleeig(args, opts, out):
         "lambdas": result.lambdas,
         "gaps": result.gaps,
         "gap_report": dataclasses.asdict(result.solve_result.gap_report),
+        "count_warning": result.count_warning,
     })
     return 0
 

@@ -321,6 +321,13 @@ def _read_json(path):
             raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
 
 
+def _write_json(path, doc):
+    """Write ``doc`` to the file ``path`` as JSON: indent 2, sorted keys and one final newline."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def read_pencil(path_a, path_b) -> Pencil:
     """Read a pencil from two Matrix Market files."""
     return Pencil(A=read_matrix(path_a), B=read_matrix(path_b))

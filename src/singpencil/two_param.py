@@ -33,7 +33,6 @@ polynomials given in determinantal form.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass, fields
@@ -41,7 +40,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .matrix_core import _lambda_order, as_cmatrix, greedy_match, rank_with_tol
-from .pencil import Pencil, _derived, _read_json, read_matrix, write_matrix
+from .pencil import Pencil, _derived, _read_json, _write_json, read_matrix, write_matrix
 from .solver import _FINITE, DEFAULT_MATCH_TOL, SolveOptions, _match_tol, solve, with_defaults
 
 __all__ = [
@@ -169,35 +168,20 @@ def _kron_differences(*factors):
 def pair_mu_candidates(mus1, mus2):
     """Greedy nearest matching of two candidate lists by ``|mu1 - mu2|``.
 
-    Returns ``(mu1, mu2, discrepancy)`` triples sorted by ascending
-    discrepancy, as :func:`~singpencil.matrix_core.greedy_match` does.
+    Returns ``(mu1, mu2, discrepancy)`` triples, the candidates as Python
+    complex numbers, sorted by ascending discrepancy, as
+    :func:`~singpencil.matrix_core.greedy_match` does.  The distances are
+    :func:`_abs`'s, with the bits of Python's complex ``abs``, for the
+    whole outer array at once.
     """
-    return greedy_match(*_mu_distances(mus1, mus2))
+    xs, ys = [complex(m) for m in mus1], [complex(m) for m in mus2]
+    d = np.subtract.outer(np.array(xs, dtype=np.complex128), np.array(ys, dtype=np.complex128))
+    return greedy_match(xs, ys, _abs(d))
 
 
 def _abs(z):
     """``|z|`` with the bits of Python's complex ``abs`` (``np.abs`` may differ in the last bit)."""
     return np.hypot(z.real, z.imag)
-
-
-def _mu_distances(mus1, mus2):
-    """Both lists as Python complex numbers, and their distances ``|mu1 - mu2|`` as an array.
-
-    :func:`_abs` gives the bits of Python's complex ``abs``, for the whole
-    outer array at once.
-    """
-    xs, ys = [complex(m) for m in mus1], [complex(m) for m in mus2]
-    d = np.subtract.outer(np.array(xs, dtype=np.complex128), np.array(ys, dtype=np.complex128))
-    return xs, ys, _abs(d)
-
-
-def _closest_mu_pair(mus1, mus2):
-    """``pair_mu_candidates(mus1, mus2)[:1]``: the first pair at the smallest distance."""
-    xs, ys, d = _mu_distances(mus1, mus2)
-    if not d.size:
-        return []
-    i, j = divmod(int(d.argmin()), d.shape[1])
-    return [(xs[i], ys[j], float(d[i, j]))]
 
 
 def _cluster_values(values, tol):
@@ -219,7 +203,7 @@ def _cluster_values(values, tol):
     return [values[i] for i in order[keep].tolist()]
 
 
-def _conjugate_partners(values, tol, inputs=()):
+def _conjugate_partners(values, tol, inputs):
     """Conjugate pairs among ``values`` as {partner index: representative index}.
 
     A problem whose ``inputs`` matrices are all real is solved by z
@@ -229,8 +213,8 @@ def _conjugate_partners(values, tol, inputs=()):
     below the real axis is matched one to one, closest first, with a
     value above it whose conjugate lies within tol max(1, |z|) of it, and
     the upper value is the representative.  A value left unmatched
-    stands for itself.  A nonzero imaginary part in any of ``inputs``
-    gives no partners.
+    stands for itself.  ``inputs`` are the matrices of the problem, and a
+    nonzero imaginary part in any of them gives no partners.
     """
     if any(np.any(m.imag) for m in inputs):
         return {}
@@ -338,9 +322,10 @@ def solve_2ep(
     best one (the copies of a multiple mu).
 
     For every other lambda the candidates of the two fixed-lambda
-    pencils are matched greedily; a pair is accepted when its
-    discrepancy is below ``delta`` (default sqrt(EPS)) and contributes
-    the midpoint.  With ``unique_lambda`` the closest pair is accepted
+    pencils are matched greedily by :func:`pair_mu_candidates`; a pair
+    is accepted when its discrepancy is below ``delta`` (default
+    sqrt(EPS)) and contributes the midpoint.  With ``unique_lambda`` only
+    the first pair of that matching, the closest, is accepted, and
     unconditionally (appropriate when each eigenvalue is known to have a
     distinct lambda component).  A NaN or negative ``delta`` raises
     ``ValueError``.
@@ -402,7 +387,7 @@ def solve_2ep(
             continue
         # a mu-free equation accepts every mu of the other one: match that list with itself
         lists = (m2s if m1s is None else m1s, m1s if m2s is None else m2s)
-        matched = _closest_mu_pair(*lists) if unique_lambda else pair_mu_candidates(*lists)
+        matched = pair_mu_candidates(*lists)[:1 if unique_lambda else None]
         accepted += [(r, lam, (m1 + m2) / 2.0, disc) for m1, m2, disc in matched
                      if unique_lambda or not disc >= delta]
     if not accepted:
@@ -665,7 +650,5 @@ def write_problem(p: TwoParamProblem, directory, manifest_name="problem.json"):
         write_matrix(os.path.join(directory, fname), getattr(p, k))
         doc[k] = fname
     path = os.path.join(directory, manifest_name)
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(path, doc)
     return path

@@ -219,29 +219,50 @@ class TestSolveCommand:
         )
         assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
 
-    def test_lazy_table_lists_each_lazy_module_all(self):
-        # singpencil names the lazy modules' public names without importing them
-        import singpencil
-        import singpencil.kcf_gen
-        import singpencil.two_param
-
-        for module in (singpencil.kcf_gen, singpencil.two_param):
-            assert set(singpencil._LAZY[module.__name__.rsplit(".", 1)[1]]) == set(module.__all__)
-
     def test_namespace_is_each_module_all(self):
-        # singpencil's names are its modules' __all__ lists, the lazy ones through
-        # _LAZY, and the six module names; an eager name is its module's own object
+        # singpencil's names are the __all__ lists of its five modules with names, and
+        # the six module names; every name is its module's own object, the lazy ones too
         import singpencil
-        from singpencil import matrix_core, pencil, solver
+        from singpencil import kcf_gen, matrix_core, pencil, solver, two_param
 
-        eager = (matrix_core, pencil, solver)
-        lazy = {name for names in singpencil._LAZY.values() for name in names}
-        modules = {"matrix_core", "pencil", "solver", *singpencil._LAZY}
-        assert set(singpencil.__all__) == {n for m in eager for n in m.__all__} | lazy | modules
-        assert len(singpencil.__all__) == 55
-        for module in eager:
+        named = (matrix_core, pencil, solver, kcf_gen, two_param)
+        modules = {"matrix_core", "pencil", "solver", "kcf_gen", "two_param", "gallery"}
+        assert set(singpencil.__all__) == {n for m in named for n in m.__all__} | modules
+        assert len(singpencil.__all__) == 55 and singpencil.__all__ == sorted(singpencil.__all__)
+        for module in named:
             for name in module.__all__:
                 assert getattr(singpencil, name) is getattr(module, name), name
+        assert set(singpencil.__all__) <= set(dir(singpencil))
+
+    def test_lazy_names_load_only_what_they_need(self, tmp_path):
+        # each probe runs in a fresh interpreter: a dunder loads no lazy module, a lazy
+        # module loads itself only, a lazy name kcf_gen and two_param but never gallery
+        probe = (
+            "import sys\n"
+            "import singpencil\n"
+            "def loaded():\n"
+            "    lazy = ('kcf_gen', 'two_param', 'gallery')\n"
+            "    return [m for m in lazy if f'singpencil.{m}' in sys.modules]\n"
+        )
+        cases = {
+            "[hasattr(singpencil, '__wrapped__'), hasattr(singpencil, '__test__')]": [False, False],
+            "singpencil.kcf_gen.__name__": "singpencil.kcf_gen",
+            "singpencil.double_eig.__name__": "double_eig",
+            "hasattr(singpencil, 'nothing')": False,
+        }
+        loads = [[], ["kcf_gen"], ["kcf_gen", "two_param"], ["kcf_gen", "two_param"]]
+        for (expr, value), modules in zip(cases.items(), loads):
+            proc = run_python(probe + f"print(repr({expr}), loaded())\n", cwd=tmp_path)
+            assert (proc.returncode, proc.stdout) == (0, f"{value!r} {modules!r}\n"), proc.stderr
+        proc = run_python(
+            "import singpencil\n"
+            "before = set(globals())\n"
+            "from singpencil import *\n"
+            "bound = set(globals()) - before - {'before'}\n"
+            "print(len(bound), bound == set(singpencil.__all__))\n",
+            cwd=tmp_path,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "55 True\n"), proc.stderr
 
     def test_non_finite_entry_exits_2(self, tmp_path, showcase_files):
         nan = tmp_path / "nan.mtx"
@@ -353,6 +374,19 @@ class TestOutputFormats:
             assert code == 0, err
             tail = out.splitlines()[-2:] if warned else out.splitlines()[-1:]
             assert tail == [f"{count} double-eigenvalue locations"] + [warning] * warned
+
+
+    def test_doubleeig_json_carries_the_count_warning(self, tmp_path, overflow_files):
+        # the flag the table's warning line shows; csv carries the rows only
+        rng = np.random.default_rng(4)
+        a, b = str(tmp_path / "A.mtx"), str(tmp_path / "B.mtx")
+        write_pencil(Pencil(A=rng.standard_normal((4, 4)), B=rng.standard_normal((4, 4))), a, b)
+        for files, warned in ((overflow_files, True), ((a, b), False)):
+            code, out, err = run_cli(["doubleeig", *files, "--format", "json"])
+            assert code == 0, err
+            assert json.loads(out)["count_warning"] is warned
+            code, out, err = run_cli(["doubleeig", *files, "--format", "csv"])
+            assert code == 0 and "warning" not in out, err
 
 
 class TestDefaults:

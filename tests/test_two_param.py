@@ -178,10 +178,6 @@ class TestPairMuCandidates:
                                    lambda a, b: abs(a - b))
             assert repr(pair_mu_candidates(xs, ys)) == repr(want)
 
-    def test_unique_lambda_pick_is_the_first_matched_pair(self):
-        for xs, ys in self._candidate_lists():
-            assert repr(tp._closest_mu_pair(xs, ys)) == repr(pair_mu_candidates(xs, ys)[:1])
-
 
 class TestSolve2EP:
     def test_decoupled_regular_problem(self):
@@ -711,25 +707,25 @@ class TestConjugatePartners:
     tol = 1e-8
 
     def test_pair_maps_lower_to_upper(self):
-        assert tp._conjugate_partners([1 + 2j, 1 - 2j], self.tol) == {1: 0}
-        assert tp._conjugate_partners([1 - 2j, 1 + 2j + 1e-12], self.tol) == {0: 1}
+        assert tp._conjugate_partners([1 + 2j, 1 - 2j], self.tol, ()) == {1: 0}
+        assert tp._conjugate_partners([1 - 2j, 1 + 2j + 1e-12], self.tol, ()) == {0: 1}
 
     def test_real_value_stands_for_itself(self):
-        assert tp._conjugate_partners([3.0 + 1e-12j, -2.0 - 1e-12j, 5.0], self.tol) == {}
+        assert tp._conjugate_partners([3.0 + 1e-12j, -2.0 - 1e-12j, 5.0], self.tol, ()) == {}
 
     def test_lone_upper_value_stands_for_itself(self):
-        assert tp._conjugate_partners([1 + 2j, 4 - 1j], self.tol) == {}
+        assert tp._conjugate_partners([1 + 2j, 4 - 1j], self.tol, ()) == {}
 
     def test_non_finite_values_take_no_part(self):
         values = [complex(math.inf, 1.0), complex(math.inf, -1.0), complex(math.nan, 1.0)]
-        assert tp._conjugate_partners(values, self.tol) == {}
+        assert tp._conjugate_partners(values, self.tol, ()) == {}
 
     def test_close_pairs_match_closest_first(self):
         # two pairs 2e-9 apart, closer than tol to each other: each lower value
         # takes the upper value whose conjugate is nearest to it
         a, b = 1 + 2j, 1 + 2e-9 + 2j
         values = [a, b, b.conjugate() + 1e-13, a.conjugate() - 1e-13]
-        assert tp._conjugate_partners(values, self.tol) == {2: 1, 3: 0}
+        assert tp._conjugate_partners(values, self.tol, ()) == {2: 1, 3: 0}
 
     def test_complex_input_gives_no_partners(self):
         values = [1 + 2j, 1 - 2j]
