@@ -17,7 +17,7 @@ from .pencil import *  # noqa: F403
 from .solver import *  # noqa: F403
 
 __version__ = "0.1.0"
-_EAGER = {name for name in globals() if not name.startswith("_")}  # with their three modules
+_EAGER = {name for name in globals() if not name.startswith("_")}  # and the three modules
 # The generator, the 2EP layer and the gallery load on first use (PEP 562), so a
 # command that needs none of them does not pay for their import.
 _LAZY = ("kcf_gen", "two_param", "gallery")

@@ -214,7 +214,8 @@ def cli_cases(tmp):
     overflow = tuple(os.path.join(tmp, f"overflow_{m}.mtx") for m in "AB")
     write_pencil(Pencil(A=np.diag([1e150, 1.0, 2.0]), B=np.diag([1.0, 1e-150, 1.0])), *overflow)
     for fmt in ("table", "json"):
-        yield f"doubleeig/overflow/1/{fmt}/default", ("doubleeig", *overflow, "--format", fmt, "--seed", "1")
+        yield (f"doubleeig/overflow/1/{fmt}/default",
+               ("doubleeig", *overflow, "--format", fmt, "--seed", "1"))
 
 
 def library_cases():
