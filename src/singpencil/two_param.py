@@ -32,6 +32,7 @@ polynomials given in determinantal form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -41,7 +42,7 @@ import numpy as np
 
 from .matrix_core import _lambda_order, as_cmatrix, greedy_match, rank_with_tol
 from .pencil import Pencil, _derived, _read_json, _write_json, read_matrix, write_matrix
-from .solver import _FINITE, DEFAULT_MATCH_TOL, SolveOptions, _match_tol, solve, with_defaults
+from .solver import _FINITE, _INFINITE, DEFAULT_MATCH_TOL, SolveOptions, _match_tol, solve, with_defaults
 
 __all__ = [
     "TwoParamProblem",
@@ -441,6 +442,22 @@ def double_eig_linearization(A, B):
     3 n^2 pencil; the chain z = (z1, z2) states the same condition with
     a 2n x 2n equation that is linear already, so the QZ works on
     (2/3)^3 of the flops, and the count of lambdas is the same.
+
+    The pencil has an exact symmetry.  Index C^n (x) C^2n as (i, b, j),
+    the flat index 2n i + n b + j of ``np.kron``; then D1 = A (x) I_2 (x)
+    I - I (x) I_2 (x) A + I (x) E_01 (x) I and D0 = I (x) I_2 (x) B - B
+    (x) I_2 (x) I.  The signed swap S e_(i,b,j) = (-1)^b e_(j,b,i) is an
+    orthogonal involution with S D1 S = -D1 and S D0 S = -D0 exactly:
+    the swap negates the Kronecker differences, and the sign (-1)^b
+    negates the coupling E_01.  So each matrix maps either eigenspace of
+    S into the other.  With orthonormal bases Q+ and Q- of the +1 and
+    -1 eigenspaces (n^2 columns each, see :func:`_swap_basis`) the pencil
+    is orthogonally equivalent to X (+) Y, with X = Q-^T (D1, D0) Q+ and
+    Y = Q+^T (D1, D0) Q-, Kronecker structure included.  Generically X
+    holds the whole singular part (rank defect n: n prescribed and
+    n(n-1)/2 random-right and random-left values in a rank-completing
+    solve) and Y is regular, with the n(n-1) double-eigenvalue lambdas
+    and n infinite eigenvalues.  :func:`double_eig` solves the halves.
     """
     A = as_cmatrix(A, "A")
     B = as_cmatrix(B, "B")
@@ -450,6 +467,65 @@ def double_eig_linearization(A, B):
     C1, A2, B2 = -I, np.block([[A, -I], [Z, A]]), np.block([[B, Z], [Z, B]])
     C2 = as_cmatrix(-np.eye(2 * len(A)))  # -1 + 0j, not the -1 - 0j of -I_2n in complex
     return tuple(_kron_differences((C1, A2, A, C2), (B, C2, C1, B2)))  # Delta1, Delta0
+
+
+def _swap_basis(n, sign):
+    """Orthonormal basis of the ``sign`` eigenspace of the swap S of order n, as arrays (p, q, w, c).
+
+    Column t of the basis is w[t] e_p[t] + c[t] e_q[t], in the indexing of
+    :func:`double_eig_linearization`: e_p for a fixed index p = (i, b, i)
+    with (-1)^b = sign (q = p, c = 0), and (e_p + sign (-1)^b e_q) /
+    sqrt(2) for each p = (i, b, j) with i < j and its swap q = (j, b, i).
+    """
+    i, b, j = np.indices((n, 2, n)).reshape(3, -1)
+    parity = 1 - 2 * b  # (-1)^b
+    p = np.flatnonzero((i < j) | ((i == j) & (parity == sign)))
+    pair = i[p] < j[p]
+    w = np.where(pair, math.sqrt(0.5), 1.0)
+    return p, ((j * 2 + b) * n + i)[p], w, np.where(pair, sign * parity[p], 0) * w
+
+
+def _swap_halves(p: Pencil, n):
+    """The halves [X, Y] of the linearization ``p`` of an n x n pair, as two n^2 x n^2 pencils.
+
+    X = Q-^T p Q+ and Y = Q+^T p Q- (see :func:`double_eig_linearization`).
+    Each basis column has at most two entries, so each product is a sum
+    of two gathered columns, then of two gathered rows; no dense Q is
+    formed.
+    """
+    D = np.stack([p.A, p.B])
+    plus, minus = _swap_basis(n, 1), _swap_basis(n, -1)
+    halves = []
+    for (cp, cq, cw, cc), (rp, rq, rw, rc) in ((plus, minus), (minus, plus)):
+        T = D[:, :, cp] * cw + D[:, :, cq] * cc
+        H = T[:, rp] * rw[:, None] + T[:, rq] * rc[:, None]
+        halves.append(Pencil(A=H[0], B=H[1]))
+    return halves
+
+
+def _double_eig_candidates(A, B, opts, rng):
+    """The lambdas :func:`double_eig` polishes, and the solve of the full linearization or its thunk.
+
+    The two halves of the linearization are solved in one stacked
+    :func:`solve`, on the first two generators spawned from ``rng``.
+    They are certified when Y is regular with n(n-1) finite true and n
+    infinite true values and X has no true value; the candidates are
+    then Y's finite true values, and the full solve is returned as a
+    thunk on the third spawned generator.  Otherwise the full
+    linearization is solved with ``rng`` itself, as if the halves had not
+    been tried (spawning draws nothing from ``rng``), and its finite true
+    values are the candidates.
+    """
+    n = A.shape[0]
+    full = Pencil(*double_eig_linearization(A, B))
+    streams = rng.spawn(3)
+    x, y = solve(_swap_halves(full, n), opts, streams[:2])
+    counts = [int((y.classes == c).sum()) for c in (_FINITE, _INFINITE)]
+    if (y.nrank_report.k == 0 and counts == [n * (n - 1), n]
+            and not np.isin(x.classes, (_FINITE, _INFINITE)).any()):
+        return y.finite_true_values, functools.partial(solve, full, opts, streams[2])
+    result = solve(full, opts, rng)
+    return result.finite_true_values, result
 
 
 @dataclass
@@ -464,27 +540,40 @@ class DoubleEigResult:
     relative to the spectral scale of that matrix; a value near zero
     certifies the double eigenvalue, a value of order one flags a
     spurious or degenerate answer.  ``solve_result`` exposes the full
-    classified spectrum of the linearization, including its separation
-    diagnostics.  ``count_warning`` is set when more than n(n-1) lambdas
-    came back, more than an n x n pencil can have, so some are spurious.
+    classified spectrum of the 2n^2 x 2n^2 linearization, including its
+    separation diagnostics; ``full`` holds it, or a thunk that computes
+    it when ``solve_result`` is first read.  ``count_warning`` is set
+    when more than n(n-1) lambdas came back, more than an n x n pencil
+    can have, so some are spurious.
     """
 
     lambdas: list
     gaps: list
-    solve_result: object
+    full: object
     count_warning: bool = False
+
+    @functools.cached_property
+    def solve_result(self):
+        return self.full() if callable(self.full) else self.full
 
 
 def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
     """All lambda such that A + lambda B has a double eigenvalue.
 
-    Runs the rank-completing-perturbation solver on the linearization
-    from :func:`double_eig_linearization` (generically n(n-1) finite
-    true eigenvalues) and verifies every candidate by recomputing the
-    spectrum of A + lambda B.  With ``refine`` (default) each lambda is
-    polished by Newton steps on the squared gap of the colliding
-    eigenvalue pair, which is analytic across the collision, until its
-    gap is below 1e-7 of the spectral scale (at most 12 steps).  The
+    Solves the two n^2 x n^2 halves of the linearization from
+    :func:`double_eig_linearization` in one stacked rank-completing
+    solve: the regular half Y holds the generically n(n-1) finite true
+    eigenvalues, and the singular half X takes the perturbation.  The
+    halves are certified by their class counts (Y regular, with n(n-1)
+    finite true and n infinite true values, and no true value in X);
+    any other count, as at a semisimple crossing, where both halves
+    label some lambdas infinite true, sends the request to the solve of
+    the full 2n^2 x 2n^2 linearization with ``rng``.  Every candidate is
+    verified by recomputing the spectrum of A + lambda B.  With ``refine``
+    (default) each lambda is polished by Newton steps on the squared gap
+    of the colliding eigenvalue pair, which is analytic across the
+    collision, until its gap is below 1e-7 of the spectral scale (at
+    most 12 steps).  The
     core solve alone often gets close: at n = 8, seed 1 the unpolished
     gaps of the 31 representatives have a median of 7.2e-8 and reach
     1.9e-7, and 7 of them are above 1e-7.
@@ -495,7 +584,13 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
     each partner gets the conjugate of its representative's lambda
     (polished or not) and the same gap.
 
-    Cost: one dense QZ of the 2n^2 x 2n^2 linearization plus stacked
+    The result's ``solve_result`` is always the classified spectrum of
+    the full linearization.  After certified halves it is computed when
+    first read, from a generator spawned from ``rng`` at call time, so a
+    caller that reads it pays the full QZ too.
+
+    Cost: two dense QZs of order n^2 (a quarter of the flops of one of
+    order 2n^2), plus that one after a failed certification, plus stacked
     n x n ``eigvals`` calls over the representative lambdas in
     lockstep: one without ``refine``, and with it two more per Newton
     step until the last lambda stops: 3 when one step suffices for
@@ -506,9 +601,7 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
     opts, rng = with_defaults(opts, rng)
     A = as_cmatrix(A, "A")
     B = as_cmatrix(B, "B")
-    D1, D0 = double_eig_linearization(A, B)
-    result = solve(Pencil(A=D1, B=D0), opts, rng)
-    values = result.finite_true_values
+    values, full = _double_eig_candidates(A, B, opts, rng)
     partners = _conjugate_partners(values, DEFAULT_MATCH_TOL, (A, B))
     reps = [r for r in range(len(values)) if r not in partners]
     lambdas, gaps = _polish(A, B, [values[r] for r in reps], refine)
@@ -519,7 +612,7 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
     return DoubleEigResult(
         lambdas=[complex(lambdas[i]) for i in order],
         gaps=[gaps[i] for i in order],
-        solve_result=result,
+        full=full,
         count_warning=len(order) > A.shape[0] * (A.shape[0] - 1),
     )
 

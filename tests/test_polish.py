@@ -10,11 +10,12 @@ polish must reproduce it bit for bit (compared by ``repr`` of each value
 as a Python complex, which ``double_eig`` returns) and must not fall back
 to one ``eigvals`` call per lambda.  On a real pencil the oracle applies
 ``double_eig``'s conjugate-pair rule: a partner takes the conjugate of
-its representative's lambda and the same gap.
+its representative's lambda and the same gap.  The oracle polishes the
+candidates that ``double_eig`` polishes, which ``_candidates`` takes from
+the same solve on an identically seeded generator.
 """
 
 import math
-import types
 
 import numpy as np
 import pytest
@@ -105,13 +106,19 @@ def _problem(n, seed):
     return rng.standard_normal((n, n)), rng.standard_normal((n, n))
 
 
+def _candidates(A, B, seed):
+    """The lambdas ``double_eig(A, B, opts=SolveOptions(seed=seed))`` polishes."""
+    return tp._double_eig_candidates(tp.as_cmatrix(A), tp.as_cmatrix(B), SolveOptions(seed=seed),
+                                     np.random.default_rng(seed))[0]
+
+
 @pytest.mark.parametrize("refine", [True, False])
 @pytest.mark.parametrize("n,seed", [(n, s) for n in (2, 3, 5, 8) for s in (1, 7, 2024)])
 def test_batched_polish_is_bit_identical_to_per_lambda_oracle(n, seed, refine):
     A, B = _problem(n, seed)
     res = double_eig(A, B, opts=SolveOptions(seed=seed), refine=refine)
     assert len(res.lambdas) == n * (n - 1)
-    want_lams, want_gaps = _oracle(A, B, res.solve_result.finite_true_values, refine)
+    want_lams, want_gaps = _oracle(A, B, _candidates(A, B, seed), refine)
     assert all(type(x) is complex for x in res.lambdas)
     assert [repr(complex(x)) for x in res.lambdas] == [repr(complex(x)) for x in want_lams]
     assert [repr(g) for g in res.gaps] == [repr(g) for g in want_gaps]
@@ -120,15 +127,15 @@ def test_batched_polish_is_bit_identical_to_per_lambda_oracle(n, seed, refine):
 @pytest.mark.parametrize("refine", [True, False])
 def test_non_finite_candidate_passes_through_unrefined(monkeypatch, refine):
     A, B = _problem(3, 4)
-    real_solve = tp.solve
+    real_candidates = tp._double_eig_candidates
     seen = {}
 
-    def solve_with_inf(pencil, opts, rng):
-        values = real_solve(pencil, opts, rng).finite_true_values
+    def candidates_with_inf(A, B, opts, rng):
+        values, full = real_candidates(A, B, opts, rng)
         seen["values"] = values[:2] + [complex(math.inf, 0.0)] + values[2:]
-        return types.SimpleNamespace(finite_true_values=seen["values"])
+        return seen["values"], full
 
-    monkeypatch.setattr(tp, "solve", solve_with_inf)
+    monkeypatch.setattr(tp, "_double_eig_candidates", candidates_with_inf)
     res = double_eig(A, B, opts=SolveOptions(seed=4), refine=refine)
     want_lams, want_gaps = _oracle(A, B, seen["values"], refine)
     assert [repr(complex(x)) for x in res.lambdas] == [repr(complex(x)) for x in want_lams]
@@ -166,7 +173,7 @@ def test_polish_makes_stacked_eigvals_calls(monkeypatch, refine, bound):
     else:
         assert len(calls) == bound
     # one row per representative of a conjugate pair or real lambda
-    partners = tp._conjugate_partners(res.solve_result.finite_true_values, DEFAULT_MATCH_TOL, (A, B))
+    partners = tp._conjugate_partners(_candidates(A, B, 1), DEFAULT_MATCH_TOL, (A, B))
     assert calls[0] == (56 - len(partners), 8, 8) and len(partners) > 0
     if refine:  # a Newton step shifts each representative once: a forward difference
         assert calls[1] == calls[0]

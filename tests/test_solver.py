@@ -697,6 +697,22 @@ class TestHardCases:
         v = res.finite_true_values[0]
         assert abs(v - 3e10) <= 1e-4
 
+    @pytest.mark.xfail(strict=True, reason="|s| of an exact Jordan block is roundoff: labelled infinite")
+    def test_exact_jordan_block_of_a_regular_pencil_is_finite(self):
+        # the QZ keeps the triangular block exact, so both copies of 1 get
+        # |s| = 4.4e-16 < delta2 and come back infinite true, valued 1
+        res = solve(Pencil(A=[[1.0, 1.0], [0.0, 1.0]], B=np.eye(2)), SolveOptions(seed=0))
+        assert [r.label for r in res.records] == [EigenClass.FINITE_TRUE] * 2
+
+    def test_rotated_jordan_block_of_a_regular_pencil_is_finite(self):
+        # the same block orthogonally rotated: roundoff splits it, |s| ~ 2e-8
+        c, s = math.cos(0.3), math.sin(0.3)
+        Q = np.array([[c, -s], [s, c]])
+        J = np.array([[1.0, 1.0], [0.0, 1.0]])
+        res = solve(Pencil(A=Q.T @ J @ Q, B=np.eye(2)), SolveOptions(seed=0))
+        assert [r.label for r in res.records] == [EigenClass.FINITE_TRUE] * 2
+        assert_multiset_close(res.finite_true_values, [1.0, 1.0], rtol=0.0, atol=1e-7)
+
     def test_magnitude_beyond_eps_reciprocal_reports_infinite_view(self):
         # back-scaled lambda above 1/eps: |beta| <= eps |alpha|, so the value
         # view says infinite while |s| still classifies the record finite-true

@@ -398,6 +398,68 @@ class TestDoubleEig:
         assert {c: int(counts[i]) for i, c in enumerate(EigenClass) if counts[i]} == expected
         assert len(res.lambdas) == n * (n - 1) and not res.count_warning
 
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_signed_swap_negates_the_linearization(self, n, complex_input):
+        # S e_(i,b,j) = (-1)^b e_(j,b,i), so (S D S)[r, c] = sign_r sign_c D[swap r, swap c]
+        rng = np.random.default_rng(n)
+        draw = random_complex if complex_input else (lambda r, shape: r.standard_normal(shape))
+        i, b, j = np.indices((n, 2, n)).reshape(3, -1)
+        swap, sign = (j * 2 + b) * n + i, (1 - 2 * b).astype(float)
+        for D in double_eig_linearization(draw(rng, (n, n)), draw(rng, (n, n))):
+            got = np.outer(sign, sign) * D[np.ix_(swap, swap)]
+            assert (got + 0.0).tobytes() == (-D + 0.0).tobytes()  # + 0.0: one sign of zero
+
+    @pytest.mark.parametrize("n,seed", [(n, s) for n in (3, 4, 5, 6) for s in (1, 2)])
+    def test_linearization_half_class_counts_are_closed_form(self, n, seed):
+        # X = Q-^T (D1, D0) Q+ holds the singular part (k = n), Y = Q+^T (D1, D0) Q-
+        # the regular one: its n(n-1) double-eigenvalue lambdas and n infinite values
+        rng = np.random.default_rng(seed)
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        halves = tp._swap_halves(Pencil(*double_eig_linearization(A, B)), n)
+        x, y = solve(halves, SolveOptions(seed=seed), np.random.default_rng(seed).spawn(2))
+
+        def counts(res):
+            c = np.bincount(res.classes, minlength=len(EigenClass))
+            return res.nrank_report.k, {e: int(c[i]) for i, e in enumerate(EigenClass) if c[i]}
+
+        assert counts(x) == (n, {
+            EigenClass.PRESCRIBED: n,
+            EigenClass.RANDOM_RIGHT: n * (n - 1) // 2,
+            EigenClass.RANDOM_LEFT: n * (n - 1) // 2,
+        })
+        assert counts(y) == (0, {EigenClass.FINITE_TRUE: n * (n - 1), EigenClass.INFINITE_TRUE: n})
+
+    def test_certified_halves_take_one_solve_and_the_full_one_on_first_read(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        A, B = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
+        calls = []
+        monkeypatch.setattr(tp, "solve", _counting_solve(calls))
+        res = double_eig(A, B, opts=SolveOptions(seed=3))
+        assert calls == [2] and len(res.lambdas) == 56  # the two halves in one stack
+        full = res.solve_result
+        assert calls == [2, 1] and res.solve_result is full
+        assert full.values.shape == (128,) and len(full.finite_true_values) == 56
+        # the full solve draws from the third generator spawned at call time
+        want = solve(Pencil(*double_eig_linearization(A, B)), SolveOptions(seed=3),
+                     np.random.default_rng(3).spawn(3)[2])
+        assert result_fields(full) == result_fields(want)
+
+    @pytest.mark.parametrize("similar", [False, True])
+    def test_semisimple_crossings_fall_back_to_the_full_solve(self, monkeypatch, similar):
+        # both halves label some crossings infinite true, so the full linearization
+        # is solved with the caller's generator, as if the halves were never tried
+        A, B = np.diag([1.0, 2.0, 3.0]), np.diag([0.0, 1.0, 3.0])
+        if similar:
+            S = np.random.default_rng(0).standard_normal((3, 3))
+            A, B = S @ A @ np.linalg.inv(S), S @ B @ np.linalg.inv(S)
+        calls = []
+        monkeypatch.setattr(tp, "solve", _counting_solve(calls))
+        res = double_eig(A, B, opts=SolveOptions(seed=0))
+        assert calls == [2, 1]
+        want = solve(Pencil(*double_eig_linearization(A, B)), SolveOptions(seed=0))
+        assert result_fields(res.solve_result) == result_fields(want) and calls == [2, 1]
+
     @pytest.mark.parametrize("similar", [False, True])
     def test_semisimple_crossings_come_back_as_clusters(self, similar):
         # the eigenvalue curves 1, 2 + lam and 3 + 3 lam of this pair cross
@@ -451,6 +513,19 @@ def test_chain_linearization_matches_the_squared_one():
         n = A.shape[0]
         assert len(lams[0]) == len(lams[1]) == n * (n - 1), name
         matched = greedy_match_by(*lams, lambda a, b: abs(a - b) / abs(b))
+        assert max(d for _, _, d in matched) <= 1e-12, name
+
+
+@pytest.mark.slow
+def test_swap_halves_match_the_full_linearization():
+    # the certified halves give the lambdas the full 2 n^2 solve gives, after the polish
+    for name, A, B, seed in _sweep_problems():
+        res = double_eig(A, B, opts=SolveOptions(seed=seed))
+        assert callable(res.full), f"{name}: the halves were not certified"
+        found = res.solve_result.finite_true_values
+        full = tp._polish(tp.as_cmatrix(A), tp.as_cmatrix(B), found, True)[0]
+        assert len(res.lambdas) == len(full) == len(A) * (len(A) - 1), name
+        matched = greedy_match_by(res.lambdas, full, lambda a, b: abs(a - b) / abs(b))
         assert max(d for _, _, d in matched) <= 1e-12, name
 
 

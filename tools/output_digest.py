@@ -14,7 +14,9 @@ pencil ``(diag(1e150, 1, 2), diag(1, 1e-150, 1))``, which carry the
 count warning.  Library cases digest the exact ``repr`` of
 ``solve`` records (eigenvectors by their bytes), gap reports, rank
 reports and perturbations, forced-collision retries,
-``solve_by_intersection``, ``double_eig`` with and without refine and
+``solve_by_intersection``, ``double_eig`` with and without refine (also
+on two semisimple-crossing pairs, where the halves of the linearization
+are not certified and the full one is solved) and
 ``solve_2ep`` (on the bivariate cubic and on the benchmark's
 double-eigenvalue 2EP, whose mu pencils are 6 x 6 and 18 x 18, in both
 ``unique_lambda`` modes, also with equation 1 times 1j, a complex
@@ -136,6 +138,14 @@ def double_eig_pencils():
     return {"rand2": _random(2, 2, 11), "rand3": _random(3, 3, 12), "real4": Pencil(*real)}
 
 
+def semisimple_pencils():
+    """diag(1, 2, 3), diag(0, 1, 3) and a similar pair: double_eig solves the full linearization."""
+    A, B = np.diag([1.0, 2.0, 3.0]), np.diag([0.0, 1.0, 3.0])
+    S = np.random.default_rng(0).standard_normal((3, 3))
+    return {"semisimple": Pencil(A, B),
+            "semisimple_similar": Pencil(S @ A @ np.linalg.inv(S), S @ B @ np.linalg.inv(S))}
+
+
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -230,7 +240,7 @@ def library_cases():
     for retries in (1, 2, 3):
         yield f"lib/collision/showcase/retries{retries}", lambda retries=retries: _solve_text(
             solve(p, SolveOptions(seed=0, gamma=([gamma_true], [1.0]), max_retries=retries)))
-    for name, p in double_eig_pencils().items():
+    for name, p in {**double_eig_pencils(), **semisimple_pencils()}.items():
         for refine in (True, False):
             def run(p=p, refine=refine):
                 res = double_eig(p.A, p.B, opts=SolveOptions(seed=1), refine=refine)
