@@ -36,7 +36,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -504,17 +504,18 @@ def _swap_halves(p: Pencil, n):
 
 
 def _double_eig_candidates(A, B, opts, rng):
-    """The lambdas :func:`double_eig` polishes, and the solve of the full linearization or its thunk.
+    """The lambdas :func:`double_eig` polishes, and a thunk giving the solve of the full linearization.
 
-    The two halves of the linearization are solved in one stacked
-    :func:`solve`, on the first two generators spawned from ``rng``.
-    They are certified when Y is regular with n(n-1) finite true and n
-    infinite true values and X has no true value; the candidates are
-    then Y's finite true values, and the full solve is returned as a
-    thunk on the third spawned generator.  Otherwise the full
-    linearization is solved with ``rng`` itself, as if the halves had not
-    been tried (spawning draws nothing from ``rng``), and its finite true
-    values are the candidates.
+    Three generators are spawned from ``rng`` on every call, and the two
+    halves of the linearization are solved in one stacked :func:`solve`
+    on the first two.  They are certified when Y is regular with n(n-1)
+    finite true and n infinite true values and X has no true value; the
+    candidates are then Y's finite true values, the thunk solves the
+    full linearization on the third generator, and ``rng``'s own stream
+    is not advanced.  Otherwise the full linearization is solved with
+    ``rng`` itself and its finite true values are the candidates:
+    spawning draws nothing from ``rng``'s stream, so these are the values
+    of a request that never tried the halves.
     """
     n = A.shape[0]
     full = Pencil(*double_eig_linearization(A, B))
@@ -525,7 +526,7 @@ def _double_eig_candidates(A, B, opts, rng):
             and not np.isin(x.classes, (_FINITE, _INFINITE)).any()):
         return y.finite_true_values, functools.partial(solve, full, opts, streams[2])
     result = solve(full, opts, rng)
-    return result.finite_true_values, result
+    return result.finite_true_values, lambda: result
 
 
 @dataclass
@@ -541,20 +542,20 @@ class DoubleEigResult:
     certifies the double eigenvalue, a value of order one flags a
     spurious or degenerate answer.  ``solve_result`` exposes the full
     classified spectrum of the 2n^2 x 2n^2 linearization, including its
-    separation diagnostics; ``full`` holds it, or a thunk that computes
-    it when ``solve_result`` is first read.  ``count_warning`` is set
+    separation diagnostics; it is computed when first read (see
+    :func:`double_eig`).  ``count_warning`` is set
     when more than n(n-1) lambdas came back, more than an n x n pencil
     can have, so some are spurious.
     """
 
     lambdas: list
     gaps: list
-    full: object
+    _full: object = field(repr=False)  # thunk returning solve_result
     count_warning: bool = False
 
     @functools.cached_property
     def solve_result(self):
-        return self.full() if callable(self.full) else self.full
+        return self._full()
 
 
 def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
@@ -587,7 +588,14 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
     The result's ``solve_result`` is always the classified spectrum of
     the full linearization.  After certified halves it is computed when
     first read, from a generator spawned from ``rng`` at call time, so a
-    caller that reads it pays the full QZ too.
+    caller that reads it pays the full QZ too, and its diagnostics
+    describe that solve, not the halves that gave the lambdas.
+
+    Every call spawns three generators from ``rng`` (advancing the
+    spawn counter of its seed sequence, so a later ``rng.spawn`` gives
+    other children than without this call).  Certified halves draw
+    nothing from ``rng``'s own stream; a fallback draws what the full
+    solve draws.
 
     Cost: two dense QZs of order n^2 (a quarter of the flops of one of
     order 2n^2), plus that one after a failed certification, plus stacked
@@ -612,7 +620,7 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
     return DoubleEigResult(
         lambdas=[complex(lambdas[i]) for i in order],
         gaps=[gaps[i] for i in order],
-        full=full,
+        _full=full,
         count_warning=len(order) > A.shape[0] * (A.shape[0] - 1),
     )
 

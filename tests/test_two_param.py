@@ -517,11 +517,14 @@ def test_chain_linearization_matches_the_squared_one():
 
 
 @pytest.mark.slow
-def test_swap_halves_match_the_full_linearization():
+def test_swap_halves_match_the_full_linearization(monkeypatch):
     # the certified halves give the lambdas the full 2 n^2 solve gives, after the polish
     for name, A, B, seed in _sweep_problems():
-        res = double_eig(A, B, opts=SolveOptions(seed=seed))
-        assert callable(res.full), f"{name}: the halves were not certified"
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(tp, "solve", _counting_solve(calls))
+            res = double_eig(A, B, opts=SolveOptions(seed=seed))
+        assert calls == [2], f"{name}: the halves were not certified"
         found = res.solve_result.finite_true_values
         full = tp._polish(tp.as_cmatrix(A), tp.as_cmatrix(B), found, True)[0]
         assert len(res.lambdas) == len(full) == len(A) * (len(A) - 1), name
@@ -925,9 +928,18 @@ class TestProbePointsDecideOnlyTheRank:
     def test_double_eig(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         A, B = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
-        now, before = self._both(monkeypatch, lambda: double_eig(A, B, SolveOptions(seed=seed)))
+
+        def run():
+            res = double_eig(A, B, SolveOptions(seed=seed))
+            res.solve_result  # computed on first read: read it under the probes of this run
+            return res
+
+        now, before = self._both(monkeypatch, run)
         assert repr((now.lambdas, now.gaps)) == repr((before.lambdas, before.gaps))
-        assert self._fields(now.solve_result)[:2] == self._fields(before.solve_result)[:2]
+        (got, rank, report), (want, want_rank, old_report) = (
+            self._fields(now.solve_result), self._fields(before.solve_result))
+        assert got == want and rank == want_rank
+        assert report != old_report  # the full solve ran under both probe sets
 
     @pytest.mark.parametrize("seed", [1, 2, 13])
     def test_solve_2ep(self, monkeypatch, seed):
