@@ -120,9 +120,11 @@ class EigDecomposition:
     alpha, beta : ndarray, shape (n,)
         Homogeneous eigenvalues, normalized per pair.
     right : ndarray, shape (n, n)
-        Right eigenvectors as unit 2-norm columns: ``(beta_i A - alpha_i B) x_i = 0``.
+        Right eigenvectors as unit 2-norm columns: ``(beta_i A - alpha_i B) x_i = 0``;
+        no column (shape (n, 0)) from :func:`generalized_eig`'s eigenvalues-only mode.
     left : ndarray, shape (n, n)
-        Left eigenvectors as unit 2-norm columns: ``y_i^H (beta_i A - alpha_i B) = 0``.
+        Left eigenvectors as unit 2-norm columns: ``y_i^H (beta_i A - alpha_i B) = 0``;
+        no column from the eigenvalues-only mode.
     """
 
     alpha: np.ndarray
@@ -212,7 +214,9 @@ def _workspace(zggev3, n):
 
     The query asks for both eigenvector sets of the whole matrix, so its
     answer depends on n alone, not on the entries: each driver keeps it
-    in a ``functools.cache`` keyed by n (``zggev3.workspace``).
+    in a ``functools.cache`` keyed by n (``zggev3.workspace``).  The
+    eigenvalues-only mode of :func:`generalized_eig` passes the same
+    ``lwork``, at least the 2n that mode needs.
     """
     if zggev3 is None:
         z = np.zeros((n, n), np.complex128)
@@ -230,7 +234,7 @@ def _workspace(zggev3, n):
 _zggev_workspace = functools.cache(functools.partial(_workspace, None))
 
 
-def generalized_eig(A, B):
+def generalized_eig(A, B, *, _vectors=True):
     """Eigenvalues and left/right eigenvectors of the pencil A - lambda B.
 
     Calls LAPACK's QZ-based dense solver directly and normalizes its
@@ -251,6 +255,12 @@ def generalized_eig(A, B):
     ``right`` are Fortran-contiguous views of it, with no second copy
     and no workspace kept alive behind them.
 
+    The private eigenvalues-only mode (``_vectors=False``) asks LAPACK
+    for no eigenvector (``jobvl = jobvr = "N"``; ``compute_vl =
+    compute_vr = 0`` for ``zggev``), which skips the back-transformation
+    and the eigenvector solves.  Its pairs are normalized and checked the
+    same way, and ``left`` and ``right`` have no column.
+
     Parameters
     ----------
     A, B : array_like, shape (n, n)
@@ -261,7 +271,8 @@ def generalized_eig(A, B):
     Returns
     -------
     EigDecomposition
-        ``left`` and ``right`` are the two halves of one n x 2n array.
+        ``left`` and ``right`` are the two halves of one n x 2n array
+        (n x 0 in the eigenvalues-only mode).
 
     Raises
     ------
@@ -282,24 +293,27 @@ def generalized_eig(A, B):
     if a.shape != b.shape:
         raise ValueError(f"A and B must have equal shape, got {a.shape} and {b.shape}")
     n = a.shape[0]
+    # the left then the right eigenvectors: one Fortran-order n x 2n matrix, n x 0 without them
+    vectors = np.empty((n, 2 * n if _vectors else 0), np.complex128, order="F")
+    pairs = np.empty((2, n), np.complex128)
     if n == 0:  # LAPACK rejects n = 0 as an illegal argument
-        vec, mat = np.zeros(0, np.complex128), np.zeros((0, 0), np.complex128)
-        return EigDecomposition(alpha=vec, beta=vec, right=mat, left=mat)
+        return EigDecomposition(pairs[0], pairs[1], right=vectors, left=vectors)
     zggev3 = _zggev3()
     lwork = (_zggev_workspace if zggev3 is None else zggev3.workspace)(n)
-    # the left then the right eigenvectors: one Fortran-order n x 2n matrix
-    vectors = np.empty((n, 2 * n), np.complex128, order="F")
-    pairs = np.empty((2, n), np.complex128)
     if zggev3 is None:
-        pairs[0], pairs[1], vectors[:, :n], vectors[:, n:], _, info = _zggev()(
-            a, b, lwork=lwork, overwrite_a=1, overwrite_b=1)
+        pairs[0], pairs[1], vl, vr, _, info = _zggev()(
+            a, b, compute_vl=_vectors, compute_vr=_vectors, lwork=lwork, overwrite_a=1, overwrite_b=1)
+        if _vectors:
+            vectors[:, :n], vectors[:, n:] = vl, vr
+        del vl, vr
     else:
         integer = zggev3.argtypes[2]._type_
         dim, info = integer(n), integer(0)
         work = np.empty(lwork + 4 * n, np.complex128)  # the workspace, then the 8n reals of rwork
         # raw addresses: numpy's ndpointer checks on every call cost more than a small QZ
         w, ab, v = work.ctypes.data, pairs.ctypes.data, vectors.ctypes.data
-        zggev3(b"V", b"V", dim, a.ctypes.data, dim, b.ctypes.data, dim, ab, ab + 16 * n,
+        job = b"V" if _vectors else b"N"  # "N": LAPACK reads neither eigenvector address
+        zggev3(job, job, dim, a.ctypes.data, dim, b.ctypes.data, dim, ab, ab + 16 * n,
                v, dim, v + 16 * n * n, dim, w, integer(lwork), w + 16 * lwork, info, 1, 1)
         info = info.value
         del work  # like a and b below, freed before the normalization allocates

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import solver
 from .matrix_core import _lambda_order, as_cmatrix, greedy_match, rank_with_tol
 from .pencil import Pencil, _derived, _read_json, _write_json, read_matrix, write_matrix
 from .solver import _FINITE, _INFINITE, DEFAULT_MATCH_TOL, SolveOptions, _match_tol, solve, with_defaults
@@ -506,27 +507,60 @@ def _swap_halves(p: Pencil, n):
 def _double_eig_candidates(A, B, opts, rng):
     """The lambdas :func:`double_eig` polishes, and a thunk giving the solve of the full linearization.
 
-    Three generators are spawned from ``rng`` on every call, and the two
-    halves of the linearization are solved in one stacked :func:`solve`
-    on the first two.  They are certified when Y is regular with n(n-1)
-    finite true and n infinite true values and X has no true value; the
-    candidates are then Y's finite true values, the thunk solves the
-    full linearization on the third generator, and ``rng``'s own stream
-    is not advanced.  Otherwise the full linearization is solved with
-    ``rng`` itself and its finite true values are the candidates:
-    spawning draws nothing from ``rng``'s stream, so these are the values
-    of a request that never tried the halves.
+    Three generators are spawned from ``rng`` on every call.  The
+    singular half X of the linearization takes the paper's perturbed
+    :func:`solve` on the first; the regular half Y is scaled and probed
+    on the second, and its values come from one eigenvalues-only QZ
+    (:func:`_regular_values`).  The halves are certified when X has no
+    true value and Y has rank defect 0 with n values that sit strictly
+    closer to infinity than the other n(n-1); the candidates are then
+    those n(n-1), the thunk solves the full linearization on the third
+    generator, and ``rng``'s own stream is not advanced.  Otherwise the
+    full linearization is solved with ``rng`` itself and its finite true
+    values are the candidates: spawning draws nothing from ``rng``'s
+    stream, so these are the values of a request that never tried the
+    halves.
     """
     n = A.shape[0]
     full = Pencil(*double_eig_linearization(A, B))
     streams = rng.spawn(3)
-    x, y = solve(_swap_halves(full, n), opts, streams[:2])
-    counts = [int((y.classes == c).sum()) for c in (_FINITE, _INFINITE)]
-    if (y.nrank_report.k == 0 and counts == [n * (n - 1), n]
-            and not np.isin(x.classes, (_FINITE, _INFINITE)).any()):
-        return y.finite_true_values, functools.partial(solve, full, opts, streams[2])
+    X, Y = _swap_halves(full, n)
+    if not np.isin(solve(X, opts, streams[0]).classes, (_FINITE, _INFINITE)).any():
+        values = _regular_values(Y, n, opts, streams[1])
+        if values is not None:
+            return values, functools.partial(solve, full, opts, streams[2])
     result = solve(full, opts, rng)
     return result.finite_true_values, lambda: result
+
+
+def _regular_values(Y, n, opts, rng):
+    """The n(n-1) finite values of the half Y in the order of ``finite_true_values``, or None.
+
+    Y is scaled and its normal rank probed as :func:`solve` does, with
+    draws from ``rng``; a rank defect gives None.  Its pairs come from
+    the eigenvalues-only mode of :func:`~singpencil.solver`'s
+    ``generalized_eig`` (looked up there, where a tracer may have
+    wrapped it).  The n pairs of smallest chordal size |beta| /
+    hypot(|alpha|, |beta|) are Y's infinite values; when they do not sit
+    strictly below the others, the split is in doubt and the result is
+    None.  The others are back-scaled into values as :func:`solve` does
+    (:meth:`~singpencil.matrix_core.EigDecomposition.values`) and sorted
+    by real, then imaginary part, ties in QZ order, as :func:`solve`
+    sorts a finite true class, so that they are the values that class
+    would hold.
+    """
+    _, _, (y,), (report,) = solver._prepare([Y], opts, [rng])
+    if report.k:
+        return None
+    dec = solver.generalized_eig(y.A, y.B, _vectors=False)
+    chordal = np.abs(dec.beta) / np.hypot(np.abs(dec.alpha), np.abs(dec.beta))
+    order = np.argsort(chordal)
+    if n < len(order) and not chordal[order[n - 1]] < chordal[order[n]]:
+        return None
+    finite = np.ones(len(order), dtype=bool)
+    finite[order[:n]] = False
+    values = dec.values((y.scale_alpha, y.scale_beta))[finite]
+    return values[np.lexsort((values.imag, values.real))].tolist()
 
 
 @dataclass
@@ -562,14 +596,18 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
     """All lambda such that A + lambda B has a double eigenvalue.
 
     Solves the two n^2 x n^2 halves of the linearization from
-    :func:`double_eig_linearization` in one stacked rank-completing
-    solve: the regular half Y holds the generically n(n-1) finite true
-    eigenvalues, and the singular half X takes the perturbation.  The
-    halves are certified by their class counts (Y regular, with n(n-1)
-    finite true and n infinite true values, and no true value in X);
-    any other count, as at a semisimple crossing, where both halves
-    label some lambdas infinite true, sends the request to the solve of
-    the full 2n^2 x 2n^2 linearization with ``rng``.  Every candidate is
+    :func:`double_eig_linearization`: the singular half X takes the
+    rank-completing perturbation, and the regular half Y, which holds
+    the generically n(n-1) finite eigenvalues, needs none, so it takes
+    one eigenvalues-only QZ (Muhič & Plestenjak, LAA 2014, likewise
+    solve only the regular part of the singular 2EP).  The halves are
+    certified when X has no true value and Y has full normal rank and n
+    values that sit strictly closer to infinity (in the chordal metric)
+    than the other n(n-1), which are the candidates (see
+    :func:`_double_eig_candidates`).  Any
+    other outcome, as at a semisimple crossing, where X labels some
+    lambdas infinite true, sends the request to the solve of the full
+    2n^2 x 2n^2 linearization with ``rng``.  Every candidate is
     verified by recomputing the spectrum of A + lambda B.  With ``refine``
     (default) each lambda is polished by Newton steps on the squared gap
     of the colliding eigenvalue pair, which is analytic across the
@@ -598,7 +636,10 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
     solve draws.
 
     Cost: two dense QZs of order n^2 (a quarter of the flops of one of
-    order 2n^2), plus that one after a failed certification, plus stacked
+    order 2n^2): X's with both eigenvector sets and the diagnostics of
+    :func:`solve`, Y's without eigenvectors (at n = 8 in less than half
+    the time of a full solve of Y); plus the QZ of order 2n^2 after a
+    failed certification, plus stacked
     n x n ``eigvals`` calls over the representative lambdas in
     lockstep: one without ``refine``, and with it two more per Newton
     step until the last lambda stops: 3 when one step suffices for

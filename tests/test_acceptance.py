@@ -135,10 +135,10 @@ def test_criterion_5_double_eig_n5():
     A = rng0.standard_normal((5, 5))
     B = rng0.standard_normal((5, 5))
     res = double_eig(A, B, opts=SolveOptions(seed=5))
+    gr = res.solve_result.gap_report  # the first read runs the full 2n^2 solve: timed too
     elapsed = time.perf_counter() - start
     assert len(res.lambdas) == 20, f"expected n(n-1)=20, got {len(res.lambdas)}"
     assert max(res.gaps) <= 1e-6, f"max gap {max(res.gaps)}"
-    gr = res.solve_result.gap_report
     separation = gr.min_nontrue_zeta / gr.max_true_zeta
     assert separation >= 1e4, f"separation {separation:.1e}"
     assert elapsed < 60.0

@@ -12,15 +12,19 @@ import scipy.linalg.cython_lapack
 from scipy.optimize import linear_sum_assignment
 
 import singpencil.matrix_core as mc
+import singpencil.two_param as tp
 from singpencil import (
     EPS,
     EigDecomposition,
     NumericalError,
+    Pencil,
     as_cmatrix,
+    double_eig_linearization,
     generalized_eig,
     greedy_match,
     random_orthonormal,
     rank_with_tol,
+    scale,
 )
 
 from helpers import (
@@ -385,6 +389,43 @@ class TestLeanGeneralizedEig:
         for x, y in ((got.right, want.right), (got.left, want.left)):  # equal up to a unit factor
             overlap = np.abs(np.einsum("ij,ij->j", x[:, rows].conj(), y[:, cols]))
             np.testing.assert_allclose(overlap, 1.0, atol=1e-9)
+
+
+class TestValuesOnlyGeneralizedEig:
+    """The eigenvalues-only mode: the pairs of the full call, bit for bit, and no eigenvector column."""
+
+    @staticmethod
+    def assert_pairs_of_the_full_call(A, B):
+        want, got = generalized_eig(A, B), generalized_eig(A, B, _vectors=False)
+        assert got.right.shape == got.left.shape == (got.n, 0)
+        assert got.alpha.tobytes() == want.alpha.tobytes()
+        assert got.beta.tobytes() == want.beta.tobytes()
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_double_eig_regular_halves(self, qz_driver, n, complex_input):
+        # the scaled half Y that double_eig hands to the mode, n^2 x n^2
+        rng = np.random.default_rng(n)
+        draw = random_complex if complex_input else (lambda r, shape: r.standard_normal(shape))
+        full = Pencil(*double_eig_linearization(draw(rng, (n, n)), draw(rng, (n, n))))
+        y = scale(tp._swap_halves(full, n)[1])
+        self.assert_pairs_of_the_full_call(y.A, y.B)
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 31, 64, 76])
+    def test_random_pencils(self, qz_driver, n, complex_input):
+        rng = np.random.default_rng(n)
+        draw = random_complex if complex_input else (lambda r, shape: r.standard_normal(shape))
+        self.assert_pairs_of_the_full_call(draw(rng, (n, n)), draw(rng, (n, n)))
+
+    def test_empty_pencil(self, qz_driver):
+        dec = generalized_eig(np.zeros((0, 0)), np.zeros((0, 0)), _vectors=False)
+        assert dec.n == 0 and dec.right.shape == dec.left.shape == (0, 0)
+
+    def test_indeterminate_pairs_raise_numerical_error(self, qz_driver):
+        with pytest.raises(NumericalError, match="indeterminate eigenvalues") as exc:
+            generalized_eig(np.zeros((2, 2)), np.zeros((2, 2)), _vectors=False)
+        assert exc.value.details == {"indices": [0, 1]}
 
 
 class TestRankWithTol:

@@ -380,6 +380,30 @@ class TestDoubleEig:
                          opts=SolveOptions(seed=4))
         assert len(res.lambdas) == 6 and not res.count_warning
 
+    @pytest.mark.parametrize("s", [1.0, 1e6, 1e8, 1e10])
+    def test_scaled_pencil_gives_the_scaled_lambdas(self, s):
+        # A + lam B has a double eigenvalue where s A + (s lam) B does.  At s = 1e10
+        # one infinite value of the half Y sits at chordal |beta| = 5.5e-7, so a
+        # bound on |beta| / |alpha| would call it finite; taking Y's n smallest apart does not
+        rng = np.random.default_rng(4)
+        A0, B0 = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        want = np.array(double_eig(A0, B0, opts=SolveOptions(seed=0)).lambdas)
+        assert len(want) == 6
+        for seed in range(8):
+            res = double_eig(s * A0, B0, opts=SolveOptions(seed=seed))
+            assert len(res.lambdas) == 6 and not res.count_warning, seed
+            matched = greedy_match_by(res.lambdas, list(s * want), lambda a, b: abs(a - b) / abs(b))
+            assert max(d for _, _, d in matched) <= 1e-8, seed
+
+    def test_order_one_has_no_finite_value_in_its_certified_halves(self, monkeypatch):
+        # Y is 1 x 1 with its one infinite value, and no finite value to split off
+        calls = []
+        monkeypatch.setattr(tp, "solve", _counting_solve(calls))
+        for A, B in (([[2.0]], [[1.0]]), ([[1j]], [[0.0]]), ([[0.0]], [[0.0]])):
+            calls.clear()
+            res = double_eig(A, B, opts=SolveOptions(seed=0))
+            assert res.lambdas == [] and calls == [1] and not res.count_warning
+
     @pytest.mark.parametrize("n,seed", [(n, s) for n in (3, 4, 5, 6) for s in (1, 2)])
     def test_linearization_class_counts_are_closed_form(self, n, seed):
         # n(n-1) double-eigenvalue lambdas, n infinite, k = n prescribed and
@@ -436,9 +460,9 @@ class TestDoubleEig:
         calls = []
         monkeypatch.setattr(tp, "solve", _counting_solve(calls))
         res = double_eig(A, B, opts=SolveOptions(seed=3))
-        assert calls == [2] and len(res.lambdas) == 56  # the two halves in one stack
+        assert calls == [1] and len(res.lambdas) == 56  # X alone; Y takes a values-only QZ
         full = res.solve_result
-        assert calls == [2, 1] and res.solve_result is full
+        assert calls == [1, 1] and res.solve_result is full
         assert full.values.shape == (128,) and len(full.finite_true_values) == 56
         # the full solve draws from the third generator spawned at call time
         want = solve(Pencil(*double_eig_linearization(A, B)), SolveOptions(seed=3),
@@ -447,8 +471,8 @@ class TestDoubleEig:
 
     @pytest.mark.parametrize("similar", [False, True])
     def test_semisimple_crossings_fall_back_to_the_full_solve(self, monkeypatch, similar):
-        # both halves label some crossings infinite true, so the full linearization
-        # is solved with the caller's generator, as if the halves were never tried
+        # X labels some crossings infinite true, so the full linearization is
+        # solved with the caller's generator, as if the halves were never tried
         A, B = np.diag([1.0, 2.0, 3.0]), np.diag([0.0, 1.0, 3.0])
         if similar:
             S = np.random.default_rng(0).standard_normal((3, 3))
@@ -456,9 +480,9 @@ class TestDoubleEig:
         calls = []
         monkeypatch.setattr(tp, "solve", _counting_solve(calls))
         res = double_eig(A, B, opts=SolveOptions(seed=0))
-        assert calls == [2, 1]
+        assert calls == [1, 1]
         want = solve(Pencil(*double_eig_linearization(A, B)), SolveOptions(seed=0))
-        assert result_fields(res.solve_result) == result_fields(want) and calls == [2, 1]
+        assert result_fields(res.solve_result) == result_fields(want) and calls == [1, 1]
 
     @pytest.mark.parametrize("similar", [False, True])
     def test_semisimple_crossings_come_back_as_clusters(self, similar):
@@ -524,7 +548,7 @@ def test_swap_halves_match_the_full_linearization(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(tp, "solve", _counting_solve(calls))
             res = double_eig(A, B, opts=SolveOptions(seed=seed))
-        assert calls == [2], f"{name}: the halves were not certified"
+        assert calls == [1], f"{name}: the halves were not certified"
         found = res.solve_result.finite_true_values
         full = tp._polish(tp.as_cmatrix(A), tp.as_cmatrix(B), found, True)[0]
         assert len(res.lambdas) == len(full) == len(A) * (len(A) - 1), name

@@ -15,8 +15,9 @@ count warning.  Library cases digest the exact ``repr`` of
 ``solve`` records (eigenvectors by their bytes), gap reports, rank
 reports and perturbations, forced-collision retries,
 ``solve_by_intersection``, ``double_eig`` with and without refine (also
-on two semisimple-crossing pairs, where the halves of the linearization
-are not certified and the full one is solved) and
+on a random real 8 x 8 pair, the benchmark's size, and on two
+semisimple-crossing pairs, where the halves of the linearization are not
+certified and the full one is solved) and
 ``solve_2ep`` (on the bivariate cubic and on the benchmark's
 double-eigenvalue 2EP, whose mu pencils are 6 x 6 and 18 x 18, in both
 ``unique_lambda`` modes, also with equation 1 times 1j, a complex
@@ -240,7 +241,9 @@ def library_cases():
     for retries in (1, 2, 3):
         yield f"lib/collision/showcase/retries{retries}", lambda retries=retries: _solve_text(
             solve(p, SolveOptions(seed=0, gamma=([gamma_true], [1.0]), max_retries=retries)))
-    for name, p in {**double_eig_pencils(), **semisimple_pencils()}.items():
+    rng = np.random.default_rng(1)  # the benchmark's size: certified halves of order 64
+    real8 = Pencil(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
+    for name, p in {**double_eig_pencils(), "real8": real8, **semisimple_pencils()}.items():
         for refine in (True, False):
             def run(p=p, refine=refine):
                 res = double_eig(p.A, p.B, opts=SolveOptions(seed=1), refine=refine)
