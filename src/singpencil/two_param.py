@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import solver
-from .matrix_core import _lambda_order, as_cmatrix, greedy_match, rank_with_tol
+from .matrix_core import EPS, _lambda_order, as_cmatrix, greedy_match, rank_with_tol
 from .pencil import Pencil, _derived, _read_json, _write_json, read_matrix, write_matrix
 from .solver import _FINITE, _INFINITE, DEFAULT_MATCH_TOL, SolveOptions, _match_tol, solve, with_defaults
 
@@ -512,9 +512,9 @@ def _double_eig_candidates(A, B, opts, rng):
     :func:`solve` on the first; the regular half Y is scaled and probed
     on the second, and its values come from one eigenvalues-only QZ
     (:func:`_regular_values`).  The halves are certified when X has no
-    true value and Y has rank defect 0 with n values that sit strictly
-    closer to infinity than the other n(n-1); the candidates are then
-    those n(n-1), the thunk solves the full linearization on the third
+    true value and Y has rank defect 0 and exactly n values of chordal
+    size at most ``_Y_INFINITE``; the candidates are then the other
+    n(n-1), the thunk solves the full linearization on the third
     generator, and ``rng``'s own stream is not advanced.  Otherwise the
     full linearization is solved with ``rng`` itself and its finite true
     values are the candidates: spawning draws nothing from ``rng``'s
@@ -533,6 +533,15 @@ def _double_eig_candidates(A, B, opts, rng):
     return result.finite_true_values, lambda: result
 
 
+# Y's values of chordal size |beta| / hypot(|alpha|, |beta|) at most EPS^(1/4) (1.2e-4)
+# are infinite.  A defective B adds Jordan chains at infinity to Y; roundoff splits a
+# chain of length m to about EPS^(1/m), which this bound still counts as infinite.
+# Measured: such split values at <= 2.2e-8; Y's n true infinite values at <= 5.5e-5
+# (s = 1e12 of double_eig(s A, B)); its smallest finite ones at 5.5e-4 over 300 random
+# 8 x 8 pairs.
+_Y_INFINITE = EPS ** 0.25
+
+
 def _regular_values(Y, n, opts, rng):
     """The n(n-1) finite values of the half Y in the order of ``finite_true_values``, or None.
 
@@ -540,10 +549,11 @@ def _regular_values(Y, n, opts, rng):
     draws from ``rng``; a rank defect gives None.  Its pairs come from
     the eigenvalues-only mode of :func:`~singpencil.solver`'s
     ``generalized_eig`` (looked up there, where a tracer may have
-    wrapped it).  The n pairs of smallest chordal size |beta| /
-    hypot(|alpha|, |beta|) are Y's infinite values; when they do not sit
-    strictly below the others, the split is in doubt and the result is
-    None.  The others are back-scaled into values as :func:`solve` does
+    wrapped it).  The pairs of chordal size |beta| / hypot(|alpha|,
+    |beta|) at most ``_Y_INFINITE`` are Y's infinite values; when there
+    are not exactly n of them, as for a defective B, whose Jordan chains
+    at infinity roundoff splits into small values, the result is None.
+    The others are back-scaled into values as :func:`solve` does
     (:meth:`~singpencil.matrix_core.EigDecomposition.values`) and sorted
     by real, then imaginary part, ties in QZ order, as :func:`solve`
     sorts a finite true class, so that they are the values that class
@@ -553,12 +563,9 @@ def _regular_values(Y, n, opts, rng):
     if report.k:
         return None
     dec = solver.generalized_eig(y.A, y.B, _vectors=False)
-    chordal = np.abs(dec.beta) / np.hypot(np.abs(dec.alpha), np.abs(dec.beta))
-    order = np.argsort(chordal)
-    if n < len(order) and not chordal[order[n - 1]] < chordal[order[n]]:
+    finite = np.abs(dec.beta) > _Y_INFINITE * np.hypot(np.abs(dec.alpha), np.abs(dec.beta))
+    if finite.size - np.count_nonzero(finite) != n:
         return None
-    finite = np.ones(len(order), dtype=bool)
-    finite[order[:n]] = False
     values = dec.values((y.scale_alpha, y.scale_beta))[finite]
     return values[np.lexsort((values.imag, values.real))].tolist()
 
@@ -601,12 +608,12 @@ def double_eig(A, B, opts: SolveOptions | None = None, rng=None, refine=True):
     the generically n(n-1) finite eigenvalues, needs none, so it takes
     one eigenvalues-only QZ (Muhič & Plestenjak, LAA 2014, likewise
     solve only the regular part of the singular 2EP).  The halves are
-    certified when X has no true value and Y has full normal rank and n
-    values that sit strictly closer to infinity (in the chordal metric)
-    than the other n(n-1), which are the candidates (see
-    :func:`_double_eig_candidates`).  Any
-    other outcome, as at a semisimple crossing, where X labels some
-    lambdas infinite true, sends the request to the solve of the full
+    certified when X has no true value and Y has full normal rank and
+    exactly n values within EPS^(1/4) of infinity in the chordal metric;
+    the other n(n-1) are the candidates (see
+    :func:`_double_eig_candidates`).  Any other outcome, as at a
+    semisimple crossing, where X labels some lambdas infinite true, or
+    for a defective B, whose Y has more than n infinite values, sends the request to the solve of the full
     2n^2 x 2n^2 linearization with ``rng``.  Every candidate is
     verified by recomputing the spectrum of A + lambda B.  With ``refine``
     (default) each lambda is polished by Newton steps on the squared gap

@@ -335,11 +335,15 @@ class TestDoubleEig:
         array = 16 * (2 * 8 * 8) ** 2
         assert peak(double_eig_linearization, A, B) < peak(operator_determinants, problem) - 0.9 * array
 
-    def test_scalar_case_has_no_solutions(self):
-        D1, D0 = double_eig_linearization([[2.0]], [[1.0]])
+    @pytest.mark.parametrize("A,B", [([[2.0]], [[1.0]]), ([[1j]], [[0.0]]), ([[0.0]], [[0.0]])])
+    def test_scalar_case_has_no_solutions(self, monkeypatch, A, B):
+        # Y is 1 x 1 with its one infinite value, and no finite value to split off
+        D1, D0 = double_eig_linearization(A, B)
         assert D1.shape == (2, 2)
-        res = double_eig([[2.0]], [[1.0]], opts=SolveOptions(seed=0))
-        assert res.lambdas == []
+        calls = []
+        monkeypatch.setattr(tp, "solve", _counting_solve(calls))
+        res = double_eig(A, B, opts=SolveOptions(seed=0))
+        assert res.lambdas == [] and calls == [1] and not res.count_warning
 
     def test_empty_matrices_rejected(self):
         with pytest.raises(ValueError, match="empty pencil"):
@@ -384,7 +388,7 @@ class TestDoubleEig:
     def test_scaled_pencil_gives_the_scaled_lambdas(self, s):
         # A + lam B has a double eigenvalue where s A + (s lam) B does.  At s = 1e10
         # one infinite value of the half Y sits at chordal |beta| = 5.5e-7, so a
-        # bound on |beta| / |alpha| would call it finite; taking Y's n smallest apart does not
+        # bound of delta1 = sqrt(EPS) on |beta| / |alpha| would call it finite; EPS^(1/4) does not
         rng = np.random.default_rng(4)
         A0, B0 = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
         want = np.array(double_eig(A0, B0, opts=SolveOptions(seed=0)).lambdas)
@@ -394,15 +398,6 @@ class TestDoubleEig:
             assert len(res.lambdas) == 6 and not res.count_warning, seed
             matched = greedy_match_by(res.lambdas, list(s * want), lambda a, b: abs(a - b) / abs(b))
             assert max(d for _, _, d in matched) <= 1e-8, seed
-
-    def test_order_one_has_no_finite_value_in_its_certified_halves(self, monkeypatch):
-        # Y is 1 x 1 with its one infinite value, and no finite value to split off
-        calls = []
-        monkeypatch.setattr(tp, "solve", _counting_solve(calls))
-        for A, B in (([[2.0]], [[1.0]]), ([[1j]], [[0.0]]), ([[0.0]], [[0.0]])):
-            calls.clear()
-            res = double_eig(A, B, opts=SolveOptions(seed=0))
-            assert res.lambdas == [] and calls == [1] and not res.count_warning
 
     @pytest.mark.parametrize("n,seed", [(n, s) for n in (3, 4, 5, 6) for s in (1, 2)])
     def test_linearization_class_counts_are_closed_form(self, n, seed):
@@ -483,6 +478,26 @@ class TestDoubleEig:
         assert calls == [1, 1]
         want = solve(Pencil(*double_eig_linearization(A, B)), SolveOptions(seed=0))
         assert result_fields(res.solve_result) == result_fields(want) and calls == [1, 1]
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (2, 2), (3, 5)])
+    def test_defective_b_falls_back_to_the_full_solve(self, monkeypatch, n, seed):
+        # B = Q J Q^T with a 2 x 2 Jordan block in J, so A + lam B has fewer than
+        # n(n-1) double-eigenvalue lambdas and Y more than n infinite values, whose
+        # Jordan chain roundoff splits to 4.2e-16-1.2e-8 in chordal size
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        J = np.diag([1.0, 1.0, 2.0][:n])
+        J[0, 1] = 1.0
+        B = Q @ J @ Q.T
+        calls = []
+        monkeypatch.setattr(tp, "solve", _counting_solve(calls))
+        res = double_eig(A, B, opts=SolveOptions(seed=0))
+        assert calls == [1, 1]  # X, then the full linearization
+        want = solve(Pencil(*double_eig_linearization(A, B)), SolveOptions(seed=0))
+        assert result_fields(res.solve_result) == result_fields(want)
+        assert len(res.lambdas) == len(want.finite_true_values) < n * (n - 1)
+        assert max(res.gaps) <= 1e-6 and not res.count_warning
 
     @pytest.mark.parametrize("similar", [False, True])
     def test_semisimple_crossings_come_back_as_clusters(self, similar):
